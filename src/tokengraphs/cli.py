@@ -6,13 +6,15 @@ scanners), oeis (sequence prefixes with solver cross-checks).
 
 Graph specs: path:N | cycle:N | complete:N | kbip:M,N | star:N | match:M,S
 | file:PATH. Exit codes: 0 all rows pass or hold their bound, 1 any row
-fails, 2 usage error, 3 budget exceeded.
+fails, 2 usage error (a bad budget, or a verify with no instance), 3 budget
+exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -60,13 +62,21 @@ def parse_graph_spec(spec: str) -> Graph:
     return family(kinds[kind], params)
 
 
+def _budget_seconds(text: str) -> float:
+    """A budget in seconds: a finite number, not negative."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not 0 <= seconds < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"budget must be a finite number of seconds >= 0, not {text!r}"
+        )
+    return seconds
+
+
 def _budget_from(args: argparse.Namespace) -> Budget | None:
-    seconds = args.budget
-    if seconds is None:
-        raw = os.environ.get(BUDGET_ENV)
-        if raw:
-            seconds = float(raw)
-    return Budget(seconds=seconds) if seconds is not None else None
+    return Budget(seconds=args.budget) if args.budget is not None else None
 
 
 def _print_reports(reports: list[VerificationReport]) -> None:
@@ -124,6 +134,12 @@ def _cmd_beta(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     reports = run_check(args.check, max_n=args.max_n, budget=_budget_from(args))
+    if not reports:
+        print(
+            f"error: verify {args.check} has no instance with --max-n {args.max_n}",
+            file=sys.stderr,
+        )
+        return 2
     _print_reports(reports)
     _write_reports(reports, args)
     return exit_code_for(reports)
@@ -208,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--budget",
-        type=float,
+        type=_budget_seconds,
         default=None,
         help=f"per-instance solver budget in seconds (default: ${BUDGET_ENV})",
     )
@@ -262,6 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    raw = os.environ.get(BUDGET_ENV)
+    if args.budget is None and raw:
+        try:
+            args.budget = _budget_seconds(raw)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"${BUDGET_ENV}: {exc}")
     try:
         return args.func(args)
     except GraphError as exc:

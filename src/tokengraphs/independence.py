@@ -3,10 +3,15 @@
 The solver is a bitmask branch-and-bound: connected components are solved
 independently, degree-0/degree-1 vertices are taken greedily (exact
 reductions), and branching picks the busiest candidate vertex with the
-include branch first. Upper bounds come from clique covers, computed exactly
-through a maximum matching on 2-colorable components (minimum clique cover
-is vertex count minus matching number there) and greedily elsewhere. A
-brute-force enumerator backs the solver as an independent oracle.
+include branch first. Each component starts from a greedy seed (least
+remaining degree first), kept in degree buckets so that it costs O(n + m)
+mask operations; on 2-colorable components the larger color class competes
+with it. Upper bounds come from clique covers, computed exactly through a
+maximum matching on 2-colorable components (minimum clique cover is vertex
+count minus matching number there) and greedily elsewhere. The recursive
+helpers are module functions, not closures, so a solve leaves no reference
+cycles behind. A brute-force enumerator backs the solver as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -151,21 +156,48 @@ def _two_color(comp: int, masks: tuple[int, ...]) -> int | None:
 
 def _greedy_seed(comp: int, masks: tuple[int, ...]) -> int:
     """Deterministic maximal independent set: repeatedly take the vertex of
-    least remaining degree (ties to the lowest id)."""
+    least remaining degree (ties to the lowest id).
+
+    Degree buckets keep the choice cheap: ``buckets[d]`` is the mask of live
+    vertices with d live neighbors and ``low`` the least nonempty d, so the
+    pick is the lowest bit of ``buckets[low]``. Taking it removes it and its
+    neighbors, and each live neighbor of a removed vertex moves one bucket
+    down. Every edge moves at most one endpoint once, so the whole greedy is
+    O(n + m) mask operations instead of a popcount scan of the candidates
+    per pick.
+    """
+    deg: dict[int, int] = {}
+    buckets = [0] * comp.bit_count()
+    for v in _bit_list(comp):
+        d = (masks[v] & comp).bit_count()
+        deg[v] = d
+        buckets[d] |= 1 << v
     cand = comp
     chosen = 0
+    low = 0
     while cand:
-        pick, pick_deg = -1, 1 << 62
-        m = cand
-        while m:
-            low = m & (-m)
-            m ^= low
-            v = low.bit_length() - 1
-            d = (masks[v] & cand).bit_count()
-            if d < pick_deg:
-                pick, pick_deg = v, d
-        chosen |= 1 << pick
-        cand &= ~(masks[pick] | (1 << pick))
+        while not buckets[low]:
+            low += 1
+        vbit = buckets[low] & (-buckets[low])
+        chosen |= vbit
+        gone = (masks[vbit.bit_length() - 1] & cand) | vbit
+        cand &= ~gone
+        while gone:
+            ubit = gone & (-gone)
+            gone ^= ubit
+            u = ubit.bit_length() - 1
+            buckets[deg[u]] ^= ubit
+            m = masks[u] & cand
+            while m:
+                xbit = m & (-m)
+                m ^= xbit
+                x = xbit.bit_length() - 1
+                d = deg[x]
+                deg[x] = d - 1
+                buckets[d] ^= xbit
+                buckets[d - 1] |= xbit
+                if d - 1 < low:
+                    low = d - 1
     return chosen
 
 
@@ -216,20 +248,24 @@ def _bipartite_matching_size(cand: int, masks: tuple[int, ...], left_mask: int) 
         if not free_reachable:
             return size
 
-        def augment(u: int) -> bool:
-            du = dist[u]
-            for w in adj[u]:
-                x = pair.get(w)
-                if x is None or (dist.get(x) == du + 1 and augment(x)):
-                    pair[u] = w
-                    pair[w] = u
-                    return True
-            del dist[u]
-            return False
-
         for u in [u for u in left if u not in pair]:
-            if u in dist and augment(u):
+            if u in dist and _augment(u, adj, pair, dist):
                 size += 1
+
+
+def _augment(
+    u: int, adj: dict[int, list[int]], pair: dict[int, int], dist: dict[int, int]
+) -> bool:
+    """One Hopcroft-Karp augmenting path from ``u`` along the BFS layers."""
+    du = dist[u]
+    for w in adj[u]:
+        x = pair.get(w)
+        if x is None or (dist.get(x) == du + 1 and _augment(x, adj, pair, dist)):
+            pair[u] = w
+            pair[w] = u
+            return True
+    del dist[u]
+    return False
 
 
 def _solve_component(comp: int, masks: tuple[int, ...], clock: _BudgetClock) -> int:
@@ -243,60 +279,74 @@ def _solve_component(comp: int, masks: tuple[int, ...], clock: _BudgetClock) -> 
         cls = one if one.bit_count() >= two.bit_count() else two
         if cls.bit_count() > best_mask.bit_count():
             best_mask = cls
-    best_size = best_mask.bit_count()
+    return _branch(comp, 0, 0, best_mask, masks, left_mask, clock)
 
-    def rec(cand: int, cur_mask: int, cur_size: int) -> None:
-        nonlocal best_mask, best_size
-        while True:
-            clock.tick()
-            # exact reductions: isolated vertices join, degree-1 vertices
-            # join and evict their single neighbor
-            progressed = True
-            while progressed:
-                progressed = False
-                m = cand
-                while m:
-                    low = m & (-m)
-                    m ^= low
-                    if not cand & low:
-                        continue
-                    nb = masks[low.bit_length() - 1] & cand
-                    if nb == 0:
-                        cand ^= low
-                        cur_mask |= low
-                        cur_size += 1
-                        progressed = True
-                    elif nb & (nb - 1) == 0:
-                        cand &= ~(low | nb)
-                        cur_mask |= low
-                        cur_size += 1
-                        progressed = True
-            if cand == 0:
-                if cur_size > best_size:
-                    best_size = cur_size
-                    best_mask = cur_mask
-                return
-            if left_mask is not None:
-                bound = cand.bit_count() - _bipartite_matching_size(cand, masks, left_mask)
-            else:
-                bound = _clique_cover_bound(cand, masks)
-            if cur_size + bound <= best_size:
-                return
-            pick, pick_deg = -1, -1
+
+def _branch(
+    cand: int,
+    cur_mask: int,
+    cur_size: int,
+    best_mask: int,
+    masks: tuple[int, ...],
+    left_mask: int | None,
+    clock: _BudgetClock,
+) -> int:
+    """The best of ``best_mask`` and every independent set that extends
+    ``cur_mask`` inside ``cand``: include branch first, then exclude."""
+    best_size = best_mask.bit_count()
+    while True:
+        clock.tick()
+        # exact reductions: isolated vertices join, degree-1 vertices
+        # join and evict their single neighbor
+        progressed = True
+        while progressed:
+            progressed = False
             m = cand
             while m:
                 low = m & (-m)
                 m ^= low
-                v = low.bit_length() - 1
-                d = (masks[v] & cand).bit_count()
-                if d > pick_deg:
-                    pick, pick_deg = v, d
-            vbit = 1 << pick
-            rec(cand & ~(masks[pick] | vbit), cur_mask | vbit, cur_size + 1)
-            cand &= ~vbit
-
-    rec(comp, 0, 0)
-    return best_mask
+                if not cand & low:
+                    continue
+                nb = masks[low.bit_length() - 1] & cand
+                if nb == 0:
+                    cand ^= low
+                    cur_mask |= low
+                    cur_size += 1
+                    progressed = True
+                elif nb & (nb - 1) == 0:
+                    cand &= ~(low | nb)
+                    cur_mask |= low
+                    cur_size += 1
+                    progressed = True
+        if cand == 0:
+            return cur_mask if cur_size > best_size else best_mask
+        if left_mask is not None:
+            bound = cand.bit_count() - _bipartite_matching_size(cand, masks, left_mask)
+        else:
+            bound = _clique_cover_bound(cand, masks)
+        if cur_size + bound <= best_size:
+            return best_mask
+        pick, pick_deg = -1, -1
+        m = cand
+        while m:
+            low = m & (-m)
+            m ^= low
+            v = low.bit_length() - 1
+            d = (masks[v] & cand).bit_count()
+            if d > pick_deg:
+                pick, pick_deg = v, d
+        vbit = 1 << pick
+        best_mask = _branch(
+            cand & ~(masks[pick] | vbit),
+            cur_mask | vbit,
+            cur_size + 1,
+            best_mask,
+            masks,
+            left_mask,
+            clock,
+        )
+        best_size = best_mask.bit_count()
+        cand &= ~vbit
 
 
 def max_independent_set(g: Graph, budget: Budget | None = None) -> IndependentSet:
@@ -308,15 +358,18 @@ def max_independent_set(g: Graph, budget: Budget | None = None) -> IndependentSe
     """
     if g.n == 0:
         return IndependentSet(frozenset())
-    # include-chain depth plus an augmenting-path DFS both scale with n
-    need = 2 * g.n + 200
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
-    masks = g.adjacency_masks()
-    clock = _BudgetClock(budget)
-    chosen = 0
-    for comp in _component_masks(g.n, masks):
-        chosen |= _solve_component(comp, masks, clock)
+    # include-chain depth plus an augmenting-path DFS both scale with n;
+    # the raised limit lasts only for this call
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 2 * g.n + 200))
+    try:
+        masks = g.adjacency_masks()
+        clock = _BudgetClock(budget)
+        chosen = 0
+        for comp in _component_masks(g.n, masks):
+            chosen |= _solve_component(comp, masks, clock)
+    finally:
+        sys.setrecursionlimit(limit)
     result = IndependentSet(frozenset(_bit_list(chosen)))
     result.validate(g)
     return result

@@ -85,8 +85,10 @@ def all_good(reports: list[VerificationReport]) -> bool:
 
 
 def exit_code_for(reports: list[VerificationReport]) -> int:
-    """0 when every row passes or holds its bound; 3 when any row ran out of
-    budget; 1 otherwise."""
+    """1 when any row fails; otherwise 3 when any row ran out of budget;
+    0 when every row passes or holds its bound."""
+    if any(r.status == STATUS_FAIL for r in reports):
+        return 1
     if any(r.status == STATUS_BUDGET for r in reports):
         return 3
-    return 0 if all_good(reports) else 1
+    return 0

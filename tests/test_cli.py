@@ -103,6 +103,37 @@ def test_cli_budget_env(monkeypatch, capsys):
     assert main(["beta", "cycle:7", "-k", "2"]) == 0
 
 
+def test_cli_verify_without_rows_is_usage_error(capsys):
+    assert main(["verify", "thm3", "--max-n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "thm3" in captured.err
+
+
+def _usage_exit(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return exc.value.code, err
+
+
+def test_cli_budget_env_not_a_number(monkeypatch, capsys):
+    monkeypatch.setenv("TOKENGRAPHS_BUDGET", "abc")
+    code, err = _usage_exit(["beta", "cycle:5", "-k", "2"], capsys)
+    assert code == 2 and "TOKENGRAPHS_BUDGET" in err
+
+
+def test_cli_budget_nan(capsys):
+    code, err = _usage_exit(["--budget", "nan", "beta", "cycle:5", "-k", "2"], capsys)
+    assert code == 2 and "--budget" in err
+
+
+def test_cli_budget_negative(capsys):
+    code, err = _usage_exit(["--budget", "-1", "beta", "cycle:5", "-k", "2"], capsys)
+    assert code == 2 and "--budget" in err
+
+
 def test_reports_byte_identical_across_processes(tmp_path):
     # different hash seeds must not leak set-iteration order into reports
     import os

@@ -1,3 +1,6 @@
+import gc
+import random
+import sys
 from math import comb
 
 import pytest
@@ -17,6 +20,8 @@ from tokengraphs.graphs import (
     star_graph,
 )
 from tokengraphs.independence import (
+    _component_masks,
+    _greedy_seed,
     BoundsPair,
     Budget,
     BudgetExceededError,
@@ -120,6 +125,93 @@ def test_budget_generous_limit_succeeds():
     t = token_graph(cycle_graph(9), 2)
     found = max_independent_set(t.graph, Budget(seconds=60, node_limit=10_000_000))
     assert found.size == 18
+
+
+# -- greedy seed, garbage and recursion limit -------------------------------
+
+
+def _quadratic_greedy_seed(comp, masks):
+    """Reference seed: a popcount scan of every candidate per pick, taking
+    the least remaining degree with ties to the lowest id."""
+    cand = comp
+    chosen = 0
+    while cand:
+        pick, pick_deg = -1, 1 << 62
+        m = cand
+        while m:
+            low = m & (-m)
+            m ^= low
+            v = low.bit_length() - 1
+            d = (masks[v] & cand).bit_count()
+            if d < pick_deg:
+                pick, pick_deg = v, d
+        chosen |= 1 << pick
+        cand &= ~(masks[pick] | (1 << pick))
+    return chosen
+
+
+def _assert_seed_matches_reference(g):
+    masks = g.adjacency_masks()
+    comps = _component_masks(g.n, masks)
+    for comp in comps:
+        assert _greedy_seed(comp, masks) == _quadratic_greedy_seed(comp, masks)
+    return len(comps)
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@given(st.integers(1, 40), st.sampled_from((0.05, 0.15, 0.3, 0.6)), st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_greedy_seed_matches_reference_on_random_graphs(n, p, seed):
+    _assert_seed_matches_reference(erdos_renyi(n, p, seed))
+
+
+def test_greedy_seed_matches_reference_on_relabelled_token_graphs():
+    bases = [cycle_graph(n) for n in range(3, 10)]
+    bases += [path_graph(n) for n in range(2, 10)]
+    bases += [complete_graph(n) for n in range(2, 8)]
+    bases += [complete_bipartite_graph(m, n) for m in range(1, 5) for n in range(m, 6)]
+    bases += [star_graph(n) for n in range(2, 8)]
+    checked = 0
+    for i, base in enumerate(bases):
+        for k in range(1, base.n):
+            t = token_graph(base, k).graph
+            checked += _assert_seed_matches_reference(t)
+            checked += _assert_seed_matches_reference(_relabelled(t, i * 100 + k))
+    assert checked > 300
+
+
+def test_solve_leaves_no_cyclic_garbage():
+    graphs = [
+        token_graph(cycle_graph(8), 4).graph,
+        token_graph(cycle_graph(9), 3).graph,
+        token_graph(complete_graph(8), 3).graph,
+    ]
+    for g in graphs:
+        g.adjacency_masks()
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            max_independent_set(g)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_solve_restores_the_recursion_limit():
+    limit = sys.getrecursionlimit()
+    g = token_graph(cycle_graph(12), 5).graph
+    assert 2 * g.n + 200 > limit
+    assert max_independent_set(g).size == comb(12, 5) // 2
+    assert sys.getrecursionlimit() == limit
+    with pytest.raises(BudgetExceededError):
+        max_independent_set(g, Budget(node_limit=0))
+    assert sys.getrecursionlimit() == limit
 
 
 # -- saturation shortcut ----------------------------------------------------

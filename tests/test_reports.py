@@ -71,10 +71,12 @@ def test_csv_rendering():
 def test_exit_codes():
     assert exit_code_for([_report(STATUS_PASS), _report(STATUS_BOUND)]) == 0
     assert exit_code_for([_report(STATUS_PASS), _report(STATUS_FAIL, solver=0, formula=0)]) == 1
+    # a failed row outranks a row that ran out of budget
     assert (
         exit_code_for(
             [_report(STATUS_FAIL, formula=0, solver=1), _report(STATUS_BUDGET)]
         )
-        == 3
+        == 1
     )
+    assert exit_code_for([_report(STATUS_PASS), _report(STATUS_BUDGET)]) == 3
     assert all_good([_report(STATUS_PASS)])
