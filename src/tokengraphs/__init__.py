@@ -6,7 +6,6 @@ from .constructions import (
     LayerSet,
     cycle_independent_set,
     cycle_layer,
-    expected_matching_size,
     f2_matching_construction,
     isolated_tokens,
     layers_linked,

@@ -6,8 +6,8 @@ scanners), oeis (sequence prefixes with solver cross-checks).
 
 Graph specs: path:N | cycle:N | complete:N | kbip:M,N | star:N | match:M,S
 | file:PATH. Exit codes: 0 all rows pass or hold their bound, 1 any row
-fails, 2 usage error (a bad budget, or a verify with no instance), 3 budget
-exceeded.
+fails, 2 usage error (a bad budget or graph spec, or a verify or scan with
+no instance), 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .formulas import ConjectureRow, conjecture_scan, counterexample_scan_2x5, oeis_check, r_value
+from .formulas import ConjectureRow, conjecture_scan, counterexample_scan_2x5, oeis_check
 from .graphs import Graph, GraphError, family, parse_edge_list_text
 from .independence import Budget, BudgetExceededError, max_independent_set
 from .matching import max_matching
@@ -44,7 +44,11 @@ def parse_graph_spec(spec: str) -> Graph:
     if not sep:
         raise GraphError(f"bad graph spec {spec!r}; expected kind:params")
     if kind == "file":
-        return parse_edge_list_text(Path(arg).read_text())
+        try:
+            text = Path(arg).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GraphError(f"cannot read edge list {arg!r}: {exc}") from None
+        return parse_edge_list_text(text)
     kinds = {
         "path": "path",
         "cycle": "cycle",
@@ -89,11 +93,20 @@ def _print_reports(reports: list[VerificationReport]) -> None:
     print(f"-- {good}/{len(reports)} rows pass or hold their bound")
 
 
-def _write_reports(reports: list[VerificationReport], args: argparse.Namespace) -> None:
-    if getattr(args, "json", None):
+def _finish_reports(
+    reports: list[VerificationReport], args: argparse.Namespace, empty: str
+) -> int:
+    """Print and write the reports and return the exit code. A run with no
+    rows is a usage error: ``empty`` goes to stderr and nothing is written."""
+    if not reports:
+        print(f"error: {empty}", file=sys.stderr)
+        return 2
+    _print_reports(reports)
+    if args.json:
         Path(args.json).write_text(reports_to_json(reports))
-    if getattr(args, "csv", None):
+    if args.csv:
         Path(args.csv).write_text(reports_to_csv(reports))
+    return exit_code_for(reports)
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -134,15 +147,9 @@ def _cmd_beta(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     reports = run_check(args.check, max_n=args.max_n, budget=_budget_from(args))
-    if not reports:
-        print(
-            f"error: verify {args.check} has no instance with --max-n {args.max_n}",
-            file=sys.stderr,
-        )
-        return 2
-    _print_reports(reports)
-    _write_reports(reports, args)
-    return exit_code_for(reports)
+    return _finish_reports(
+        reports, args, f"verify {args.check} has no instance with --max-n {args.max_n}"
+    )
 
 
 def _conjecture_report(row: ConjectureRow) -> VerificationReport:
@@ -166,12 +173,16 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             print(f"budget exceeded: {exc}", file=sys.stderr)
             return 3
         reports = [_conjecture_report(row) for row in rows]
+        code = _finish_reports(
+            reports,
+            args,
+            f"scan conjecture has no instance with --max-order {args.max_order} "
+            f"--max-k {args.max_k}",
+        )
         violations = [r for r in reports if r.status == STATUS_FAIL]
-        _print_reports(reports)
         if violations:
             print(f"!! {len(violations)} violation(s) found; witnesses are in the report")
-        _write_reports(reports, args)
-        return exit_code_for(reports)
+        return code
 
     # fig3: the parts-2/5 counterexample scan
     try:
@@ -204,9 +215,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 seconds=0.0,
             )
         ]
-    _print_reports(reports)
-    _write_reports(reports, args)
-    return exit_code_for(reports)
+    return _finish_reports(reports, args, "scan fig3 has no rows")
 
 
 def _cmd_oeis(args: argparse.Namespace) -> int:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+from .formulas import nu_token_formula
 from .graphs import Bipartition, Graph, GraphError, delete_vertices, make_graph, matching_graph
 from .independence import IndependentSet
 from .matching import Matching
@@ -109,21 +110,6 @@ def f2_matching_construction(m: int, s: int) -> Matching:
     return result
 
 
-def expected_matching_size(n: int, k: int) -> int:
-    """Guaranteed token-matching size for a base of order n with a perfect
-    (n even) or almost perfect (n odd) matching: exactly half the non-isolated
-    part of the extremal case."""
-    if n % 2 == 0 and k % 2 == 1:
-        missing = 0
-    elif n % 2 == 0:
-        missing = comb(n // 2, k // 2)
-    else:
-        missing = comb((n - 1) // 2, k // 2)
-    total = comb(n, k) - missing
-    assert total % 2 == 0
-    return total // 2
-
-
 def theorem1_matching(g: Graph, base_matching: Matching, k: int) -> Matching:
     """A matching of the k-token graph achieving the guaranteed size, built
     recursively from a perfect or almost perfect matching of the base.
@@ -141,7 +127,7 @@ def theorem1_matching(g: Graph, base_matching: Matching, k: int) -> Matching:
         raise GraphError(f"token count k={k} out of range")
 
     result = _theorem1_recurse(g, base_matching, k)
-    assert result.size == expected_matching_size(n, k)
+    assert result.size == nu_token_formula(n, k).value
     validate_token_matching(g, k, result.edges)
     return result
 
@@ -309,13 +295,6 @@ class InjectionPhi:
 
 def _colex_pairs(s: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(2, s + 1) for i in range(1, j)]
-
-
-def class_sizes_f2(m: int, s: int) -> tuple[int, int]:
-    """(|mixed|, |same-side|) token counts for parts of sizes m and m+s."""
-    n = 2 * m + s
-    mixed = m * (m + s)
-    return mixed, comb(n, 2) - mixed
 
 
 def witness_graph_small_s(m: int, s: int) -> tuple[Graph, Bipartition, InjectionPhi]:

@@ -97,6 +97,13 @@ def r_value(m: int, n: int, k: int) -> int:
     )
 
 
+def class_bound(m: int, n: int, k: int) -> int:
+    """Size of the larger parity class of the k-token graph of a bipartite
+    base with parts m and n: max(r, C(m+n,k) - r) with r the odd class."""
+    r = r_value(m, n, k)
+    return max(r, comb(m + n, k) - r)
+
+
 def beta_balanced_family(p: int, k: int) -> int:
     """Independence number of the k-token graph for paths and the balanced /
     near-balanced complete bipartite graphs of order p: the larger parity
@@ -105,8 +112,7 @@ def beta_balanced_family(p: int, k: int) -> int:
         raise GraphError("order must be at least 2")
     if not 1 <= k <= p - 1:
         raise GraphError(f"k={k} out of range for order {p}")
-    r = r_value(p // 2, (p + 1) // 2, k)
-    return max(r, comb(p, k) - r)
+    return class_bound(p // 2, (p + 1) // 2, k)
 
 
 def s_threshold(m: int) -> int:
@@ -251,7 +257,7 @@ def counterexample_scan_2x5(
     kept, which isolates the structurally interesting hits.
     """
     base = complete_bipartite_graph(2, 5)
-    bound = max(r_value(2, 5, 2), comb(7, 2) - r_value(2, 5, 2))
+    bound = class_bound(2, 5, 2)
     hits: list[ScanHit] = []
     for mask in range(1 << base.edge_count):
         edges = [e for i, e in enumerate(base.edges) if (mask >> i) & 1]
@@ -294,8 +300,7 @@ def conjecture_scan(
     for m in range(1, max_order // 2 + 1):
         for n in range(m, max_order - m + 1):
             for k in range(2, min(max_k, m + n - 2) + 1):
-                r = r_value(m, n, k)
-                bound = max(r, comb(m + n, k) - r)
+                bound = class_bound(m, n, k)
                 t = token_graph(complete_bipartite_graph(m, n), k)
                 found = max_independent_set(t.graph, budget)
                 agrees = found.size == bound

@@ -275,6 +275,14 @@ def to_edge_list_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_pair(row: list[str], what: str) -> tuple[int, int]:
+    try:
+        a, b = (int(x) for x in row)
+    except ValueError:  # not two fields, or not integers
+        raise GraphError(f"bad {what}: {' '.join(row)!r}") from None
+    return a, b
+
+
 def parse_edge_list_text(text: str) -> Graph:
     """Inverse of :func:`to_edge_list_text`; blank lines are ignored."""
     rows: Iterator[list[str]] = (line.split() for line in text.splitlines() if line.strip())
@@ -282,14 +290,10 @@ def parse_edge_list_text(text: str) -> Graph:
         header = next(rows)
     except StopIteration:
         raise GraphError("empty edge-list input") from None
-    if len(header) != 2:
-        raise GraphError("edge-list header must be 'n m'")
-    n, m = (int(x) for x in header)
+    n, m = _int_pair(header, "edge-list header 'n m'")
     edges = []
     for row in rows:
-        if len(row) != 2:
-            raise GraphError(f"bad edge line {' '.join(row)!r}")
-        u, v = (int(x) for x in row)
+        u, v = _int_pair(row, "edge line")
         edges.append((u - 1, v - 1))
     if len(edges) != m:
         raise GraphError(f"header promised {m} edges, found {len(edges)}")

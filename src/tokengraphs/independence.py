@@ -387,19 +387,18 @@ def brute_force_mis(g: Graph) -> int:
     """
     if g.n > 26:
         raise GraphError("brute-force independent set is limited to 26 vertices")
-    masks = g.adjacency_masks()
+    return _brute_force_rec((1 << g.n) - 1, g.adjacency_masks())
 
-    def rec(cand: int) -> int:
-        if cand == 0:
-            return 0
-        low = cand & (-cand)
-        rest = cand ^ low
-        nb = masks[low.bit_length() - 1] & cand
-        if nb == 0:
-            return 1 + rec(rest)
-        return max(rec(rest), 1 + rec(rest & ~nb))
 
-    return rec((1 << g.n) - 1)
+def _brute_force_rec(cand: int, masks: tuple[int, ...]) -> int:
+    if cand == 0:
+        return 0
+    low = cand & (-cand)
+    rest = cand ^ low
+    nb = masks[low.bit_length() - 1] & cand
+    if nb == 0:
+        return 1 + _brute_force_rec(rest, masks)
+    return max(_brute_force_rec(rest, masks), 1 + _brute_force_rec(rest & ~nb, masks))
 
 
 def beta_via_saturation(t: TokenGraph, classes: Bipartition) -> int | None:

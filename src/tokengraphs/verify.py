@@ -3,17 +3,21 @@ catalog on its full desk-scale domain and emits one report row per instance.
 
 Check ids (see :data:`CHECKS`): thm1, thm2, thm3, lemma3, lemma5, lemma6,
 cor3, cor4, star, prop3, eq1, eq2, eq3, fig1, fig2, fig34, j73.
+
+Each check is a generator of ``(instance, compute)`` pairs in report order;
+:func:`run_check` times every ``compute`` call as one row. Most rows are
+built by :func:`_beta` or :func:`_nu`.
 """
 
 from __future__ import annotations
 
 import time
+from functools import cache, partial
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .constructions import (
     cycle_independent_set,
-    expected_matching_size,
     f2_matching_construction,
     isolated_tokens,
     theorem1_matching,
@@ -27,6 +31,7 @@ from .formulas import (
     beta_star,
     class_order_predicate,
     counterexample_scan_2x5,
+    nu_token_formula,
 )
 from .graphs import (
     Graph,
@@ -44,8 +49,9 @@ from .independence import (
     BudgetExceededError,
     max_independent_set,
     recursive_bounds,
+    vertex_transitive_bound,
 )
-from .matching import Matching, hall_witness, is_perfect, max_matching
+from .matching import Matching, hall_witness, max_matching
 from .reports import (
     STATUS_BOUND,
     STATUS_BUDGET,
@@ -55,7 +61,9 @@ from .reports import (
 )
 from .tokens import TokenGraph, token_bipartition, token_graph
 
-CheckFunction = Callable[..., "list[VerificationReport]"]
+#: One row's work: returns (formula value, solver value, witness, status).
+Compute = Callable[[], tuple[object, object, object, str]]
+Rows = Iterator[tuple[str, Compute]]
 
 
 def _subset_witness(t: TokenGraph, chosen: Iterable[int]) -> list[list[int]]:
@@ -72,11 +80,7 @@ def _matching_witness(t: TokenGraph, m: Matching) -> dict:
     }
 
 
-def _row(
-    check_id: str,
-    instance: str,
-    compute: Callable[[], tuple[object, object, object, str]],
-) -> VerificationReport:
+def _row(check_id: str, instance: str, compute: Compute) -> VerificationReport:
     start = time.perf_counter()
     try:
         formula, solver, witness, status = compute()
@@ -95,6 +99,55 @@ def _eq_status(formula: object, solver: object) -> str:
     return STATUS_PASS if formula == solver else STATUS_FAIL
 
 
+def _bracket(lower: int, upper: int, exact: int) -> tuple[str, int, None, str]:
+    """A bound row: the interval as the formula value, the exact value as the
+    solver value."""
+    ok = lower <= exact <= upper
+    return f"[{lower}, {upper}]", exact, None, STATUS_BOUND if ok else STATUS_FAIL
+
+
+def _beta(
+    g: Graph,
+    k: int,
+    target: int,
+    budget: Budget | None,
+    wrap: Callable[[list[list[int]]], object] | None = None,
+) -> Compute:
+    """A β row: the independence number of the k-token graph of ``g`` equals
+    ``target``. The witness is the solver's set, passed through ``wrap``."""
+
+    def compute():
+        t = token_graph(g, k)
+        found = max_independent_set(t.graph, budget)
+        witness = _subset_witness(t, found.vertices)
+        return target, found.size, wrap(witness) if wrap else witness, _eq_status(
+            target, found.size
+        )
+
+    return compute
+
+
+def _nu(
+    g: Graph, k: int, target: int, build: Callable[[], Matching] | None = None
+) -> Compute:
+    """A ν row: the solver's maximum matching of the k-token graph of ``g`` is
+    valid and has ``target`` edges, and so does the ``build`` construction,
+    if given. The witness is the built matching, else the solved one."""
+
+    def compute():
+        t = token_graph(g, k)
+        built = build() if build else None
+        solved = max_matching(t.graph)
+        solved.validate(t.graph)
+        shown = solved if built is None else built
+        ok = solved.size == target == shown.size
+        return target, solved.size, _matching_witness(t, shown), (
+            STATUS_PASS if ok else STATUS_FAIL
+        )
+
+    return compute
+
+
 def _matching_sweep_pairs(max_order: int) -> list[tuple[int, int]]:
     return [
         (m, s)
@@ -108,10 +161,11 @@ def _matching_sweep_pairs(max_order: int) -> list[tuple[int, int]]:
 # matching-number checks
 
 
-def check_thm1_exact(budget: Budget | None = None) -> list[VerificationReport]:
-    """Odd token counts over perfect-matching bases: both the recursive
-    construction and the solver give a perfect matching of the token graph."""
-    reports = []
+def _thm1(max_n: int | None, budget: Budget | None) -> Rows:
+    """Exact case: odd token counts over perfect-matching bases, where both
+    the recursive construction and the solver give a perfect matching.
+    Tightness: disjoint-matching bases meet the bound exactly and carry
+    exactly the predicted number of isolated tokens, for every token count."""
     exact_bases = [
         ("C6", cycle_graph(6)),
         ("K_{3,3}", complete_bipartite_graph(3, 3)),
@@ -121,30 +175,16 @@ def check_thm1_exact(budget: Budget | None = None) -> list[VerificationReport]:
     for name, g in exact_bases:
         base_matching = max_matching(g)
         for k in range(1, g.n, 2):
-            def compute(g=g, base_matching=base_matching, k=k):
-                t = token_graph(g, k)
-                target = comb(g.n, k) // 2
-                built = theorem1_matching(g, base_matching, k)
-                solved = max_matching(t.graph)
-                ok = built.size == target == solved.size and is_perfect(solved, t.graph)
-                status = STATUS_PASS if ok else STATUS_FAIL
-                return target, solved.size, _matching_witness(t, built), status
+            build = partial(theorem1_matching, g, base_matching, k)
+            yield f"exact: {name}, k={k}", _nu(g, k, nu_token_formula(g.n, k).value, build)
 
-            reports.append(_row("thm1", f"exact: {name}, k={k}", compute))
-    return reports
-
-
-def check_thm1_tight(max_n: int | None = None, budget: Budget | None = None) -> list[VerificationReport]:
-    """Disjoint-matching bases meet the matching bound exactly and carry
-    exactly the predicted number of isolated tokens, for every token count."""
-    reports = []
     for m, s in _matching_sweep_pairs(max_n or 10):
         g = matching_graph(m, s)
         base_matching = Matching.of(g.edges)
         for k in range(1, g.n):
             def compute(g=g, base_matching=base_matching, m=m, s=s, k=k):
                 t = token_graph(g, k)
-                target = expected_matching_size(g.n, k)
+                target = nu_token_formula(g.n, k).value
                 built = theorem1_matching(g, base_matching, k)
                 solved = max_matching(t.graph).size
                 isolated = isolated_tokens(m, s, k)
@@ -154,203 +194,107 @@ def check_thm1_tight(max_n: int | None = None, budget: Budget | None = None) -> 
                     STATUS_PASS if ok else STATUS_FAIL
                 )
 
-            reports.append(_row("thm1", f"tight: match({m},{s}), k={k}", compute))
-    return reports
+            yield f"tight: match({m},{s}), k={k}", compute
 
 
-def check_thm1(max_n: int | None = None, budget: Budget | None = None) -> list[VerificationReport]:
-    """Exact case plus tightness for the token matching-number bound."""
-    return check_thm1_exact(budget=budget) + check_thm1_tight(max_n=max_n, budget=budget)
-
-
-def check_lemma3(max_n: int | None = None, budget: Budget | None = None) -> list[VerificationReport]:
+def _lemma3(max_n: int | None, budget: Budget | None) -> Rows:
     """The two-family pair construction is a maximum matching of the 2-token
     graph of every disjoint (almost) perfect matching base."""
-    reports = []
     for m, s in _matching_sweep_pairs(max_n or 10):
-        if 2 * m + s < 3:
-            continue
-        def compute(m=m, s=s):
-            g = matching_graph(m, s)
-            t = token_graph(g, 2)
-            target = (comb(g.n, 2) - g.n // 2) // 2
-            built = f2_matching_construction(m, s)
-            solved = max_matching(t.graph).size
-            status = _eq_status(target, solved) if built.size == target else STATUS_FAIL
-            return target, solved, _matching_witness(t, built), status
-
-        reports.append(_row("lemma3", f"match({m},{s}), k=2", compute))
-    return reports
+        if 2 * m + s >= 3:
+            build = partial(f2_matching_construction, m, s)
+            target = nu_token_formula(2 * m + s, 2).value
+            yield f"match({m},{s}), k=2", _nu(matching_graph(m, s), 2, target, build)
 
 
-def check_fig1(max_n: int | None = None, budget: Budget | None = None) -> list[VerificationReport]:
+def _fig1(max_n: int | None, budget: Budget | None) -> Rows:
     """The 3-token graph of the 5-leaf star has a perfect matching even
     though the star itself has none."""
-    def compute():
-        t = token_graph(star_graph(5), 3)
-        solved = max_matching(t.graph)
-        ok = solved.size == 10 and is_perfect(solved, t.graph)
-        return 10, solved.size, _matching_witness(t, solved), (
-            STATUS_PASS if ok else STATUS_FAIL
-        )
-
-    return [_row("fig1", "K_{1,5}, k=3", compute)]
+    yield "K_{1,5}, k=3", _nu(star_graph(5), 3, 10)
 
 
-def check_fig2(max_n: int | None = None, budget: Budget | None = None) -> list[VerificationReport]:
+def _fig2(max_n: int | None, budget: Budget | None) -> Rows:
     """The 3-token graph of the 5-path has no perfect matching: its matching
     number is 4, not 5."""
-    def compute():
-        t = token_graph(path_graph(5), 3)
-        solved = max_matching(t.graph)
-        ok = solved.size == 4
-        return 4, solved.size, _matching_witness(t, solved), (
-            STATUS_PASS if ok else STATUS_FAIL
-        )
-
-    return [_row("fig2", "P5, k=3", compute)]
+    yield "P5, k=3", _nu(path_graph(5), 3, 4)
 
 
 # ---------------------------------------------------------------------------
 # independence-number checks
 
 
-def check_thm2(max_n: int | None = None, budget: Budget | None = None) -> list[VerificationReport]:
+def _thm2(max_n: int | None, budget: Budget | None) -> Rows:
     """2-token independence of complete bipartite graphs equals the larger
     parity class."""
     limit = max_n or 10
-    reports = []
     for m in range(2, limit // 2 + 1):
         for n in range(m, limit - m + 1):
-            def compute(m=m, n=n):
-                t = token_graph(complete_bipartite_graph(m, n), 2)
-                found = max_independent_set(t.graph, budget)
-                target = beta_kmn_f2(m, n)
-                return target, found.size, _subset_witness(t, found.vertices), _eq_status(
-                    target, found.size
-                )
-
-            reports.append(_row("thm2", f"K_{{{m},{n}}}, k=2", compute))
-    return reports
+            g = complete_bipartite_graph(m, n)
+            yield f"K_{{{m},{n}}}, k=2", _beta(g, 2, beta_kmn_f2(m, n), budget)
 
 
-def check_thm3(max_n: int | None = None, budget: Budget | None = None) -> list[VerificationReport]:
+def _thm3(max_n: int | None, budget: Budget | None) -> Rows:
     """2-token independence of cycles matches the floor formula, and the
     layer construction achieves it for odd lengths."""
-    limit = max_n or 11
-    reports = []
-    for p in range(3, limit + 1):
-        def compute(p=p):
-            t = token_graph(cycle_graph(p), 2)
-            found = max_independent_set(t.graph, budget)
-            target = beta_cycle_f2(p)
-            return target, found.size, _subset_witness(t, found.vertices), _eq_status(
-                target, found.size
-            )
-
-        reports.append(_row("thm3", f"C{p}, k=2", compute))
+    for p in range(3, (max_n or 11) + 1):
+        target = beta_cycle_f2(p)
+        yield f"C{p}, k=2", _beta(cycle_graph(p), 2, target, budget)
         if p % 2 == 1 and p >= 5:
-            def compute_built(p=p):
+            def compute(p=p, target=target):
                 t = token_graph(cycle_graph(p), 2)
                 built = cycle_independent_set(p)
-                target = beta_cycle_f2(p)
                 return target, built.size, _subset_witness(t, built.vertices), _eq_status(
                     target, built.size
                 )
 
-            reports.append(_row("thm3", f"C{p}, k=2, layer construction", compute_built))
-    return reports
+            yield f"C{p}, k=2, layer construction", compute
 
 
-def check_star(max_n: int | None = None, budget: Budget | None = None) -> list[VerificationReport]:
+def _star(max_n: int | None, budget: Budget | None) -> Rows:
     """Star token graphs: the saturating side flips at half the order."""
-    limit = max_n or 7
-    reports = []
-    for n in range(2, limit + 1):
+    for n in range(2, (max_n or 7) + 1):
         for k in range(1, n + 1):
-            def compute(n=n, k=k):
-                t = token_graph(star_graph(n), k)
-                found = max_independent_set(t.graph, budget)
-                target = beta_star(n, k)
-                return target, found.size, _subset_witness(t, found.vertices), _eq_status(
-                    target, found.size
-                )
-
-            reports.append(_row("star", f"K_{{1,{n}}}, k={k}", compute))
-    return reports
+            yield f"K_{{1,{n}}}, k={k}", _beta(star_graph(n), k, beta_star(n, k), budget)
 
 
-def check_cor3(max_n: int | None = None, budget: Budget | None = None) -> list[VerificationReport]:
+def _cor3(max_n: int | None, budget: Budget | None) -> Rows:
     """Perfect-matching bipartite bases with odd token count: independence is
     exactly half the token count."""
-    limit = max_n or 8
-    reports = []
-    for order in range(4, limit + 1, 2):
-        t_half = order // 2
+    for order in range(4, (max_n or 8) + 1, 2):
+        half = order // 2
         bases = [
             (f"P{order}", path_graph(order)),
             (f"C{order}", cycle_graph(order)),
-            (f"K_{{{t_half},{t_half}}}", complete_bipartite_graph(t_half, t_half)),
+            (f"K_{{{half},{half}}}", complete_bipartite_graph(half, half)),
         ]
         for name, g in bases:
             for k in range(1, order, 2):
-                def compute(g=g, k=k, order=order):
-                    t = token_graph(g, k)
-                    found = max_independent_set(t.graph, budget)
-                    target = comb(order, k) // 2
-                    return target, found.size, _subset_witness(t, found.vertices), _eq_status(
-                        target, found.size
-                    )
-
-                reports.append(_row("cor3", f"{name}, k={k}", compute))
-    return reports
+                yield f"{name}, k={k}", _beta(g, k, comb(order, k) // 2, budget)
 
 
-def check_cor4(max_n: int | None = None, budget: Budget | None = None) -> list[VerificationReport]:
+def _cor4(max_n: int | None, budget: Budget | None) -> Rows:
     """Paths and (near-)balanced complete bipartite graphs: independence of
     every token graph equals the larger parity class."""
-    reports = []
-    path_limit = max_n or 8
-    for p in range(2, path_limit + 1):
+    for p in range(2, (max_n or 8) + 1):
         for k in range(1, p):
-            def compute(p=p, k=k):
-                t = token_graph(path_graph(p), k)
-                found = max_independent_set(t.graph, budget)
-                target = beta_balanced_family(p, k)
-                return target, found.size, _subset_witness(t, found.vertices), _eq_status(
-                    target, found.size
-                )
-
-            reports.append(_row("cor4", f"P{p}, k={k}", compute))
+            yield f"P{p}, k={k}", _beta(path_graph(p), k, beta_balanced_family(p, k), budget)
     bip_limit = max_n or 9
-    bases = []
-    for t_half in range(1, bip_limit // 2 + 1):
-        if 2 * t_half <= bip_limit:
-            bases.append((t_half, t_half))
-        if 2 * t_half + 1 <= bip_limit:
-            bases.append((t_half, t_half + 1))
-    for m, n in sorted(bases):
-        order = m + n
-        if order < 2:
-            continue
-        for k in range(1, order):
-            def compute(m=m, n=n, k=k, order=order):
-                t = token_graph(complete_bipartite_graph(m, n), k)
-                found = max_independent_set(t.graph, budget)
-                target = beta_balanced_family(order, k)
-                return target, found.size, _subset_witness(t, found.vertices), _eq_status(
-                    target, found.size
-                )
-
-            reports.append(_row("cor4", f"K_{{{m},{n}}}, k={k}", compute))
-    return reports
+    parts = []
+    for half in range(1, bip_limit // 2 + 1):
+        parts.append((half, half))
+        if 2 * half + 1 <= bip_limit:
+            parts.append((half, half + 1))
+    for m, n in sorted(parts):
+        g = complete_bipartite_graph(m, n)
+        for k in range(1, m + n):
+            target = beta_balanced_family(m + n, k)
+            yield f"K_{{{m},{n}}}, k={k}", _beta(g, k, target, budget)
 
 
-def check_prop3(max_n: int | None = None, budget: Budget | None = None) -> list[VerificationReport]:
+def _prop3(max_n: int | None, budget: Budget | None) -> Rows:
     """The integer threshold test for which parity class dominates agrees
     with direct counting on every complete bipartite base."""
     limit = max_n or 9
-    reports = []
     for m in range(1, limit // 2 + 1):
         for n in range(m, limit - m + 1):
             if m + n < 3:
@@ -365,98 +309,60 @@ def check_prop3(max_n: int | None = None, budget: Budget | None = None) -> list[
                     "same_side": len(classes.part_b),
                 }, _eq_status(predicted, counted)
 
-            reports.append(_row("prop3", f"K_{{{m},{n}}}, k=2", compute))
-    return reports
+            yield f"K_{{{m},{n}}}, k=2", compute
 
 
-def check_lemma5(max_n: int | None = None, budget: Budget | None = None) -> list[VerificationReport]:
-    """Sparse witness family (small surplus): independence of the 2-token
-    graph equals the mixed-class size."""
+def _witness_family(small: bool, max_n: int | None, budget: Budget | None) -> Rows:
+    """Extremal bipartite witnesses with parts m and m+s: for m > C(s,2)
+    (``small``, lemma5) independence of the 2-token graph equals the mixed
+    class size, otherwise (lemma6) the same-side class size."""
     limit = max_n or 9
-    reports = []
     for m in range(1, limit // 2 + 1):
         for s in range(0, limit - 2 * m + 1):
-            if comb(s, 2) >= m:
+            if (comb(s, 2) < m) != small:
                 continue
             def compute(m=m, s=s):
-                g, classes, phi = witness_graph_small_s(m, s)
-                t = token_graph(g, 2) if g.n >= 3 else None
-                target = m * (m + s)
-                if t is None:  # single-edge base: the 2-token graph is one vertex
-                    return target, 1, {"phi": list(phi.entries)}, _eq_status(target, 1)
-                found = max_independent_set(t.graph, budget)
-                witness = {
-                    "phi": list(phi.entries),
-                    "independent_set": _subset_witness(t, found.vertices),
-                }
-                return target, found.size, witness, _eq_status(target, found.size)
+                g, _, phi = (witness_graph_small_s if small else witness_graph_large_s)(m, s)
+                target = m * (m + s) if small else comb(g.n, 2) - m * (m + s)
+                entries = list(phi.entries)
+                if g.n < 3:  # single-edge base: the 2-token graph is one vertex
+                    return target, 1, {"phi": entries}, _eq_status(target, 1)
+                return _beta(g, 2, target, budget, lambda w: {"phi": entries, "independent_set": w})()
 
-            reports.append(_row("lemma5", f"witness_small(m={m}, s={s})", compute))
-    return reports
+            yield f"witness_{'small' if small else 'large'}(m={m}, s={s})", compute
 
 
-def check_lemma6(max_n: int | None = None, budget: Budget | None = None) -> list[VerificationReport]:
-    """Dense witness family (large surplus): independence of the 2-token
-    graph equals the same-side-class size."""
-    limit = max_n or 9
-    reports = []
-    for m in range(1, limit // 2 + 1):
-        for s in range(0, limit - 2 * m + 1):
-            if comb(s, 2) < m:
-                continue
-            def compute(m=m, s=s):
-                g, classes, phi = witness_graph_large_s(m, s)
-                t = token_graph(g, 2)
-                target = comb(g.n, 2) - m * (m + s)
-                found = max_independent_set(t.graph, budget)
-                witness = {
-                    "phi": list(phi.entries),
-                    "independent_set": _subset_witness(t, found.vertices),
-                }
-                return target, found.size, witness, _eq_status(target, found.size)
-
-            reports.append(_row("lemma6", f"witness_large(m={m}, s={s})", compute))
-    return reports
-
-
-def check_j73(max_n: int | None = None, budget: Budget | None = None) -> list[VerificationReport]:
+def _j73(max_n: int | None, budget: Budget | None) -> Rows:
     """The Johnson graph on 3-subsets of 7 elements has independence number
     7; the previously published closed form predicting 6 is refuted."""
-    def compute():
-        t = token_graph(complete_graph(7), 3)
-        found = max_independent_set(t.graph, budget)
-        witness = {
-            "independent_set": _subset_witness(t, found.vertices),
-            "refuted_formula_value": 6,
-        }
-        return 7, found.size, witness, _eq_status(7, found.size)
-
-    return [_row("j73", "J(7,3) = F_3(K7); the refuted closed form gives 6", compute)]
+    yield "J(7,3) = F_3(K7); the refuted closed form gives 6", _beta(
+        complete_graph(7), 3, 7, budget,
+        lambda found: {"independent_set": found, "refuted_formula_value": 6},
+    )
 
 
-def check_fig34(max_n: int | None = None, budget: Budget | None = None) -> list[VerificationReport]:
+def _hall_violator(g: Graph) -> tuple[TokenGraph, frozenset[int] | None]:
+    """The 2-token graph of a bipartite ``g`` and a Hall violator of its
+    smaller parity class, if there is one."""
+    t = token_graph(g, 2)
+    classes = token_bipartition(t, bipartition_of(g))
+    small = "b" if len(classes.part_b) <= len(classes.part_r) else "r"
+    return t, hall_witness(t.graph, classes, small)
+
+
+def _fig34(max_n: int | None, budget: Budget | None) -> Rows:
     """Parts of sizes 2 and 5 admit bipartite graphs whose 2-token
     independence number (12) beats the parity-class bound (11), and Hall's
     condition fails on their token classes."""
+
     def compute():
         hits = counterexample_scan_2x5(budget=budget, require_no_isolated=True)
         if not hits:
             return ">=1 graph with beta > 11", 0, None, STATUS_FAIL
         twelve = [h for h in hits if h.beta == 12]
         sample = twelve[0] if twelve else hits[0]
-        t = token_graph(sample.graph, 2)
-        classes = token_bipartition(t, bipartition_of(sample.graph))
-        small = "b" if len(classes.part_b) <= len(classes.part_r) else "r"
-        deficient = hall_witness(t.graph, classes, small)
-        all_fail_hall = all(
-            hall_witness(
-                (tt := token_graph(h.graph, 2)).graph,
-                cls := token_bipartition(tt, bipartition_of(h.graph)),
-                "b" if len(cls.part_b) <= len(cls.part_r) else "r",
-            )
-            is not None
-            for h in hits
-        )
+        t, deficient = _hall_violator(sample.graph)
+        all_fail_hall = all(_hall_violator(h.graph)[1] is not None for h in hits)
         ok = bool(twelve) and deficient is not None and all_fail_hall
         witness = {
             "hits": len(hits),
@@ -466,7 +372,7 @@ def check_fig34(max_n: int | None = None, budget: Budget | None = None) -> list[
         }
         return 12, sample.beta, witness, STATUS_PASS if ok else STATUS_FAIL
 
-    return [_row("fig34", "bipartite scan, parts 2/5", compute)]
+    yield "bipartite scan, parts 2/5", compute
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +380,9 @@ def check_fig34(max_n: int | None = None, budget: Budget | None = None) -> list[
 
 
 def _cached_beta(budget: Budget | None) -> Callable[[Graph, int], int]:
-    cache: dict[tuple[Graph, int], int] = {}
-
+    @cache
     def beta(h: Graph, j: int) -> int:
-        key = (h, j)
-        if key not in cache:
-            cache[key] = max_independent_set(token_graph(h, j).graph, budget).size
-        return cache[key]
+        return max_independent_set(token_graph(h, j).graph, budget).size
 
     return beta
 
@@ -505,122 +407,93 @@ def _eq1_corpus(limit: int) -> list[tuple[str, Graph]]:
     return corpus
 
 
-def check_eq1(max_n: int | None = None, budget: Budget | None = None) -> list[VerificationReport]:
+def _eq1(max_n: int | None, budget: Budget | None) -> Rows:
     """The vertex-deletion recursion brackets the exact independence number
     on the whole small corpus, with equality at the two extremal instances."""
-    limit = max_n or 8
     beta = _cached_beta(budget)
-    reports = []
-    for name, g in _eq1_corpus(limit):
+    for name, g in _eq1_corpus(max_n or 8):
         for k in range(2, g.n):
             def compute(g=g, k=k):
                 bounds = recursive_bounds(g, k, beta_oracle=beta)
-                exact = beta(g, k)
-                ok = bounds.contains(exact)
-                return (
-                    f"[{bounds.lower}, {bounds.upper}]",
-                    exact,
-                    None,
-                    STATUS_BOUND if ok else STATUS_FAIL,
-                )
+                return _bracket(bounds.lower, bounds.upper, beta(g, k))
 
-            reports.append(_row("eq1", f"{name}, k={k}", compute))
+            yield f"{name}, k={k}", compute
 
-    def lower_tight():
-        bounds = recursive_bounds(star_graph(3), 2, beta_oracle=beta)
-        exact = beta(star_graph(3), 2)
-        return bounds.lower, exact, None, _eq_status(bounds.lower, exact)
+    tight = [
+        ("K_{1,3}, k=2 (lower bound tight)", star_graph(3), "lower"),
+        ("K4, k=2 (upper bound tight)", complete_graph(4), "upper"),
+    ]
+    for instance, g, side in tight:
+        def compute(g=g, side=side):
+            bound = getattr(recursive_bounds(g, 2, beta_oracle=beta), side)
+            exact = beta(g, 2)
+            return bound, exact, None, _eq_status(bound, exact)
 
-    def upper_tight():
-        bounds = recursive_bounds(complete_graph(4), 2, beta_oracle=beta)
-        exact = beta(complete_graph(4), 2)
-        return bounds.upper, exact, None, _eq_status(bounds.upper, exact)
-
-    reports.append(_row("eq1", "K_{1,3}, k=2 (lower bound tight)", lower_tight))
-    reports.append(_row("eq1", "K4, k=2 (upper bound tight)", upper_tight))
-    return reports
+        yield instance, compute
 
 
-def _path_beta_extended(p: int, j: int) -> int:
-    if j == 0:
-        return 1
-    if p == 0 or j > p:
-        return 0
-    if j == p:
-        return 1
-    return beta_balanced_family(p, j)
-
-
-def check_eq2(max_n: int | None = None, budget: Budget | None = None) -> list[VerificationReport]:
+def _eq2(max_n: int | None, budget: Budget | None) -> Rows:
     """Cycle sandwich: path-token independence numbers bracket the cycle's,
     with the closed form supplying every path value."""
-    limit = max_n or 8
     beta = _cached_beta(budget)
-    reports = []
-    for n in range(4, limit + 1):
+
+    def path_beta(h: Graph, j: int) -> int:
+        # every graph the deletion bounds of a cycle ask about is a path
+        return beta_balanced_family(h.n, j)
+
+    for n in range(4, (max_n or 8) + 1):
         for k in range(2, n - 1):
             def compute(n=n, k=k):
-                lower = _path_beta_extended(n - 1, k - 1) + _path_beta_extended(n - 3, k)
-                upper = min(
-                    (n * _path_beta_extended(n - 1, k - 1)) // k,
-                    (n * _path_beta_extended(n - 1, k)) // (n - k),
-                )
-                exact = beta(cycle_graph(n), k)
-                ok = lower <= exact <= upper
-                return f"[{lower}, {upper}]", exact, None, (
-                    STATUS_BOUND if ok else STATUS_FAIL
-                )
+                g = cycle_graph(n)
+                lower = recursive_bounds(g, k, beta_oracle=path_beta).lower
+                upper = vertex_transitive_bound(g, k, 0, beta_oracle=path_beta)
+                return _bracket(lower, upper, beta(g, k))
 
-            reports.append(_row("eq2", f"C{n}, k={k}", compute))
-    return reports
+            yield f"C{n}, k={k}", compute
 
 
-def check_eq3(max_n: int | None = None, budget: Budget | None = None) -> list[VerificationReport]:
+def _eq3(max_n: int | None, budget: Budget | None) -> Rows:
     """Johnson-graph sandwich: one-smaller Johnson independence numbers
     bracket the next one."""
-    limit = max_n or 7
     beta = _cached_beta(budget)
-    reports = []
-    for n in range(4, limit + 1):
+    for n in range(4, (max_n or 7) + 1):
         for k in range(2, min(3, n - 2) + 1):
             def compute(n=n, k=k):
-                below = beta(complete_graph(n - 1), k - 1)
-                same = beta(complete_graph(n - 1), k)
-                exact = beta(complete_graph(n), k)
-                upper = min((n * below) // k, (n * same) // (n - k))
-                ok = below <= exact <= upper
-                return f"[{below}, {upper}]", exact, None, (
-                    STATUS_BOUND if ok else STATUS_FAIL
-                )
+                g = complete_graph(n)
+                lower = beta(complete_graph(n - 1), k - 1)
+                upper = vertex_transitive_bound(g, k, 0, beta_oracle=beta)
+                return _bracket(lower, upper, beta(g, k))
 
-            reports.append(_row("eq3", f"J({n},{k}), k={k}", compute))
-    return reports
+            yield f"J({n},{k}), k={k}", compute
 
 
-CHECKS: dict[str, CheckFunction] = {
-    "thm1": check_thm1,
-    "thm2": check_thm2,
-    "thm3": check_thm3,
-    "lemma3": check_lemma3,
-    "lemma5": check_lemma5,
-    "lemma6": check_lemma6,
-    "cor3": check_cor3,
-    "cor4": check_cor4,
-    "star": check_star,
-    "prop3": check_prop3,
-    "eq1": check_eq1,
-    "eq2": check_eq2,
-    "eq3": check_eq3,
-    "fig1": check_fig1,
-    "fig2": check_fig2,
-    "fig34": check_fig34,
-    "j73": check_j73,
+#: Check id -> generator of its rows, in catalog order.
+CHECKS: dict[str, Callable[[int | None, Budget | None], Rows]] = {
+    "thm1": _thm1,
+    "thm2": _thm2,
+    "thm3": _thm3,
+    "lemma3": _lemma3,
+    "lemma5": partial(_witness_family, True),
+    "lemma6": partial(_witness_family, False),
+    "cor3": _cor3,
+    "cor4": _cor4,
+    "star": _star,
+    "prop3": _prop3,
+    "eq1": _eq1,
+    "eq2": _eq2,
+    "eq3": _eq3,
+    "fig1": _fig1,
+    "fig2": _fig2,
+    "fig34": _fig34,
+    "j73": _j73,
 }
 
 
 def run_check(
     check_id: str, max_n: int | None = None, budget: Budget | None = None
 ) -> list[VerificationReport]:
+    """Replay one check: one timed report row per instance, in report order."""
     if check_id not in CHECKS:
         raise KeyError(f"unknown check id {check_id!r}; known: {', '.join(sorted(CHECKS))}")
-    return CHECKS[check_id](max_n=max_n, budget=budget)
+    rows = CHECKS[check_id](max_n, budget)
+    return [_row(check_id, instance, compute) for instance, compute in rows]

@@ -22,6 +22,26 @@ def test_parse_graph_spec_from_file(tmp_path):
     assert g.n == 3 and g.edge_count == 2
 
 
+def test_cli_missing_edge_list_file_is_usage_error(tmp_path, capsys):
+    assert main(["nu", f"file:{tmp_path / 'absent.txt'}", "-k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "absent.txt" in err and "Traceback" not in err
+
+
+def test_cli_non_integer_edge_line_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("3 2\n1 2\n2 x\n")
+    assert main(["nu", f"file:{path}", "-k", "1"]) == 2
+    assert "'2 x'" in capsys.readouterr().err
+
+
+def test_cli_non_integer_edge_list_header_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("three 2\n1 2\n2 3\n")
+    assert main(["nu", f"file:{path}", "-k", "1"]) == 2
+    assert "header" in capsys.readouterr().err
+
+
 def test_parse_graph_spec_errors():
     for bad in ("cycle", "wheel:5", "path:x", "kbip:3"):
         with pytest.raises(GraphError):
@@ -78,6 +98,14 @@ def test_cli_scan_fig3(tmp_path, capsys):
 def test_cli_scan_conjecture(capsys):
     assert main(["scan", "conjecture", "--max-order", "6", "--max-k", "3"]) == 0
     assert "pass" in capsys.readouterr().out
+
+
+def test_cli_scan_conjecture_without_rows_is_usage_error(tmp_path, capsys):
+    js = tmp_path / "scan.json"
+    assert main(["scan", "conjecture", "--max-order", "2", "--max-k", "1", "--json", str(js)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not js.exists()
+    assert captured.err.count("\n") == 1 and "conjecture" in captured.err
 
 
 def test_cli_scan_guard_exit_code(capsys):

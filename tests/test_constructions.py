@@ -5,7 +5,6 @@ import pytest
 from tokengraphs.constructions import (
     cycle_independent_set,
     cycle_layer,
-    expected_matching_size,
     f2_matching_construction,
     isolated_tokens,
     layers_linked,
@@ -14,7 +13,7 @@ from tokengraphs.constructions import (
     witness_graph_large_s,
     witness_graph_small_s,
 )
-from tokengraphs.formulas import beta_cycle_f2, class_order_predicate
+from tokengraphs.formulas import beta_cycle_f2, class_order_predicate, nu_token_formula
 from tokengraphs.graphs import (
     GraphError,
     complete_bipartite_graph,
@@ -119,7 +118,7 @@ def test_theorem1_all_matching_graphs_tight():
         for k in range(1, g.n):
             built = theorem1_matching(g, base, k)
             solved = max_matching(token_graph(g, k).graph).size
-            assert built.size == solved == expected_matching_size(g.n, k), (m, s, k)
+            assert built.size == solved == nu_token_formula(g.n, k).value, (m, s, k)
 
 
 def test_theorem1_achieves_bound_on_richer_bases():
@@ -127,7 +126,7 @@ def test_theorem1_achieves_bound_on_richer_bases():
         base = max_matching(g)
         for k in range(1, g.n):
             built = theorem1_matching(g, base, k)
-            assert built.size == expected_matching_size(g.n, k), (g, k)
+            assert built.size == nu_token_formula(g.n, k).value, (g, k)
 
 
 def test_theorem1_rejects_weak_base_matching():

@@ -186,19 +186,20 @@ def test_greedy_seed_matches_reference_on_relabelled_token_graphs():
 
 
 def test_solve_leaves_no_cyclic_garbage():
-    graphs = [
-        token_graph(cycle_graph(8), 4).graph,
-        token_graph(cycle_graph(9), 3).graph,
-        token_graph(complete_graph(8), 3).graph,
+    solves = [
+        (max_independent_set, token_graph(cycle_graph(8), 4).graph),
+        (max_independent_set, token_graph(cycle_graph(9), 3).graph),
+        (max_independent_set, token_graph(complete_graph(8), 3).graph),
+        (brute_force_mis, token_graph(cycle_graph(7), 2).graph),
     ]
-    for g in graphs:
+    for _, g in solves:
         g.adjacency_masks()
     gc.collect()
     gc.disable()
     try:
-        for g in graphs:
-            max_independent_set(g)
-            assert gc.collect() == 0
+        for solve, g in solves:
+            solve(g)
+            assert gc.collect() == 0, solve.__name__
     finally:
         gc.enable()
 
