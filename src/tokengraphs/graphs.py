@@ -16,6 +16,10 @@ from typing import Iterable, Iterator, Sequence
 #: Derived (token) graphs are not subject to it.
 MAX_BASE_ORDER = 64
 
+#: Cap on the vertex count plus the edge count of a token graph, checked
+#: before it is built. F_8(P_16), 64,350, is the largest the catalog uses.
+MAX_TOKEN_GRAPH_SIZE = 1 << 22
+
 
 class GraphError(ValueError):
     """Raised for malformed graph inputs."""
@@ -79,26 +83,6 @@ class Graph:
                 masks[v] |= 1 << u
             self._masks = tuple(masks)
         return self._masks
-
-    def components(self) -> list[tuple[int, ...]]:
-        """Connected components as sorted vertex tuples, ordered by least vertex."""
-        seen = [False] * self.n
-        out = []
-        for root in range(self.n):
-            if seen[root]:
-                continue
-            seen[root] = True
-            comp = [root]
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for w in sorted(self._adj[u]):
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        queue.append(w)
-            out.append(tuple(sorted(comp)))
-        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -1,29 +1,30 @@
 """Exact maximum independent sets and the recursive token-graph bounds.
 
-The solver is a bitmask branch-and-bound: connected components are solved
-independently, degree-0/degree-1 vertices are taken greedily (exact
-reductions), and branching picks the busiest candidate vertex with the
-include branch first. Each component starts from a greedy seed (least
-remaining degree first), kept in degree buckets so that it costs O(n + m)
-mask operations; on 2-colorable components the larger color class competes
-with it. Upper bounds come from clique covers, computed exactly through a
-maximum matching on 2-colorable components (minimum clique cover is vertex
-count minus matching number there) and greedily elsewhere. The recursive
-helpers are module functions, not closures, so a solve leaves no reference
-cycles behind. A brute-force enumerator backs the solver as an independent
-oracle.
+Connected components are solved independently, each from a greedy seed
+(least remaining degree first), kept in degree buckets so that it costs
+O(n + m) mask operations. A 2-colorable component is closed by König's
+theorem: the bipartite matching engine of :mod:`.matching` gives its
+matching number nu, so beta = |V| - nu, and the complement of the König
+cover is a maximum independent set; the seed or the larger color class is
+returned when it already has that size. Every other component goes to a
+bitmask branch-and-bound: degree-0/degree-1 vertices are taken greedily
+(exact reductions), branching picks the busiest candidate vertex with the
+include branch first, and greedy clique covers bound the search. The
+recursive helpers are module functions, not closures, so a solve leaves no
+reference cycles behind. A brute-force enumerator backs the solver as an
+independent oracle.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 from .graphs import Bipartition, Graph, GraphError, delete_vertices
-from .matching import saturates
+from .matching import _bit_list, _neighborhood, saturates
+from .matching import _hopcroft_karp as _bipartite_matching_size  # traced by bench/layers.py
 from .tokens import TokenGraph, token_graph
 
 
@@ -98,15 +99,6 @@ class BoundsPair:
         return self.lower <= value <= self.upper
 
 
-def _bit_list(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & (-mask)
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _component_masks(n: int, masks: tuple[int, ...]) -> list[int]:
     remaining = (1 << n) - 1
     comps = []
@@ -114,13 +106,7 @@ def _component_masks(n: int, masks: tuple[int, ...]) -> list[int]:
         comp = remaining & (-remaining)
         frontier = comp
         while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & (-m)
-                m ^= low
-                nxt |= masks[low.bit_length() - 1]
-            frontier = nxt & remaining & ~comp
+            frontier = _neighborhood(frontier, masks) & remaining & ~comp
             comp |= frontier
         comps.append(comp)
         remaining &= ~comp
@@ -133,13 +119,7 @@ def _two_color(comp: int, masks: tuple[int, ...]) -> int | None:
     color0, color1 = root, 0
     frontier, colored, side = root, root, 0
     while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & (-m)
-            m ^= low
-            nxt |= masks[low.bit_length() - 1]
-        nxt &= comp & ~colored
+        nxt = _neighborhood(frontier, masks) & comp & ~colored
         if side == 0:
             color1 |= nxt
         else:
@@ -147,10 +127,8 @@ def _two_color(comp: int, masks: tuple[int, ...]) -> int | None:
         colored |= nxt
         frontier = nxt
         side ^= 1
-    for v in _bit_list(comp):
-        own = color0 if (color0 >> v) & 1 else color1
-        if masks[v] & own & comp:
-            return None
+    if _neighborhood(color0, masks) & color0 or _neighborhood(color1, masks) & color1:
+        return None
     return color0
 
 
@@ -217,69 +195,25 @@ def _clique_cover_bound(cand: int, masks: tuple[int, ...]) -> int:
     return len(cliques)
 
 
-def _bipartite_matching_size(cand: int, masks: tuple[int, ...], left_mask: int) -> int:
-    """Maximum matching of the induced subgraph on ``cand`` (Hopcroft-Karp)."""
-    left = _bit_list(cand & left_mask)
-    if not left:
-        return 0
-    adj = {u: _bit_list(masks[u] & cand) for u in left}
-    pair: dict[int, int] = {}
-    for u in left:
-        for w in adj[u]:
-            if w not in pair:
-                pair[u] = w
-                pair[w] = u
-                break
-    size = sum(1 for u in left if u in pair)
-
-    while True:
-        dist = {u: 0 for u in left if u not in pair}
-        queue = deque(dist)
-        free_reachable = False
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                x = pair.get(w)
-                if x is None:
-                    free_reachable = True
-                elif x not in dist:
-                    dist[x] = dist[u] + 1
-                    queue.append(x)
-        if not free_reachable:
-            return size
-
-        for u in [u for u in left if u not in pair]:
-            if u in dist and _augment(u, adj, pair, dist):
-                size += 1
-
-
-def _augment(
-    u: int, adj: dict[int, list[int]], pair: dict[int, int], dist: dict[int, int]
-) -> bool:
-    """One Hopcroft-Karp augmenting path from ``u`` along the BFS layers."""
-    du = dist[u]
-    for w in adj[u]:
-        x = pair.get(w)
-        if x is None or (dist.get(x) == du + 1 and _augment(x, adj, pair, dist)):
-            pair[u] = w
-            pair[w] = u
-            return True
-    del dist[u]
-    return False
-
-
 def _solve_component(comp: int, masks: tuple[int, ...], clock: _BudgetClock) -> int:
     if comp & (comp - 1) == 0:
         return comp
     left_mask = _two_color(comp, masks)
-
     best_mask = _greedy_seed(comp, masks)
-    if left_mask is not None:
-        one, two = comp & left_mask, comp & ~left_mask
-        cls = one if one.bit_count() >= two.bit_count() else two
-        if cls.bit_count() > best_mask.bit_count():
-            best_mask = cls
-    return _branch(comp, 0, 0, best_mask, masks, left_mask, clock)
+    if left_mask is None:
+        return _branch(comp, 0, 0, best_mask, masks, clock)
+    # König: beta = |comp| - nu. When neither the seed nor the larger class
+    # has that size, the complement of the König cover does: the reached
+    # left vertices and the right vertices none of them sees
+    clock.tick()
+    one, two = comp & left_mask, comp & ~left_mask
+    cls = one if one.bit_count() >= two.bit_count() else two
+    if cls.bit_count() > best_mask.bit_count():
+        best_mask = cls
+    nu, reach = _bipartite_matching_size(comp, masks, left_mask)
+    if best_mask.bit_count() == comp.bit_count() - nu:
+        return best_mask
+    return reach | (two & ~_neighborhood(reach, masks))
 
 
 def _branch(
@@ -288,7 +222,6 @@ def _branch(
     cur_size: int,
     best_mask: int,
     masks: tuple[int, ...],
-    left_mask: int | None,
     clock: _BudgetClock,
 ) -> int:
     """The best of ``best_mask`` and every independent set that extends
@@ -320,11 +253,7 @@ def _branch(
                     progressed = True
         if cand == 0:
             return cur_mask if cur_size > best_size else best_mask
-        if left_mask is not None:
-            bound = cand.bit_count() - _bipartite_matching_size(cand, masks, left_mask)
-        else:
-            bound = _clique_cover_bound(cand, masks)
-        if cur_size + bound <= best_size:
+        if cur_size + _clique_cover_bound(cand, masks) <= best_size:
             return best_mask
         pick, pick_deg = -1, -1
         m = cand
@@ -342,7 +271,6 @@ def _branch(
             cur_size + 1,
             best_mask,
             masks,
-            left_mask,
             clock,
         )
         best_size = best_mask.bit_count()
@@ -358,8 +286,8 @@ def max_independent_set(g: Graph, budget: Budget | None = None) -> IndependentSe
     """
     if g.n == 0:
         return IndependentSet(frozenset())
-    # include-chain depth plus an augmenting-path DFS both scale with n;
-    # the raised limit lasts only for this call
+    # the include chain of _branch can grow with n; the raised limit
+    # lasts only for this call
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 2 * g.n + 200))
     try:

@@ -1,9 +1,10 @@
-"""Exact maximum matchings on general graphs.
+"""Exact maximum matchings: one engine for each kind of graph.
 
-One engine serves every instance: breadth-first augmenting-path search with
-blossom contraction (O(V^3)). Bipartite inputs take the same path; saturation
-and deficiency-set queries are layered on top of a maximum matching instead
-of enumerating subsets.
+General graphs go through breadth-first augmenting-path search with blossom
+contraction (O(V^3)). Bipartite graphs, as bitmasks with one side marked, go
+through Hopcroft-Karp (SIAM J. Comput. 1973), whose last search also yields
+the side's vertices reached by alternating paths from its unmatched ones:
+the Hall deficiency set, and the König cover of the independence solver.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ class Matching:
     @property
     def vertices(self) -> frozenset[int]:
         return frozenset(x for e in self.edges for x in e)
-
-    def covers(self, v: int) -> bool:
-        return any(v in e for e in self.edges)
 
     def validate(self, host: Graph) -> None:
         seen: set[int] = set()
@@ -186,50 +184,115 @@ def is_almost_perfect(m: Matching, g: Graph) -> bool:
     return 2 * m.size == g.n - 1
 
 
-def saturates(g: Graph, part: Bipartition, side: str) -> bool:
-    """Whether some matching covers every vertex of the chosen side.
+def _bit_list(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & (-mask)
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    Equivalent to Hall's condition for that side, decided through a single
-    maximum matching rather than subset enumeration.
-    """
-    part.validate(g)
-    return part.side(side) <= max_matching(g).vertices
+
+def _neighborhood(mask: int, masks: tuple[int, ...]) -> int:
+    """The union of the neighborhoods of the vertices in ``mask``."""
+    out = 0
+    while mask:
+        low = mask & (-mask)
+        mask ^= low
+        out |= masks[low.bit_length() - 1]
+    return out
+
+
+def _hopcroft_karp(cand: int, masks: tuple[int, ...], left_mask: int) -> tuple[int, int]:
+    """Maximum matching size of the bipartite subgraph induced on ``cand``,
+    left side ``cand & left_mask`` (Hopcroft-Karp), and ``reach``, the mask
+    of left vertices that alternating paths reach from unmatched ones.
+    ``reach`` is the part of the side that some maximum matching misses, so
+    it does not depend on which maximum matching was found."""
+    left = _bit_list(cand & left_mask)
+    if not left:
+        return 0, 0
+    adj = {u: _bit_list(masks[u] & cand) for u in left}
+    pair: dict[int, int] = {}
+    for u in left:
+        for w in adj[u]:
+            if w not in pair:
+                pair[u] = w
+                pair[w] = u
+                break
+    size = sum(1 for u in left if u in pair)
+
+    while True:
+        dist = {u: 0 for u in left if u not in pair}
+        queue = deque(dist)
+        free_reachable = False
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                x = pair.get(w)
+                if x is None:
+                    free_reachable = True
+                elif x not in dist:
+                    dist[x] = dist[u] + 1
+                    queue.append(x)
+        if not free_reachable:
+            return size, sum(1 << u for u in dist)
+
+        for u in [u for u in left if u not in pair]:
+            if u in dist and _augment(u, adj, pair, dist):
+                size += 1
+
+
+def _augment(
+    root: int, adj: dict[int, list[int]], pair: dict[int, int], dist: dict[int, int]
+) -> bool:
+    """One augmenting path from ``root`` along the BFS layers, by depth-first
+    search on an explicit stack, so no recursion limit bounds its length.
+    ``via`` holds the right vertex taken out of each stacked left vertex but
+    the last; a left vertex with no way on leaves ``dist`` for the phase."""
+    stack, via = [(root, iter(adj[root]))], []
+    while stack:
+        u, scan = stack[-1]
+        for w in scan:
+            x = pair.get(w)
+            if x is None:
+                via.append(w)
+                for (a, _), b in zip(stack, via):
+                    pair[a] = b
+                    pair[b] = a
+                return True
+            if dist.get(x) == dist[u] + 1:
+                via.append(w)
+                stack.append((x, iter(adj[x])))
+                break
+        else:
+            del dist[u]
+            stack.pop()
+            if via:
+                via.pop()
+    return False
+
+
+def saturates(g: Graph, part: Bipartition, side: str) -> bool:
+    """Whether some matching covers every vertex of the chosen side: Hall's
+    condition for that side, decided without enumerating subsets."""
+    return hall_witness(g, part, side) is None
 
 
 def hall_witness(g: Graph, part: Bipartition, side: str) -> frozenset[int] | None:
     """A set S within ``side`` with |N(S)| < |S|, or None when the side saturates.
 
     The witness is the canonical deficiency set: all side vertices reachable
-    by alternating paths from the unmatched ones.
+    by alternating paths from the unmatched ones under a maximum matching.
     """
     part.validate(g)
-    side_set = part.side(side)
-    mate: dict[int, int] = {}
-    for u, v in max_matching(g).edges:
-        mate[u] = v
-        mate[v] = u
-    exposed = sorted(v for v in side_set if v not in mate)
-    if not exposed:
+    masks = g.adjacency_masks()
+    side_mask = sum(1 << v for v in part.side(side))
+    _, reach = _hopcroft_karp((1 << g.n) - 1, masks, side_mask)
+    if not reach:
         return None
-    reached_side = set(exposed)
-    reached_other: set[int] = set()
-    frontier = exposed
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for w in sorted(g.neighbors(s)):
-                if w in reached_other:
-                    continue
-                reached_other.add(w)
-                back = mate.get(w)
-                # w must be matched, else the path augments a maximum matching
-                assert back is not None
-                if back not in reached_side:
-                    reached_side.add(back)
-                    nxt.append(back)
-        frontier = nxt
-    assert len(reached_other) < len(reached_side)
-    return frozenset(reached_side)
+    assert _neighborhood(reach, masks).bit_count() < reach.bit_count()
+    return frozenset(_bit_list(reach))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .graphs import Bipartition, Graph, GraphError
+from .graphs import MAX_TOKEN_GRAPH_SIZE, Bipartition, Graph, GraphError
 
 
 class SubsetCodec:
@@ -67,12 +67,6 @@ class TokenGraph:
     graph: Graph
     codec: SubsetCodec
 
-    def subset_of(self, rank: int) -> tuple[int, ...]:
-        return self.codec.unrank(rank)
-
-    def rank_of(self, subset: Iterable[int]) -> int:
-        return self.codec.rank(subset)
-
     def __repr__(self) -> str:
         return f"TokenGraph(base_n={self.base.n}, k={self.k}, n={self.graph.n}, m={self.graph.edge_count})"
 
@@ -83,10 +77,14 @@ def token_graph(g: Graph, k: int) -> TokenGraph:
     Edges are generated by combining each base edge [u, v] with every
     (k-1)-subset avoiding u and v, never by comparing all subset pairs,
     so the cost is linear in the output size. Isolated derived vertices
-    are kept.
+    are kept. Raises :class:`GraphError` before building anything when the
+    vertex plus edge count exceeds :data:`MAX_TOKEN_GRAPH_SIZE`.
     """
     if not 1 <= k <= g.n - 1:
         raise GraphError(f"token count k={k} must satisfy 1 <= k <= {g.n - 1}")
+    size = comb(g.n, k) + g.edge_count * comb(g.n - 2, k - 1)
+    if size > MAX_TOKEN_GRAPH_SIZE:
+        raise GraphError(f"{size} token vertices and edges, over the cap of {MAX_TOKEN_GRAPH_SIZE}")
     codec = SubsetCodec(g.n, k)
     rank = codec.rank
     edges = []

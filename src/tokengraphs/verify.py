@@ -178,7 +178,7 @@ def _thm1(max_n: int | None, budget: Budget | None) -> Rows:
             build = partial(theorem1_matching, g, base_matching, k)
             yield f"exact: {name}, k={k}", _nu(g, k, nu_token_formula(g.n, k).value, build)
 
-    for m, s in _matching_sweep_pairs(max_n or 10):
+    for m, s in _matching_sweep_pairs(10 if max_n is None else max_n):
         g = matching_graph(m, s)
         base_matching = Matching.of(g.edges)
         for k in range(1, g.n):
@@ -200,7 +200,7 @@ def _thm1(max_n: int | None, budget: Budget | None) -> Rows:
 def _lemma3(max_n: int | None, budget: Budget | None) -> Rows:
     """The two-family pair construction is a maximum matching of the 2-token
     graph of every disjoint (almost) perfect matching base."""
-    for m, s in _matching_sweep_pairs(max_n or 10):
+    for m, s in _matching_sweep_pairs(10 if max_n is None else max_n):
         if 2 * m + s >= 3:
             build = partial(f2_matching_construction, m, s)
             target = nu_token_formula(2 * m + s, 2).value
@@ -226,7 +226,7 @@ def _fig2(max_n: int | None, budget: Budget | None) -> Rows:
 def _thm2(max_n: int | None, budget: Budget | None) -> Rows:
     """2-token independence of complete bipartite graphs equals the larger
     parity class."""
-    limit = max_n or 10
+    limit = 10 if max_n is None else max_n
     for m in range(2, limit // 2 + 1):
         for n in range(m, limit - m + 1):
             g = complete_bipartite_graph(m, n)
@@ -236,7 +236,7 @@ def _thm2(max_n: int | None, budget: Budget | None) -> Rows:
 def _thm3(max_n: int | None, budget: Budget | None) -> Rows:
     """2-token independence of cycles matches the floor formula, and the
     layer construction achieves it for odd lengths."""
-    for p in range(3, (max_n or 11) + 1):
+    for p in range(3, (11 if max_n is None else max_n) + 1):
         target = beta_cycle_f2(p)
         yield f"C{p}, k=2", _beta(cycle_graph(p), 2, target, budget)
         if p % 2 == 1 and p >= 5:
@@ -252,7 +252,7 @@ def _thm3(max_n: int | None, budget: Budget | None) -> Rows:
 
 def _star(max_n: int | None, budget: Budget | None) -> Rows:
     """Star token graphs: the saturating side flips at half the order."""
-    for n in range(2, (max_n or 7) + 1):
+    for n in range(2, (7 if max_n is None else max_n) + 1):
         for k in range(1, n + 1):
             yield f"K_{{1,{n}}}, k={k}", _beta(star_graph(n), k, beta_star(n, k), budget)
 
@@ -260,7 +260,7 @@ def _star(max_n: int | None, budget: Budget | None) -> Rows:
 def _cor3(max_n: int | None, budget: Budget | None) -> Rows:
     """Perfect-matching bipartite bases with odd token count: independence is
     exactly half the token count."""
-    for order in range(4, (max_n or 8) + 1, 2):
+    for order in range(4, (8 if max_n is None else max_n) + 1, 2):
         half = order // 2
         bases = [
             (f"P{order}", path_graph(order)),
@@ -275,10 +275,10 @@ def _cor3(max_n: int | None, budget: Budget | None) -> Rows:
 def _cor4(max_n: int | None, budget: Budget | None) -> Rows:
     """Paths and (near-)balanced complete bipartite graphs: independence of
     every token graph equals the larger parity class."""
-    for p in range(2, (max_n or 8) + 1):
+    for p in range(2, (8 if max_n is None else max_n) + 1):
         for k in range(1, p):
             yield f"P{p}, k={k}", _beta(path_graph(p), k, beta_balanced_family(p, k), budget)
-    bip_limit = max_n or 9
+    bip_limit = 9 if max_n is None else max_n
     parts = []
     for half in range(1, bip_limit // 2 + 1):
         parts.append((half, half))
@@ -294,7 +294,7 @@ def _cor4(max_n: int | None, budget: Budget | None) -> Rows:
 def _prop3(max_n: int | None, budget: Budget | None) -> Rows:
     """The integer threshold test for which parity class dominates agrees
     with direct counting on every complete bipartite base."""
-    limit = max_n or 9
+    limit = 9 if max_n is None else max_n
     for m in range(1, limit // 2 + 1):
         for n in range(m, limit - m + 1):
             if m + n < 3:
@@ -316,7 +316,7 @@ def _witness_family(small: bool, max_n: int | None, budget: Budget | None) -> Ro
     """Extremal bipartite witnesses with parts m and m+s: for m > C(s,2)
     (``small``, lemma5) independence of the 2-token graph equals the mixed
     class size, otherwise (lemma6) the same-side class size."""
-    limit = max_n or 9
+    limit = 9 if max_n is None else max_n
     for m in range(1, limit // 2 + 1):
         for s in range(0, limit - 2 * m + 1):
             if (comb(s, 2) < m) != small:
@@ -402,8 +402,9 @@ def _eq1_corpus(limit: int) -> list[tuple[str, Graph]]:
                 corpus.append((f"match({m},{s})", matching_graph(m, s)))
     for i in range(50):
         n = 4 + i % 5
-        density = (0.2, 0.4, 0.6)[i % 3]
-        corpus.append((f"random({n}, {density}, seed={i})", erdos_renyi(n, density, i)))
+        if n <= limit:
+            density = (0.2, 0.4, 0.6)[i % 3]
+            corpus.append((f"random({n}, {density}, seed={i})", erdos_renyi(n, density, i)))
     return corpus
 
 
@@ -411,7 +412,7 @@ def _eq1(max_n: int | None, budget: Budget | None) -> Rows:
     """The vertex-deletion recursion brackets the exact independence number
     on the whole small corpus, with equality at the two extremal instances."""
     beta = _cached_beta(budget)
-    for name, g in _eq1_corpus(max_n or 8):
+    for name, g in _eq1_corpus(8 if max_n is None else max_n):
         for k in range(2, g.n):
             def compute(g=g, k=k):
                 bounds = recursive_bounds(g, k, beta_oracle=beta)
@@ -441,7 +442,7 @@ def _eq2(max_n: int | None, budget: Budget | None) -> Rows:
         # every graph the deletion bounds of a cycle ask about is a path
         return beta_balanced_family(h.n, j)
 
-    for n in range(4, (max_n or 8) + 1):
+    for n in range(4, (8 if max_n is None else max_n) + 1):
         for k in range(2, n - 1):
             def compute(n=n, k=k):
                 g = cycle_graph(n)
@@ -456,7 +457,7 @@ def _eq3(max_n: int | None, budget: Budget | None) -> Rows:
     """Johnson-graph sandwich: one-smaller Johnson independence numbers
     bracket the next one."""
     beta = _cached_beta(budget)
-    for n in range(4, (max_n or 7) + 1):
+    for n in range(4, (7 if max_n is None else max_n) + 1):
         for k in range(2, min(3, n - 2) + 1):
             def compute(n=n, k=k):
                 g = complete_graph(n)

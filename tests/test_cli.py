@@ -69,6 +69,12 @@ def test_cli_build_writes_files(tmp_path, capsys):
     assert dot.read_text().startswith("graph F {")
 
 
+def test_cli_build_over_the_size_cap_is_usage_error(capsys):
+    assert main(["build", "path:40", "-k", "20"]) == 2
+    err = capsys.readouterr().err
+    assert "cap" in err and "Traceback" not in err
+
+
 def test_cli_verify_pass_and_report_files(tmp_path, capsys):
     js = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"
@@ -132,10 +138,11 @@ def test_cli_budget_env(monkeypatch, capsys):
 
 
 def test_cli_verify_without_rows_is_usage_error(capsys):
-    assert main(["verify", "thm3", "--max-n", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and "thm3" in captured.err
+    for check_id, max_n in (("thm3", "2"), ("thm2", "0")):
+        assert main(["verify", check_id, "--max-n", max_n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and check_id in captured.err
 
 
 def _usage_exit(argv, capsys):

@@ -220,8 +220,3 @@ def test_dot_export_mentions_every_vertex_and_edge():
     dot = to_dot(g)
     assert '"3";' in dot  # the isolated vertex is visible
     assert '"1" -- "2";' in dot
-
-
-def test_components():
-    g = matching_graph(2, 1)
-    assert g.components() == [(0, 1), (2, 3), (4,)]

@@ -11,6 +11,7 @@ from tokengraphs.graphs import (
     Graph,
     GraphError,
     bipartition_of,
+    delete_vertices,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -22,6 +23,7 @@ from tokengraphs.graphs import (
 from tokengraphs.independence import (
     _component_masks,
     _greedy_seed,
+    _two_color,
     BoundsPair,
     Budget,
     BudgetExceededError,
@@ -90,6 +92,32 @@ def test_koenig_gallai_duality_on_bipartite():
         edges = [(i, m + j) for i in range(m) for j in range(n) if rng.random() < 0.45]
         g = Graph(m + n, edges)
         assert independence_number(g) + max_matching(g).size == g.n
+
+
+#: Bipartite, with a 22-vertex component on which the greedy seed and both
+#: color classes have 11 vertices while beta is 12, so the König cover's
+#: complement is what the solver returns there.
+KOENIG_FALLBACK = Graph(24, [
+    (0, 12), (0, 13), (0, 21), (1, 12), (2, 15), (2, 22), (3, 11), (3, 21),
+    (4, 16), (5, 14), (5, 15), (5, 18), (5, 22), (6, 11), (6, 13), (6, 16),
+    (6, 17), (6, 18), (6, 19), (7, 12), (7, 17), (7, 18), (7, 19), (8, 16),
+    (8, 17), (9, 15), (10, 16),
+])
+
+
+def test_koenig_cover_closes_a_component_the_seed_misses():
+    g = KOENIG_FALLBACK
+    masks = g.adjacency_masks()
+    comp = max(_component_masks(g.n, masks), key=int.bit_count)
+    left = _two_color(comp, masks)
+    assert comp.bit_count() == 22
+    assert _greedy_seed(comp, masks).bit_count() == 11
+    assert (comp & left).bit_count() == (comp & ~left).bit_count() == 11
+    outside = [v for v in range(g.n) if not (comp >> v) & 1]
+    assert brute_force_mis(delete_vertices(g, outside)[0]) == 12
+    found = max_independent_set(g)
+    found.validate(g)
+    assert found.size == brute_force_mis(g) == 14
 
 
 def test_perfect_matching_bipartite_bases_odd_k():

@@ -1,3 +1,5 @@
+import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -8,9 +10,11 @@ from hypothesis import strategies as st
 
 from tokengraphs.graphs import (
     Bipartition,
+    Graph,
     bipartition_of,
     complete_bipartite_graph,
     cycle_graph,
+    delete_vertices,
     erdos_renyi,
     make_graph,
     matching_graph,
@@ -20,6 +24,7 @@ from tokengraphs.graphs import (
 from tokengraphs.matching import (
     Matching,
     MatchingError,
+    _hopcroft_karp,
     brute_force_nu,
     hall_witness,
     is_almost_perfect,
@@ -200,6 +205,55 @@ def test_hall_witness_is_violating_set_on_random_bipartite():
                 for v in witness:
                     nbrs |= g.neighbors(v)
                 assert len(nbrs) < len(witness)
+
+
+def test_hall_witness_is_the_side_some_maximum_matching_misses():
+    rng = random.Random(17)
+    for trial in range(40):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        edges = [(i, m + j) for i in range(m) for j in range(n) if rng.random() < 0.35]
+        g = make_graph(m + n, edges)
+        part = Bipartition(part_b=frozenset(range(m)), part_r=frozenset(range(m, m + n)))
+        nu = max_matching(g).size
+        for side in ("b", "r"):
+            missed = frozenset(
+                v for v in part.side(side)
+                if max_matching(delete_vertices(g, (v,))[0]).size == nu
+            )
+            assert (hall_witness(g, part, side) or frozenset()) == missed, (trial, side)
+
+
+def test_hall_queries_follow_a_4000_vertex_augmenting_path():
+    # ladder u_i - w_{i-1}, u_i - w_i with u_0 last in id order: the greedy
+    # start leaves u_0 free, and its one augmenting path runs through all
+    # 4,000 vertices
+    m = 2000
+    u = [m - 1] + list(range(m - 1))
+    edges = [(u[i], m + i) for i in range(m)] + [(u[i], m + i - 1) for i in range(1, m)]
+    g = Graph(2 * m, edges)
+    part = Bipartition(part_b=frozenset(range(m)), part_r=frozenset(range(m, 2 * m)))
+    limit = sys.getrecursionlimit()
+    assert saturates(g, part, "b")
+    assert hall_witness(g, part, "b") is None
+    assert sys.getrecursionlimit() == limit
+
+
+def test_bipartite_engine_agrees_with_networkx_on_token_graphs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(3)
+    sparse = make_graph(10, [(i, 5 + j) for i in range(5) for j in range(5) if rng.random() < 0.4])
+    bases = [(cycle_graph(10), 4), (path_graph(10), 5), (complete_bipartite_graph(4, 5), 4),
+             (sparse, 4)]
+    for base, k in bases:
+        t = token_graph(base, k)
+        classes = token_bipartition(t, bipartition_of(base))
+        side_mask = sum(1 << v for v in classes.part_b)
+        nu, _ = _hopcroft_karp((1 << t.graph.n) - 1, t.graph.adjacency_masks(), side_mask)
+        h = nx.Graph()
+        h.add_nodes_from(range(t.graph.n))
+        h.add_edges_from(t.graph.edges)
+        theirs = nx.bipartite.hopcroft_karp_matching(h, top_nodes=classes.part_b)
+        assert nu == len(theirs) // 2, (base, k)
 
 
 # -- the asymptotic ratio bound ---------------------------------------------

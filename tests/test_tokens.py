@@ -98,6 +98,12 @@ def test_token_graph_rejects_bad_k():
         token_graph(path_graph(4), 4)
 
 
+def test_token_graph_refuses_oversized_instances():
+    # C(40,20) is about 1.4e11 vertices: refused before anything is built
+    with pytest.raises(GraphError, match="cap"):
+        token_graph(path_graph(40), 20)
+
+
 def test_token_graph_brute_force_cross_check():
     g = path_graph(5)
     t = token_graph(g, 3)

@@ -46,6 +46,12 @@ def test_max_n_caps_the_sweep():
     assert len(small) < len(full)
 
 
+def test_max_n_caps_the_eq1_random_graphs():
+    rows = run_check("eq1", max_n=5)
+    orders = {r.instance.split(",")[0] for r in rows if r.instance.startswith("random(")}
+    assert orders == {"random(4", "random(5"}
+
+
 def test_equality_rows_present_in_eq1():
     rows = run_check("eq1", max_n=4)
     tight = [r for r in rows if "tight" in r.instance]
