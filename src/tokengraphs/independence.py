@@ -2,7 +2,8 @@
 
 Connected components are solved independently, each from a greedy seed
 (least remaining degree first), kept in degree buckets so that it costs
-O(n + m) mask operations. A 2-colorable component is closed by König's
+O(n + m) mask operations. On a tree component the seed is maximum and
+is returned as it is. Any other 2-colorable component is closed by König's
 theorem: the bipartite matching engine of :mod:`.matching` gives its
 matching number nu, so beta = |V| - nu, and the complement of the König
 cover is a maximum independent set; the seed or the larger color class is
@@ -132,9 +133,10 @@ def _two_color(comp: int, masks: tuple[int, ...]) -> int | None:
     return color0
 
 
-def _greedy_seed(comp: int, masks: tuple[int, ...]) -> int:
+def _greedy_seed(comp: int, masks: tuple[int, ...]) -> tuple[int, int]:
     """Deterministic maximal independent set: repeatedly take the vertex of
-    least remaining degree (ties to the lowest id).
+    least remaining degree (ties to the lowest id). Returns the set and the
+    degree sum of ``comp``, which the bucket pass counts on the way.
 
     Degree buckets keep the choice cheap: ``buckets[d]`` is the mask of live
     vertices with d live neighbors and ``low`` the least nonempty d, so the
@@ -146,9 +148,11 @@ def _greedy_seed(comp: int, masks: tuple[int, ...]) -> int:
     """
     deg: dict[int, int] = {}
     buckets = [0] * comp.bit_count()
+    degree_sum = 0
     for v in _bit_list(comp):
         d = (masks[v] & comp).bit_count()
         deg[v] = d
+        degree_sum += d
         buckets[d] |= 1 << v
     cand = comp
     chosen = 0
@@ -176,7 +180,7 @@ def _greedy_seed(comp: int, masks: tuple[int, ...]) -> int:
                 buckets[d - 1] |= xbit
                 if d - 1 < low:
                     low = d - 1
-    return chosen
+    return chosen, degree_sum
 
 
 def _clique_cover_bound(cand: int, masks: tuple[int, ...]) -> int:
@@ -198,8 +202,13 @@ def _clique_cover_bound(cand: int, masks: tuple[int, ...]) -> int:
 def _solve_component(comp: int, masks: tuple[int, ...], clock: _BudgetClock) -> int:
     if comp & (comp - 1) == 0:
         return comp
+    best_mask, degree_sum = _greedy_seed(comp, masks)
+    if degree_sum == 2 * (comp.bit_count() - 1):
+        # a tree: a leaf lies in some maximum independent set and what
+        # remains is a forest, so the least-degree greedy is maximum
+        clock.tick()
+        return best_mask
     left_mask = _two_color(comp, masks)
-    best_mask = _greedy_seed(comp, masks)
     if left_mask is None:
         return _branch(comp, 0, 0, best_mask, masks, clock)
     # König: beta = |comp| - nu. When neither the seed nor the larger class

@@ -1,10 +1,12 @@
 """Exact maximum matchings: one engine for each kind of graph.
 
 General graphs go through breadth-first augmenting-path search with blossom
-contraction (O(V^3)). Bipartite graphs, as bitmasks with one side marked, go
-through Hopcroft-Karp (SIAM J. Comput. 1973), whose last search also yields
-the side's vertices reached by alternating paths from its unmatched ones:
-the Hall deficiency set, and the König cover of the independence solver.
+contraction (O(V^3)) and Edmonds' Hungarian-tree deletion: every later
+search skips the vertices of a search that failed. Bipartite graphs, as
+bitmasks with one side marked, go through Hopcroft-Karp (SIAM J. Comput.
+1973), whose last search also yields the side's vertices reached by
+alternating paths from its unmatched ones: the Hall deficiency set, and the
+König cover of the independence solver.
 """
 
 from __future__ import annotations
@@ -57,6 +59,13 @@ class Matching:
 def max_matching(g: Graph) -> Matching:
     """A maximum matching of ``g`` via blossom contraction.
 
+    A search that fails leaves a Hungarian tree, and by Edmonds' lemma
+    (*Paths, trees, and flowers*, 1965) none of its vertices lies on a later
+    augmenting path, so they are deleted for the rest of the run: every
+    later search skips them. A later search that entered the tree could only
+    regrow part of it, without labelling anything outside it, so skipping it
+    leaves every augmenting path found, and the matching, unchanged.
+
     Deterministic: greedy seeding and augmenting-path scans run in vertex-id
     order, so identical inputs yield identical matchings.
     """
@@ -72,8 +81,11 @@ def max_matching(g: Graph) -> Matching:
                     mate[w] = v
                     break
 
+    # search state, reset after each search only where that search labelled
     parent = [-1] * n
     base = list(range(n))
+    in_tree = [False] * n
+    dead = [False] * n
 
     def lowest_common_base(a: int, b: int) -> int:
         on_path = [False] * n
@@ -89,15 +101,13 @@ def max_matching(g: Graph) -> Matching:
                 return b
             b = parent[mate[b]]
 
-    def find_augmenting_from(root: int) -> int:
+    def find_augmenting_from(root: int, queue: list[int]) -> int:
         """Grow an alternating tree from ``root``; return an exposed endpoint
-        of an augmenting path, or -1."""
-        nonlocal parent, base
-        parent = [-1] * n
-        base = list(range(n))
-        in_tree = [False] * n
+        of an augmenting path, or -1. ``queue`` keeps every vertex put in
+        the tree; the others it labelled are their mates and the endpoint."""
         in_tree[root] = True
-        queue = deque([root])
+        queue.append(root)
+        head = 0
 
         def contract(v: int, w: int) -> None:
             anchor = lowest_common_base(v, w)
@@ -120,10 +130,11 @@ def max_matching(g: Graph) -> Matching:
                         in_tree[i] = True
                         queue.append(i)
 
-        while queue:
-            v = queue.popleft()
+        while head < len(queue):
+            v = queue[head]
+            head += 1
             for w in adj[v]:
-                if base[v] == base[w] or mate[v] == w:
+                if dead[w] or base[v] == base[w] or mate[v] == w:
                     continue
                 if w == root or (mate[w] != -1 and parent[mate[w]] != -1):
                     contract(v, w)
@@ -138,13 +149,24 @@ def max_matching(g: Graph) -> Matching:
     for root in range(n):
         if mate[root] != -1:
             continue
-        end = find_augmenting_from(root)
+        queue: list[int] = []
+        end = find_augmenting_from(root, queue)
+        labelled = queue + [mate[v] for v in queue if mate[v] != -1]
+        if end == -1:
+            for v in labelled:
+                dead[v] = True
+        else:
+            labelled.append(end)
         while end != -1:
             prev = parent[end]
             next_start = mate[prev]
             mate[end] = prev
             mate[prev] = end
             end = next_start
+        for v in labelled:
+            parent[v] = -1
+            base[v] = v
+            in_tree[v] = False
 
     return Matching.of((v, mate[v]) for v in range(n) if mate[v] > v)
 

@@ -75,28 +75,50 @@ def token_graph(g: Graph, k: int) -> TokenGraph:
     """Build the k-token graph of ``g``.
 
     Edges are generated by combining each base edge [u, v] with every
-    (k-1)-subset avoiding u and v, never by comparing all subset pairs,
-    so the cost is linear in the output size. Isolated derived vertices
-    are kept. Raises :class:`GraphError` before building anything when the
-    vertex plus edge count exceeds :data:`MAX_TOKEN_GRAPH_SIZE`.
+    (k-1)-subset R avoiding u and v, never by comparing all subset pairs.
+    One sweep over x per R gives the colex rank of R + {x} for every x
+    outside R: a prefix sum over the elements of R below x and a suffix sum
+    over those above it, each element that x passes moving its term from
+    one to the other. Each base edge outside R then costs one lookup per
+    endpoint, so the cost is C(n, k-1) * n plus the output size. Isolated
+    derived vertices are kept. Raises :class:`GraphError` before building
+    anything when the vertex plus edge count exceeds
+    :data:`MAX_TOKEN_GRAPH_SIZE`.
     """
-    if not 1 <= k <= g.n - 1:
-        raise GraphError(f"token count k={k} must satisfy 1 <= k <= {g.n - 1}")
-    size = comb(g.n, k) + g.edge_count * comb(g.n - 2, k - 1)
+    n = g.n
+    if not 1 <= k <= n - 1:
+        raise GraphError(f"token count k={k} must satisfy 1 <= k <= {n - 1}")
+    size = comb(n, k) + g.edge_count * comb(n - 2, k - 1)
     if size > MAX_TOKEN_GRAPH_SIZE:
         raise GraphError(f"{size} token vertices and edges, over the cap of {MAX_TOKEN_GRAPH_SIZE}")
-    codec = SubsetCodec(g.n, k)
-    rank = codec.rank
+    codec = SubsetCodec(n, k)
+    # binom[j][x] = C(x, j): an element x at position j - 1 of a sorted
+    # subset contributes C(x, j) to its colex rank
+    binom = [[comb(x, j) for x in range(n)] for j in range(k + 1)]
+    below = [[u for u in g.neighbors(x) if u < x] for x in range(n)]
+    rank = [0] * n  # rank of R + {x}, or -1 for x in R
     edges = []
-    for u, v in g.edges:
-        others = [w for w in range(g.n) if w != u and w != v]
-        for rest in combinations(others, k - 1):
-            a = rank(rest + (u,))
-            b = rank(rest + (v,))
-            edges.append((a, b) if a < b else (b, a))
+    for rest in combinations(range(n), k - 1):
+        stops = rest + (n,)
+        low, high = 0, sum(binom[i + 2][r] for i, r in enumerate(rest))
+        p, stop = 0, stops[0]
+        for x in range(n):
+            if x == stop:
+                low += binom[p + 1][x]
+                high -= binom[p + 2][x]
+                p += 1
+                stop = stops[p]
+                rank[x] = -1
+                continue
+            b = rank[x] = low + binom[p + 1][x] + high
+            # colex rank grows with x, so a lower neighbor ranks lower
+            for u in below[x]:
+                a = rank[u]
+                if a >= 0:
+                    edges.append((a, b))
     derived = Graph(codec.size, edges)
     # Each derived edge arises from exactly one base edge, so none collapse.
-    assert derived.edge_count == g.edge_count * comb(g.n - 2, k - 1)
+    assert derived.edge_count == g.edge_count * comb(n - 2, k - 1)
     return TokenGraph(base=g, k=k, graph=derived, codec=codec)
 
 

@@ -3,6 +3,8 @@ random graphs, all deterministic."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from tokengraphs.graphs import (
@@ -41,6 +43,13 @@ def random_graphs(count: int, max_n: int, seed_base: int = 0) -> list[Graph]:
         n = 3 + (seed_base + i) % (max_n - 2)
         out.append(erdos_renyi(n, densities[i % 3], seed_base + i))
     return out
+
+
+def relabelled(g: Graph, seed: int) -> Graph:
+    """``g`` with its vertex ids permuted by a seeded shuffle."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 @pytest.fixture(scope="session")

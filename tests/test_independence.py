@@ -20,6 +20,7 @@ from tokengraphs.graphs import (
     path_graph,
     star_graph,
 )
+import tokengraphs.independence as independence
 from tokengraphs.independence import (
     _component_masks,
     _greedy_seed,
@@ -37,6 +38,7 @@ from tokengraphs.independence import (
 )
 from tokengraphs.matching import max_matching
 from tokengraphs.tokens import token_bipartition, token_graph
+from conftest import relabelled
 
 
 # -- solver vs oracle -------------------------------------------------------
@@ -111,13 +113,69 @@ def test_koenig_cover_closes_a_component_the_seed_misses():
     comp = max(_component_masks(g.n, masks), key=int.bit_count)
     left = _two_color(comp, masks)
     assert comp.bit_count() == 22
-    assert _greedy_seed(comp, masks).bit_count() == 11
+    assert _greedy_seed(comp, masks)[0].bit_count() == 11
     assert (comp & left).bit_count() == (comp & ~left).bit_count() == 11
     outside = [v for v in range(g.n) if not (comp >> v) & 1]
     assert brute_force_mis(delete_vertices(g, outside)[0]) == 12
     found = max_independent_set(g)
     found.validate(g)
     assert found.size == brute_force_mis(g) == 14
+
+
+def _prufer_tree(order, rng):
+    """A uniform random labelled tree from its Prüfer sequence."""
+    if order == 1:
+        return []
+    seq = [rng.randrange(order) for _ in range(order - 2)]
+    degree = [1] * order
+    for x in seq:
+        degree[x] += 1
+    edges = []
+    for x in seq:
+        leaf = min(v for v in range(order) if degree[v] == 1)
+        edges.append((leaf, x))
+        degree[leaf] -= 1
+        degree[x] -= 1
+    u, v = [v for v in range(order) if degree[v] == 1]
+    return edges + [(u, v)]
+
+
+def _random_forest(seed):
+    rng = random.Random(seed)
+    edges, n = [], 0
+    for _ in range(rng.randint(1, 4)):
+        order = rng.randint(1, 40 if seed % 2 else 12)
+        edges += [(n + u, n + v) for u, v in _prufer_tree(order, rng)]
+        n += order
+    return relabelled(Graph(n, edges), seed)
+
+
+def test_tree_components_keep_the_seed_without_the_matching_engine(monkeypatch):
+    calls = []
+    engine = independence._bipartite_matching_size
+
+    def counted(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(independence, "_bipartite_matching_size", counted)
+    for seed in range(120):
+        g = _random_forest(seed)
+        found = max_independent_set(g)
+        found.validate(g)
+        masks = g.adjacency_masks()
+        seeds = 0
+        for comp in _component_masks(g.n, masks):
+            seed_mask, degree_sum = _greedy_seed(comp, masks)
+            assert degree_sum == 2 * (comp.bit_count() - 1)
+            # König's size, which the engine would have certified
+            nu, _ = engine(comp, masks, _two_color(comp, masks))
+            assert seed_mask.bit_count() == comp.bit_count() - nu
+            seeds |= seed_mask
+        assert found.vertices == frozenset(v for v in range(g.n) if seeds >> v & 1)
+        if g.n <= 26:
+            assert found.size == brute_force_mis(g), seed
+    assert calls == []
 
 
 def test_perfect_matching_bipartite_bases_odd_k():
@@ -182,14 +240,8 @@ def _assert_seed_matches_reference(g):
     masks = g.adjacency_masks()
     comps = _component_masks(g.n, masks)
     for comp in comps:
-        assert _greedy_seed(comp, masks) == _quadratic_greedy_seed(comp, masks)
+        assert _greedy_seed(comp, masks)[0] == _quadratic_greedy_seed(comp, masks)
     return len(comps)
-
-
-def _relabelled(g, seed):
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 @given(st.integers(1, 40), st.sampled_from((0.05, 0.15, 0.3, 0.6)), st.integers(0, 10_000))
@@ -209,7 +261,7 @@ def test_greedy_seed_matches_reference_on_relabelled_token_graphs():
         for k in range(1, base.n):
             t = token_graph(base, k).graph
             checked += _assert_seed_matches_reference(t)
-            checked += _assert_seed_matches_reference(_relabelled(t, i * 100 + k))
+            checked += _assert_seed_matches_reference(relabelled(t, i * 100 + k))
     assert checked > 300
 
 

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -13,6 +14,7 @@ from tokengraphs.graphs import (
     Graph,
     bipartition_of,
     complete_bipartite_graph,
+    complete_graph,
     cycle_graph,
     delete_vertices,
     erdos_renyi,
@@ -34,6 +36,7 @@ from tokengraphs.matching import (
     saturates,
 )
 from tokengraphs.tokens import token_bipartition, token_graph
+from conftest import relabelled
 
 PETERSEN = make_graph(
     10,
@@ -85,6 +88,163 @@ def test_matching_examples_from_token_graphs():
     assert m.size == 10 and is_perfect(m, t.graph)
     t2 = token_graph(path_graph(5), 3)
     assert max_matching(t2.graph).size == 4
+
+
+# -- Hungarian-tree deletion: same matchings as the engine without it --------
+
+
+def _reference_max_matching(g: Graph) -> Matching:
+    """The blossom engine without Hungarian-tree deletion, kept verbatim
+    as the reference for the deleting one: a maximum matching of ``g`` via
+    blossom contraction.
+
+    Deterministic: greedy seeding and augmenting-path scans run in vertex-id
+    order, so identical inputs yield identical matchings.
+    """
+    n = g.n
+    adj = [sorted(g.neighbors(v)) for v in range(n)]
+    mate = [-1] * n
+
+    for v in range(n):
+        if mate[v] == -1:
+            for w in adj[v]:
+                if mate[w] == -1:
+                    mate[v] = w
+                    mate[w] = v
+                    break
+
+    parent = [-1] * n
+    base = list(range(n))
+
+    def lowest_common_base(a: int, b: int) -> int:
+        on_path = [False] * n
+        while True:
+            a = base[a]
+            on_path[a] = True
+            if mate[a] == -1:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if on_path[b]:
+                return b
+            b = parent[mate[b]]
+
+    def find_augmenting_from(root: int) -> int:
+        """Grow an alternating tree from ``root``; return an exposed endpoint
+        of an augmenting path, or -1."""
+        nonlocal parent, base
+        parent = [-1] * n
+        base = list(range(n))
+        in_tree = [False] * n
+        in_tree[root] = True
+        queue = deque([root])
+
+        def contract(v: int, w: int) -> None:
+            anchor = lowest_common_base(v, w)
+            shrink = [False] * n
+
+            def mark_path(x: int, child: int) -> None:
+                while base[x] != anchor:
+                    shrink[base[x]] = True
+                    shrink[base[mate[x]]] = True
+                    parent[x] = child
+                    child = mate[x]
+                    x = parent[mate[x]]
+
+            mark_path(v, w)
+            mark_path(w, v)
+            for i in range(n):
+                if shrink[base[i]]:
+                    base[i] = anchor
+                    if not in_tree[i]:
+                        in_tree[i] = True
+                        queue.append(i)
+
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if base[v] == base[w] or mate[v] == w:
+                    continue
+                if w == root or (mate[w] != -1 and parent[mate[w]] != -1):
+                    contract(v, w)
+                elif parent[w] == -1:
+                    parent[w] = v
+                    if mate[w] == -1:
+                        return w
+                    in_tree[mate[w]] = True
+                    queue.append(mate[w])
+        return -1
+
+    for root in range(n):
+        if mate[root] != -1:
+            continue
+        end = find_augmenting_from(root)
+        while end != -1:
+            prev = parent[end]
+            next_start = mate[prev]
+            mate[end] = prev
+            mate[prev] = end
+            end = next_start
+
+    return Matching.of((v, mate[v]) for v in range(n) if mate[v] > v)
+
+
+def _random_bipartite(m, n, p, seed):
+    rng = random.Random(seed)
+    return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n) if rng.random() < p])
+
+
+@given(st.integers(1, 30), st.sampled_from((0.05, 0.1, 0.2, 0.4)), st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+def test_blossom_matches_reference_on_random_graphs(n, p, seed):
+    g = erdos_renyi(n, p, seed)
+    assert max_matching(g).edges == _reference_max_matching(g).edges
+    h = relabelled(_random_bipartite(n // 2, n - n // 2, p, seed), seed)
+    assert max_matching(h).edges == _reference_max_matching(h).edges
+
+
+def test_blossom_matches_reference_on_relabelled_token_graphs():
+    bases = [cycle_graph(n) for n in range(3, 12)]
+    bases += [path_graph(n) for n in range(2, 12)]
+    bases += [complete_graph(n) for n in range(2, 8)]
+    bases += [star_graph(n) for n in range(2, 8)]
+    checked = 0
+    for i, base in enumerate(bases):
+        for k in range(1, base.n):
+            t = token_graph(base, k).graph
+            for g in (t, relabelled(t, i * 100 + k)):
+                assert max_matching(g).edges == _reference_max_matching(g).edges, (base, k)
+                checked += 1
+    assert checked == 2 * sum(b.n - 1 for b in bases)
+
+
+def test_blossom_agrees_with_networkx_on_general_token_graphs():
+    nx = pytest.importorskip("networkx")
+    for base, k in [(cycle_graph(9), 3), (cycle_graph(11), 3), (cycle_graph(11), 4)]:
+        g = token_graph(base, k).graph
+        assert bipartition_of(g) is None
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        theirs = nx.max_weight_matching(h, maxcardinality=True)
+        assert max_matching(g).size == len(theirs), (base, k)
+
+
+def test_blossom_reaches_the_frontier_matching_numbers():
+    # F_8(P_16) past the brute-force limit: blossom's 6400 against the
+    # bipartite engine on the parity classes
+    t = token_graph(path_graph(16), 8)
+    m = max_matching(t.graph)
+    m.validate(t.graph)
+    assert m.size == 6400
+    classes = token_bipartition(t, bipartition_of(t.base))
+    side_mask = sum(1 << v for v in classes.part_b)
+    nu, _ = _hopcroft_karp((1 << t.graph.n) - 1, t.graph.adjacency_masks(), side_mask)
+    assert nu == 6400
+    t = token_graph(complete_bipartite_graph(7, 7), 7)
+    m = max_matching(t.graph)
+    assert m.size == 1716 and is_perfect(m, t.graph)
 
 
 # -- Matching type ----------------------------------------------------------

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokengraphs.graphs import (
+    Graph,
     GraphError,
     bipartition_of,
     complete_bipartite_graph,
     cycle_graph,
+    erdos_renyi,
     matching_graph,
     path_graph,
     star_graph,
@@ -25,7 +27,7 @@ from tokengraphs.tokens import (
     token_graph_to_json,
     validate_token_matching,
 )
-from conftest import named_graphs
+from conftest import named_graphs, relabelled
 
 
 # -- codec ------------------------------------------------------------------
@@ -124,6 +126,40 @@ def test_every_token_edge_is_a_base_edge_swap(small_named):
             for a, b in t.graph.edges:
                 diff = sorted(set(t.codec.unrank(a)) ^ set(t.codec.unrank(b)))
                 assert len(diff) == 2 and g.adjacent(diff[0], diff[1])
+
+
+def _reference_token_graph(g, k):
+    """Token construction by ranking both ends of every token edge with the
+    codec, kept as the reference for the one-sweep-per-subset ranking."""
+    codec = SubsetCodec(g.n, k)
+    rank = codec.rank
+    edges = []
+    for u, v in g.edges:
+        others = [w for w in range(g.n) if w != u and w != v]
+        for rest in combinations(others, k - 1):
+            a = rank(rest + (u,))
+            b = rank(rest + (v,))
+            edges.append((a, b) if a < b else (b, a))
+    return Graph(codec.size, edges)
+
+
+@given(st.integers(2, 12), st.integers(0, 3), st.sampled_from((0.0, 0.2, 0.5, 0.9)),
+       st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_token_graph_matches_reference_on_random_bases(order, isolated, p, seed):
+    # the last ``isolated`` vertices (at most order - 1) have no edges
+    live = erdos_renyi(max(1, order - isolated), p, seed)
+    g = Graph(order, live.edges)
+    for k in range(1, order):
+        assert token_graph(g, k).graph == _reference_token_graph(g, k), k
+
+
+def test_token_graph_matches_reference_on_relabelled_cycles_and_paths():
+    for i, base in enumerate([cycle_graph(n) for n in range(3, 11)]
+                             + [path_graph(n) for n in range(2, 11)]):
+        g = relabelled(base, i)
+        for k in range(1, base.n):
+            assert token_graph(g, k).graph == _reference_token_graph(g, k), (g, k)
 
 
 # -- complement map ---------------------------------------------------------
