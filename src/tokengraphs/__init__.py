@@ -15,7 +15,6 @@ from .constructions import (
     witness_graph_small_s,
 )
 from .formulas import (
-    ConjectureRow,
     FormulaValue,
     OeisCheck,
     ScanHit,
@@ -24,7 +23,6 @@ from .formulas import (
     beta_kmn_f2,
     beta_star,
     class_order_predicate,
-    conjecture_scan,
     counterexample_scan_2x5,
     nu_token_formula,
     oeis_check,

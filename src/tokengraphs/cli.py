@@ -6,8 +6,8 @@ scanners), oeis (sequence prefixes with solver cross-checks).
 
 Graph specs: path:N | cycle:N | complete:N | kbip:M,N | star:N | match:M,S
 | file:PATH. Exit codes: 0 all rows pass or hold their bound, 1 any row
-fails, 2 usage error (a bad budget or graph spec, or a verify or scan with
-no instance), 3 budget exceeded.
+fails, 2 usage error (a bad budget or graph spec, a verify or scan with no
+instance, or a scan above the desk-scale guard), 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -19,21 +19,19 @@ import os
 import sys
 from pathlib import Path
 
-from .formulas import ConjectureRow, conjecture_scan, counterexample_scan_2x5, oeis_check
+from .formulas import oeis_check
 from .graphs import Graph, GraphError, family, parse_edge_list_text
 from .independence import Budget, BudgetExceededError, max_independent_set
 from .matching import max_matching
 from .reports import (
-    STATUS_BOUND,
     STATUS_FAIL,
-    STATUS_PASS,
     VerificationReport,
     exit_code_for,
     reports_to_csv,
     reports_to_json,
 )
 from .tokens import subset_label, token_graph, token_graph_to_dot, token_graph_to_json
-from .verify import CHECKS, run_check
+from .verify import CHECKS, conjecture_rows, fig3_rows, run_check, run_rows
 
 BUDGET_ENV = "TOKENGRAPHS_BUDGET"
 
@@ -135,11 +133,7 @@ def _cmd_nu(args: argparse.Namespace) -> int:
 
 def _cmd_beta(args: argparse.Namespace) -> int:
     t = token_graph(parse_graph_spec(args.graph), args.k)
-    try:
-        found = max_independent_set(t.graph, _budget_from(args))
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
+    found = max_independent_set(t.graph, _budget_from(args))
     print(f"beta = {found.size}")
     print("  " + " ".join(subset_label(t.codec.unrank(r)) for r in found.sorted_vertices()))
     return 0
@@ -152,69 +146,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
 
 
-def _conjecture_report(row: ConjectureRow) -> VerificationReport:
-    return VerificationReport(
-        check_id="conjecture",
-        instance=f"K_{{{row.m},{row.n}}}, k={row.k}",
-        formula_value=row.class_bound,
-        solver_value=row.solver_beta,
-        witness=[list(subset) for subset in row.witness] if row.witness else None,
-        status=STATUS_PASS if row.agrees else STATUS_FAIL,
-        seconds=0.0,
+def _cmd_scan_conjecture(args: argparse.Namespace) -> int:
+    rows = conjecture_rows(args.max_order, args.max_k, _budget_from(args))
+    reports = run_rows("conjecture", rows)
+    code = _finish_reports(
+        reports,
+        args,
+        f"scan conjecture has no instance with --max-order {args.max_order} "
+        f"--max-k {args.max_k}",
     )
+    violations = [r for r in reports if r.status == STATUS_FAIL]
+    if violations:
+        print(f"!! {len(violations)} violation(s) found; witnesses are in the report")
+    return code
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
-    budget = _budget_from(args)
-    if args.target == "conjecture":
-        try:
-            rows = conjecture_scan(args.max_order, args.max_k, budget)
-        except BudgetExceededError as exc:
-            print(f"budget exceeded: {exc}", file=sys.stderr)
-            return 3
-        reports = [_conjecture_report(row) for row in rows]
-        code = _finish_reports(
-            reports,
-            args,
-            f"scan conjecture has no instance with --max-order {args.max_order} "
-            f"--max-k {args.max_k}",
-        )
-        violations = [r for r in reports if r.status == STATUS_FAIL]
-        if violations:
-            print(f"!! {len(violations)} violation(s) found; witnesses are in the report")
-        return code
-
-    # fig3: the parts-2/5 counterexample scan
-    try:
-        hits = counterexample_scan_2x5(budget=budget, require_no_isolated=args.covered_only)
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
-    # each hit satisfies the class bound strictly, so it holds with slack
-    reports = [
-        VerificationReport(
-            check_id="fig3-scan",
-            instance=f"edges {[(u + 1, v + 1) for u, v in hit.graph.edges]}",
-            formula_value=hit.class_bound,
-            solver_value=hit.beta,
-            witness=None,
-            status=STATUS_BOUND,
-            seconds=0.0,
-        )
-        for hit in hits
-    ]
-    if not reports:
-        reports = [
-            VerificationReport(
-                check_id="fig3-scan",
-                instance="no graph beat the class bound",
-                formula_value=None,
-                solver_value=None,
-                witness=None,
-                status=STATUS_FAIL,
-                seconds=0.0,
-            )
-        ]
+def _cmd_scan_fig3(args: argparse.Namespace) -> int:
+    reports = run_rows("fig3-scan", fig3_rows(args.covered_only, _budget_from(args)))
     return _finish_reports(reports, args, "scan fig3 has no rows")
 
 
@@ -238,6 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"per-instance solver budget in seconds (default: ${BUDGET_ENV})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    report_files = argparse.ArgumentParser(add_help=False)
+    report_files.add_argument("--json", help="write the report as JSON")
+    report_files.add_argument("--csv", help="write the report as CSV")
 
     p_build = sub.add_parser("build", help="construct a token graph and export it")
     p_build.add_argument("graph", help="graph spec, e.g. cycle:5 or kbip:2,5")
@@ -256,25 +207,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_beta.add_argument("-k", type=int, required=True)
     p_beta.set_defaults(func=_cmd_beta)
 
-    p_verify = sub.add_parser("verify", help="replay a named verification check")
+    p_verify = sub.add_parser(
+        "verify", parents=[report_files], help="replay a named verification check"
+    )
     p_verify.add_argument("check", choices=sorted(CHECKS))
     p_verify.add_argument("--max-n", type=int, default=None, help="cap the instance size")
-    p_verify.add_argument("--json", help="write the report as JSON")
-    p_verify.add_argument("--csv", help="write the report as CSV")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_scan = sub.add_parser("scan", help="run a bulk scanner")
-    p_scan.add_argument("target", choices=["conjecture", "fig3"])
-    p_scan.add_argument("--max-order", type=int, default=9)
-    p_scan.add_argument("--max-k", type=int, default=4)
-    p_scan.add_argument(
-        "--covered-only",
-        action="store_true",
-        help="fig3: keep only graphs without isolated vertices",
+    scans = sub.add_parser("scan", help="run a bulk scanner").add_subparsers(
+        dest="target", required=True
     )
-    p_scan.add_argument("--json", help="write the report as JSON")
-    p_scan.add_argument("--csv", help="write the report as CSV")
-    p_scan.set_defaults(func=_cmd_scan)
+    p_conj = scans.add_parser(
+        "conjecture", parents=[report_files], help="class bound against β on every K_{m,n}"
+    )
+    p_conj.add_argument("--max-order", type=int, default=9)
+    p_conj.add_argument("--max-k", type=int, default=4)
+    p_conj.set_defaults(func=_cmd_scan_conjecture)
+    p_fig3 = scans.add_parser(
+        "fig3", parents=[report_files], help="parts-2/5 graphs that beat the class bound"
+    )
+    p_fig3.add_argument(
+        "--covered-only", action="store_true", help="keep only graphs without isolated vertices"
+    )
+    p_fig3.set_defaults(func=_cmd_scan_fig3)
 
     p_oeis = sub.add_parser("oeis", help="sequence prefix from the closed forms")
     p_oeis.add_argument("sequence", choices=["A091044", "A000217", "A002620", "A189889"])
@@ -298,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BudgetExceededError as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

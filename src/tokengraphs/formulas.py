@@ -1,5 +1,6 @@
 """Closed-form evaluators for the token-graph matching and independence
-numbers, integer-sequence cross-checks, and the desk-scale scanners.
+numbers, integer-sequence cross-checks, and the parts-2/5 counterexample
+scan (its report rows, and the conjecture scan's, are built in ``verify``).
 
 All threshold tests use exact integer arithmetic (binomial comparisons);
 no floating point enters any verdict.
@@ -19,13 +20,7 @@ from .graphs import (
     path_graph,
     star_graph,
 )
-from .independence import (
-    Budget,
-    BudgetExceededError,
-    independence_number,
-    max_independent_set,
-    token_independence_number,
-)
+from .independence import Budget, independence_number, token_independence_number
 from .tokens import token_graph
 
 
@@ -162,60 +157,35 @@ def _a091044_terms(count: int) -> list[int]:
     return out
 
 
-def _a091044_check() -> bool:
-    for n in (1, 2, 3):
-        for m in range(n):
-            k = 2 * m + 1
-            if k >= 2 * n:
-                continue
-            got = token_independence_number(path_graph(2 * n), k)
-            if got != comb(2 * n, 2 * m + 1) // 2:
-                return False
-    return True
-
-
-def _a000217_terms(count: int) -> list[int]:
-    return [comb(j + 1, 2) for j in range(count)]
-
-
-def _a000217_check() -> bool:
-    # triangular numbers match star independence from 3 leaves onward
-    for j in range(2, 6):
-        if token_independence_number(star_graph(j + 1), 2) != comb(j + 1, 2):
-            return False
-    return True
-
-
-def _a002620_terms(count: int) -> list[int]:
-    return [(t * t) // 4 for t in range(count)]
-
-
-def _a002620_check() -> bool:
-    for t in range(3, 7):
-        quarter_square = (t * t) // 4
-        if beta_balanced_family(t, 2) != quarter_square:
-            return False
-        if token_independence_number(path_graph(t), 2) != quarter_square:
-            return False
-    return True
-
-
-def _a189889_terms(count: int) -> list[int]:
-    return [beta_cycle_f2(p) for p in range(3, 3 + count)]
-
-
-def _a189889_check() -> bool:
-    return all(
-        token_independence_number(cycle_graph(p), 2) == beta_cycle_f2(p)
-        for p in range(3, 8)
-    )
-
-
+#: Sequence id -> (its first ``count`` terms, the solver cross-check cases
+#: ``(graph, k, expected β(F_k(graph)))``).
 _OEIS = {
-    "A091044": (_a091044_terms, _a091044_check),
-    "A000217": (_a000217_terms, _a000217_check),
-    "A002620": (_a002620_terms, _a002620_check),
-    "A189889": (_a189889_terms, _a189889_check),
+    "A091044": (
+        _a091044_terms,
+        lambda: [
+            (path_graph(2 * n), 2 * m + 1, comb(2 * n, 2 * m + 1) // 2)
+            for n in (1, 2, 3)
+            for m in range(n)
+        ],
+    ),
+    # triangular numbers match star independence from 3 leaves onward
+    "A000217": (
+        lambda count: [comb(j + 1, 2) for j in range(count)],
+        lambda: [(star_graph(j + 1), 2, comb(j + 1, 2)) for j in range(2, 6)],
+    ),
+    # the solver meets both the quarter square and the balanced-family form
+    "A002620": (
+        lambda count: [(t * t) // 4 for t in range(count)],
+        lambda: [
+            (path_graph(t), 2, value)
+            for t in range(3, 7)
+            for value in ((t * t) // 4, beta_balanced_family(t, 2))
+        ],
+    ),
+    "A189889": (
+        lambda count: [beta_cycle_f2(p) for p in range(3, 3 + count)],
+        lambda: [(cycle_graph(p), 2, beta_cycle_f2(p)) for p in range(3, 8)],
+    ),
 }
 
 
@@ -227,8 +197,9 @@ def oeis_check(sequence_id: str, count: int) -> OeisCheck:
         raise GraphError(f"unknown sequence id {sequence_id!r}")
     if not 1 <= count <= 20:
         raise GraphError("count must be between 1 and 20")
-    terms_fn, check_fn = _OEIS[sequence_id]
-    return OeisCheck(sequence_id, tuple(terms_fn(count)), check_fn())
+    terms, cases = _OEIS[sequence_id]
+    agrees = all(token_independence_number(g, k) == expected for g, k, expected in cases())
+    return OeisCheck(sequence_id, tuple(terms(count)), agrees)
 
 
 # ---------------------------------------------------------------------------
@@ -268,58 +239,3 @@ def counterexample_scan_2x5(
         if beta > bound:
             hits.append(ScanHit(edge_mask=mask, graph=g, beta=beta, class_bound=bound))
     return hits
-
-
-@dataclass(frozen=True)
-class ConjectureRow:
-    """One scanned complete-bipartite instance: parity-class bound versus
-    exact solver value."""
-
-    m: int
-    n: int
-    k: int
-    class_bound: int
-    solver_beta: int
-    agrees: bool
-    witness: tuple[tuple[int, ...], ...] | None  # 1-based subsets on violation
-
-
-def conjecture_scan(
-    max_order: int, max_k: int, budget: Budget | None = None
-) -> list[ConjectureRow]:
-    """Compare the parity-class bound against the exact independence number
-    for every complete bipartite base up to ``max_order`` and every token
-    count up to ``max_k``.
-
-    A disagreement is reported verbatim with a full witness; it is a
-    finding, not an error. Guarded to desk scale.
-    """
-    if max_order > 10 or max_k > 4:
-        raise BudgetExceededError("scan larger than the desk-scale guard (order 10, k 4)")
-    rows: list[ConjectureRow] = []
-    for m in range(1, max_order // 2 + 1):
-        for n in range(m, max_order - m + 1):
-            for k in range(2, min(max_k, m + n - 2) + 1):
-                bound = class_bound(m, n, k)
-                t = token_graph(complete_bipartite_graph(m, n), k)
-                found = max_independent_set(t.graph, budget)
-                agrees = found.size == bound
-                witness = None
-                if not agrees:
-                    witness = tuple(
-                        tuple(x + 1 for x in t.codec.unrank(rank))
-                        for rank in found.sorted_vertices()
-                    )
-                rows.append(
-                    ConjectureRow(
-                        m=m,
-                        n=n,
-                        k=k,
-                        class_bound=bound,
-                        solver_beta=found.size,
-                        agrees=agrees,
-                        witness=witness,
-                    )
-                )
-    rows.sort(key=lambda row: (row.m, row.n, row.k))
-    return rows

@@ -5,8 +5,11 @@ Check ids (see :data:`CHECKS`): thm1, thm2, thm3, lemma3, lemma5, lemma6,
 cor3, cor4, star, prop3, eq1, eq2, eq3, fig1, fig2, fig34, j73.
 
 Each check is a generator of ``(instance, compute)`` pairs in report order;
-:func:`run_check` times every ``compute`` call as one row. Most rows are
-built by :func:`_beta` or :func:`_nu`.
+:func:`run_rows` times every ``compute`` call as one row, and a row that
+runs out of budget is reported as such. Most rows are built by :func:`_beta`
+or :func:`_nu`. The two scans, :func:`conjecture_rows` and
+:func:`fig3_rows`, are row generators of the same kind outside
+:data:`CHECKS`; the CLI runs them through :func:`run_rows` as well.
 """
 
 from __future__ import annotations
@@ -29,12 +32,14 @@ from .formulas import (
     beta_cycle_f2,
     beta_kmn_f2,
     beta_star,
+    class_bound,
     class_order_predicate,
     counterexample_scan_2x5,
     nu_token_formula,
 )
 from .graphs import (
     Graph,
+    GraphError,
     bipartition_of,
     complete_bipartite_graph,
     complete_graph,
@@ -490,11 +495,58 @@ CHECKS: dict[str, Callable[[int | None, Budget | None], Rows]] = {
 }
 
 
+def run_rows(check_id: str, rows: Rows) -> list[VerificationReport]:
+    """One timed report row per ``(instance, compute)`` pair, in order."""
+    return [_row(check_id, instance, compute) for instance, compute in rows]
+
+
 def run_check(
     check_id: str, max_n: int | None = None, budget: Budget | None = None
 ) -> list[VerificationReport]:
     """Replay one check: one timed report row per instance, in report order."""
     if check_id not in CHECKS:
         raise KeyError(f"unknown check id {check_id!r}; known: {', '.join(sorted(CHECKS))}")
-    rows = CHECKS[check_id](max_n, budget)
-    return [_row(check_id, instance, compute) for instance, compute in rows]
+    return run_rows(check_id, CHECKS[check_id](max_n, budget))
+
+
+# ---------------------------------------------------------------------------
+# scans
+
+
+def conjecture_rows(max_order: int, max_k: int, budget: Budget | None) -> Rows:
+    """The larger parity class against the exact independence number for
+    every complete bipartite base up to ``max_order`` and every token count
+    from 2 up to ``max_k``, in (m, n, k) order. A disagreement is a finding,
+    not an error: its row fails and carries the solver's set as witness.
+    Guarded to desk scale (order 10, k 4)."""
+    if max_order > 10 or max_k > 4:
+        raise GraphError(
+            f"scan conjecture --max-order {max_order} --max-k {max_k} is larger than "
+            "the desk-scale guard (order 10, k 4)"
+        )
+    for m in range(1, max_order // 2 + 1):
+        for n in range(m, max_order - m + 1):
+            g = complete_bipartite_graph(m, n)
+            for k in range(2, min(max_k, m + n - 2) + 1):
+                def compute(g=g, m=m, n=n, k=k):
+                    bound = class_bound(m, n, k)
+                    t = token_graph(g, k)
+                    found = max_independent_set(t.graph, budget)
+                    status = _eq_status(bound, found.size)
+                    witness = None if status == STATUS_PASS else _subset_witness(t, found.vertices)
+                    return bound, found.size, witness, status
+
+                yield f"K_{{{m},{n}}}, k={k}", compute
+
+
+def fig3_rows(covered_only: bool, budget: Budget | None) -> Rows:
+    """One row per bipartite graph on parts 2 and 5 whose 2-token
+    independence number beats the class bound, which it holds with slack;
+    with ``covered_only`` only graphs without isolated vertices. A scan with
+    no such graph gives one failing row."""
+    hits = counterexample_scan_2x5(budget, require_no_isolated=covered_only)
+    for hit in hits:
+        instance = f"edges {[(u + 1, v + 1) for u, v in hit.graph.edges]}"
+        yield instance, lambda hit=hit: (hit.class_bound, hit.beta, None, STATUS_BOUND)
+    if not hits:
+        yield "no graph beat the class bound", lambda: (None, None, None, STATUS_FAIL)

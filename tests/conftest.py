@@ -4,6 +4,7 @@ random graphs, all deterministic."""
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -43,6 +44,13 @@ def random_graphs(count: int, max_n: int, seed_base: int = 0) -> list[Graph]:
         n = 3 + (seed_base + i) % (max_n - 2)
         out.append(erdos_renyi(n, densities[i % 3], seed_base + i))
     return out
+
+
+def conjecture_mnk(instance: str) -> tuple[int, int, int]:
+    """(m, n, k) of a conjecture-scan row's instance ``K_{m,n}, k=k``."""
+    match = re.fullmatch(r"K_\{(\d+),(\d+)\}, k=(\d+)", instance)
+    assert match, instance
+    return tuple(int(x) for x in match.groups())
 
 
 def relabelled(g: Graph, seed: int) -> Graph:

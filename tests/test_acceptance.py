@@ -9,15 +9,15 @@ from __future__ import annotations
 import time
 from math import comb
 
-from tokengraphs.formulas import conjecture_scan, r_value
+from tokengraphs.formulas import r_value
 from tokengraphs.graphs import bipartition_of, erdos_renyi
 from tokengraphs.independence import brute_force_mis, max_independent_set
 from tokengraphs.matching import brute_force_nu, max_matching
 from tokengraphs.reports import all_good
 from tokengraphs.tokens import complement_map, token_bipartition, token_graph
-from tokengraphs.verify import run_check
+from tokengraphs.verify import conjecture_rows, run_check, run_rows
 
-from conftest import named_graphs, random_graphs
+from conftest import conjecture_mnk, named_graphs, random_graphs
 
 
 def _finish(number: int, label: str, start: float, limit: float, ok: bool) -> None:
@@ -144,15 +144,13 @@ def test_acceptance_11_structural_invariants():
 
 def test_acceptance_12_conjecture_scan():
     start = time.perf_counter()
-    rows = conjecture_scan(9, 4)
-    violations = [r for r in rows if not r.agrees]
-    machinery_ok = all(
-        (row.witness is None) == row.agrees
-        and row.class_bound == max(
-            r_value(row.m, row.n, row.k),
-            comb(row.m + row.n, row.k) - r_value(row.m, row.n, row.k),
-        )
-        for row in rows
+    rows = run_rows("conjecture", conjecture_rows(9, 4, None))
+    violations = [r for r in rows if r.formula_value != r.solver_value]
+    keys = [conjecture_mnk(r.instance) for r in rows]
+    machinery_ok = keys == sorted(keys) and all(
+        (row.witness is None) == (row.formula_value == row.solver_value)
+        and row.formula_value == max(r_value(m, n, k), comb(m + n, k) - r_value(m, n, k))
+        for (m, n, k), row in zip(keys, rows)
     )
     ok = machinery_ok and not violations and len(rows) == 48
     _finish(12, "no class-bound violation for K_{m,n}, m+n <= 9, k <= 4", start, 600, ok)

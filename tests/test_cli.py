@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -115,7 +116,51 @@ def test_cli_scan_conjecture_without_rows_is_usage_error(tmp_path, capsys):
 
 
 def test_cli_scan_guard_exit_code(capsys):
-    assert main(["scan", "conjecture", "--max-order", "11", "--max-k", "4"]) == 3
+    assert main(["scan", "conjecture", "--max-order", "11", "--max-k", "4"]) == 2
+
+
+def test_cli_scan_rejects_the_other_targets_flags(capsys):
+    for argv in (
+        ["scan", "fig3", "--max-order", "3", "--max-k", "1"],
+        ["scan", "conjecture", "--covered-only"],
+    ):
+        code, err = _usage_exit(argv, capsys)
+        assert code == 2 and "unrecognized arguments" in err
+
+
+def test_cli_scan_budget_exceeded_rows_are_reported(tmp_path, capsys):
+    js = tmp_path / "scan.json"
+    argv = ["--budget", "0", "scan", "conjecture", "--max-order", "6", "--max-k", "3"]
+    assert main([*argv, "--json", str(js)]) == 3
+    rows = json.loads(js.read_text())
+    assert len(rows) == 12
+    statuses = {r["status"] for r in rows}
+    assert "budget-exceeded" in statuses and statuses <= {"budget-exceeded", "pass"}
+
+
+@pytest.mark.parametrize(
+    "argv, json_digest, csv_digest",
+    [
+        (
+            ["conjecture", "--max-order", "10", "--max-k", "4"],
+            ("9470f4a63cc2a6b8d6bd513025869028de2fdb2825a72b93afd73c64fb0759a8", 10010),
+            ("9794af1543a8cb6de7a505bdacd60284dd776b671c2e3195050dfcf86ff29227", 2370),
+        ),
+        (
+            ["fig3", "--covered-only"],
+            ("f024cfa2a73be4e8c3690b4fd3c4a7c6fe1b6b9ff03f6e58446ab78275d9f916", 8043),
+            ("bd2ac69aef0ce485f997d1366a94535ddd8b1680cd2d9027a2eba822fdcfabc9", 3209),
+        ),
+    ],
+    ids=["conjecture", "fig3"],
+)
+def test_scan_reports_match_the_recorded_digests(tmp_path, capsys, argv, json_digest, csv_digest):
+    # sha256 and byte length of the scan reports as first released
+    js, cs = tmp_path / "scan.json", tmp_path / "scan.csv"
+    assert main(["scan", *argv, "--json", str(js), "--csv", str(cs)]) == 0
+    for path, expected in ((js, json_digest), (cs, csv_digest)):
+        data = path.read_bytes()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == expected
 
 
 def test_cli_oeis(capsys):

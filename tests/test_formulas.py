@@ -8,7 +8,6 @@ from tokengraphs.formulas import (
     beta_kmn_f2,
     beta_star,
     class_order_predicate,
-    conjecture_scan,
     counterexample_scan_2x5,
     nu_token_formula,
     oeis_check,
@@ -23,9 +22,13 @@ from tokengraphs.graphs import (
     path_graph,
     star_graph,
 )
-from tokengraphs.independence import BudgetExceededError, token_independence_number
+from tokengraphs.independence import token_independence_number
 from tokengraphs.matching import hall_witness, max_matching
+from tokengraphs.reports import STATUS_PASS
 from tokengraphs.tokens import token_bipartition, token_graph
+from tokengraphs.verify import conjecture_rows, run_rows
+
+from conftest import conjecture_mnk
 
 
 # -- matching-number formula --------------------------------------------------
@@ -157,19 +160,26 @@ def test_counterexample_hits_fail_hall():
 
 
 def test_conjecture_scan_small_all_agree():
-    rows = conjecture_scan(7, 3)
-    assert rows and all(r.agrees for r in rows)
-    assert rows == sorted(rows, key=lambda r: (r.m, r.n, r.k))
-    k2 = [r for r in rows if r.k == 2]
-    for row in k2:
-        assert row.class_bound == beta_kmn_f2(row.m, row.n)
+    rows = run_rows("conjecture", conjecture_rows(7, 3, None))
+    assert rows and all(r.status == STATUS_PASS for r in rows)
+    keys = [conjecture_mnk(r.instance) for r in rows]
+    assert keys == sorted(keys)
+    for (m, n, k), row in zip(keys, rows):
+        if k == 2:
+            assert row.formula_value == beta_kmn_f2(m, n)
 
 
 def test_conjecture_scan_guard():
-    with pytest.raises(BudgetExceededError):
-        conjecture_scan(11, 4)
-    with pytest.raises(BudgetExceededError):
-        conjecture_scan(9, 5)
+    # a size check on the arguments, raised before any row is built
+    with pytest.raises(GraphError):
+        list(conjecture_rows(11, 4, None))
+    with pytest.raises(GraphError):
+        list(conjecture_rows(9, 5, None))
+
+
+def test_conjecture_rows_are_timed():
+    rows = run_rows("conjecture", conjecture_rows(10, 4, None))
+    assert len(rows) == 63 and all(r.seconds > 0 for r in rows)
 
 
 # -- formulas vs solver spot grid ----------------------------------------------
