@@ -1,6 +1,7 @@
 """Token graphs: construction, exact matching and independence numbers,
 constructive witnesses, and closed-form verification at desk scale."""
 
+from .budget import Budget, BudgetExceededError
 from .constructions import (
     InjectionPhi,
     LayerSet,
@@ -50,8 +51,6 @@ from .graphs import (
 )
 from .independence import (
     BoundsPair,
-    Budget,
-    BudgetExceededError,
     IndependentSet,
     beta_via_saturation,
     brute_force_mis,

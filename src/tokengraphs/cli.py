@@ -19,9 +19,10 @@ import os
 import sys
 from pathlib import Path
 
+from .budget import Budget, BudgetExceededError
 from .formulas import oeis_check
 from .graphs import Graph, GraphError, family, parse_edge_list_text
-from .independence import Budget, BudgetExceededError, max_independent_set
+from .independence import max_independent_set
 from .matching import max_matching
 from .reports import (
     STATUS_FAIL,
@@ -124,7 +125,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_nu(args: argparse.Namespace) -> int:
     t = token_graph(parse_graph_spec(args.graph), args.k)
-    found = max_matching(t.graph)
+    found = max_matching(t.graph, _budget_from(args))
     print(f"nu = {found.size}")
     for a, b in found.sorted_edges():
         print(f"  {subset_label(t.codec.unrank(a))} -- {subset_label(t.codec.unrank(b))}")

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Iterator
 
+from .budget import Budget
 from .graphs import (
     Graph,
     GraphError,
@@ -20,7 +22,7 @@ from .graphs import (
     path_graph,
     star_graph,
 )
-from .independence import Budget, independence_number, token_independence_number
+from .independence import independence_number, token_independence_number
 from .tokens import token_graph
 
 
@@ -217,6 +219,17 @@ class ScanHit:
     class_bound: int
 
 
+def spanning_subgraphs_2x5(require_no_isolated: bool = False) -> Iterator[tuple[int, Graph]]:
+    """Every spanning subgraph of the complete bipartite graph on parts 2
+    and 5, as ``(edge mask, graph)`` in mask order; with
+    ``require_no_isolated`` only those covering every vertex."""
+    base = complete_bipartite_graph(2, 5)
+    for mask in range(1 << base.edge_count):
+        g = Graph(7, [e for i, e in enumerate(base.edges) if (mask >> i) & 1])
+        if not (require_no_isolated and 0 in g.degree_sequence()):
+            yield mask, g
+
+
 def counterexample_scan_2x5(
     budget: Budget | None = None, require_no_isolated: bool = False
 ) -> list[ScanHit]:
@@ -227,14 +240,9 @@ def counterexample_scan_2x5(
     With ``require_no_isolated`` only subgraphs covering every vertex are
     kept, which isolates the structurally interesting hits.
     """
-    base = complete_bipartite_graph(2, 5)
     bound = class_bound(2, 5, 2)
     hits: list[ScanHit] = []
-    for mask in range(1 << base.edge_count):
-        edges = [e for i, e in enumerate(base.edges) if (mask >> i) & 1]
-        g = Graph(7, edges)
-        if require_no_isolated and any(g.degree(v) == 0 for v in range(7)):
-            continue
+    for mask, g in spanning_subgraphs_2x5(require_no_isolated):
         beta = independence_number(token_graph(g, 2).graph, budget)
         if beta > bound:
             hits.append(ScanHit(edge_mask=mask, graph=g, beta=beta, class_bound=bound))

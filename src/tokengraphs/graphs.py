@@ -1,5 +1,7 @@
 """Simple undirected graphs with dense 0-based vertex ids, plus the standard families.
 
+A graph stores one adjacency, a sorted neighbour tuple per vertex; its edge
+tuple, neighbour frozensets and bitmasks are derived when first asked for.
 Vertex ids are 0-based everywhere in the API; the text interchange format
 (edge lists, DOT labels) is 1-based.
 """
@@ -7,6 +9,7 @@ Vertex ids are 0-based everywhere in the API; the text interchange format
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -28,66 +31,85 @@ class GraphError(ValueError):
 class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``.
 
-    Edges are canonicalised to sorted ``(u, v)`` pairs with ``u < v``,
-    duplicates collapsed. Adjacency is queryable in O(1). Instances are
-    safe to share across threads; nothing mutates after construction.
+    The one stored adjacency is ``adj``: for each vertex, the sorted tuple of
+    its neighbours, duplicate edges collapsed. Everything else is derived on
+    first use and cached: ``edges``, the sorted ``(u, v)`` pairs with
+    ``u < v``; the ``neighbors`` frozensets; and ``adjacency_masks``. The
+    solvers read ``adj`` directly, so a token graph that is only matched
+    never builds the others. Instances are safe to share across threads;
+    a cache filled twice holds equal values.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_masks")
+    __slots__ = ("n", "adj", "edge_count", "_edges", "_neighbors", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        canon = set()
+        rows: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for order {n}")
-            canon.add((u, v) if u < v else (v, u))
+            rows[u].append(v)
+            rows[v].append(u)
+        for i, row in enumerate(rows):
+            row.sort()
+            if len(set(row)) != len(row):
+                rows[i] = sorted(set(row))
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(canon))
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = tuple(frozenset(s) for s in adj)
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, rows))
+        self.edge_count: int = sum(map(len, self.adj)) // 2
+        self._edges: tuple[tuple[int, int], ...] | None = None
+        self._neighbors: tuple[frozenset[int], ...] | None = None
         self._masks: tuple[int, ...] | None = None
 
     @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as sorted ``(u, v)`` pairs with ``u < v`` (cached)."""
+        if self._edges is None:
+            self._edges = tuple(
+                (u, v) for u, row in enumerate(self.adj) for v in row[bisect_right(row, u):]
+            )
+        return self._edges
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        if self._neighbors is None:
+            self._neighbors = tuple(map(frozenset, self.adj))
+        return self._neighbors[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self.adj[v])
 
     def adjacent(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        """Whether uv is an edge, by bisection of u's sorted neighbours."""
+        row = self.adj[u]
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def closed_neighborhood(self, v: int) -> frozenset[int]:
         """N[v]: the vertex together with its neighbors."""
-        return self._adj[v] | {v}
+        return frozenset(self.adj[v]) | {v}
 
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(len(self._adj[v]) for v in range(self.n))
+        return tuple(map(len, self.adj))
 
     def adjacency_masks(self) -> tuple[int, ...]:
         """Per-vertex neighborhoods as bitmasks (cached)."""
         if self._masks is None:
-            masks = [0] * self.n
-            for u, v in self.edges:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
+            masks = []
+            for row in self.adj:
+                mask = 0
+                for v in row:
+                    mask |= 1 << v
+                masks.append(mask)
             self._masks = tuple(masks)
         return self._masks
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
         return hash((self.n, self.edges))
@@ -234,7 +256,7 @@ def bipartition_of(g: Graph) -> Bipartition | None:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for w in sorted(g.neighbors(u)):
+            for w in g.adj[u]:
                 if color[w] == -1:
                     color[w] = 1 - color[u]
                     queue.append(w)

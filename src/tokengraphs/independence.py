@@ -19,49 +19,14 @@ independent oracle.
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass
 from typing import Callable
 
+from .budget import Budget, BudgetExceededError, _BudgetClock  # noqa: F401 (the error is re-exported)
 from .graphs import Bipartition, Graph, GraphError, delete_vertices
 from .matching import _bit_list, _neighborhood, saturates
 from .matching import _hopcroft_karp as _bipartite_matching_size  # traced by bench/layers.py
 from .tokens import TokenGraph, token_graph
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when a solver runs out of its time or node budget.
-
-    The solver never degrades to a suboptimal answer; it aborts instead.
-    """
-
-
-@dataclass(frozen=True)
-class Budget:
-    """Per-call resource ceiling for the exact solvers."""
-
-    seconds: float | None = None
-    node_limit: int | None = None
-
-
-class _BudgetClock:
-    __slots__ = ("deadline", "node_limit", "nodes")
-
-    def __init__(self, budget: Budget | None):
-        self.nodes = 0
-        self.deadline = None
-        self.node_limit = None
-        if budget is not None:
-            if budget.seconds is not None:
-                self.deadline = time.monotonic() + budget.seconds
-            self.node_limit = budget.node_limit
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.node_limit is not None and self.nodes > self.node_limit:
-            raise BudgetExceededError(f"search aborted after {self.nodes} nodes")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceededError("search aborted on time budget")
 
 
 @dataclass(frozen=True)
@@ -78,7 +43,7 @@ class IndependentSet:
         for v in self.vertices:
             if not 0 <= v < host.n:
                 raise GraphError(f"vertex {v} outside the host graph")
-            if host.neighbors(v) & self.vertices:
+            if not self.vertices.isdisjoint(host.adj[v]):
                 raise GraphError(f"vertex {v} has a neighbor inside the set")
 
     def sorted_vertices(self) -> list[int]:

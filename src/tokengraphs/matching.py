@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
+from .budget import Budget, _BudgetClock
 from .graphs import Bipartition, Graph, GraphError
 
 
@@ -56,7 +57,7 @@ class Matching:
         return sorted(self.edges)
 
 
-def max_matching(g: Graph) -> Matching:
+def max_matching(g: Graph, budget: Budget | None = None) -> Matching:
     """A maximum matching of ``g`` via blossom contraction.
 
     A search that fails leaves a Hungarian tree, and by Edmonds' lemma
@@ -65,13 +66,18 @@ def max_matching(g: Graph) -> Matching:
     later search skips them. A later search that entered the tree could only
     regrow part of it, without labelling anything outside it, so skipping it
     leaves every augmenting path found, and the matching, unchanged.
+    Contracting a blossom walks only the vertices of the blossoms it merges,
+    kept per blossom base for the current search, never the whole graph.
 
     Deterministic: greedy seeding and augmenting-path scans run in vertex-id
-    order, so identical inputs yield identical matchings.
+    order, so identical inputs yield identical matchings. With a ``budget``,
+    each exposed root searched from is one node; running out raises
+    :class:`BudgetExceededError`.
     """
     n = g.n
-    adj = [sorted(g.neighbors(v)) for v in range(n)]
+    adj = g.adj
     mate = [-1] * n
+    clock = _BudgetClock(budget) if budget is not None else None
 
     for v in range(n):
         if mate[v] == -1:
@@ -88,16 +94,16 @@ def max_matching(g: Graph) -> Matching:
     dead = [False] * n
 
     def lowest_common_base(a: int, b: int) -> int:
-        on_path = [False] * n
+        on_path = set()
         while True:
             a = base[a]
-            on_path[a] = True
+            on_path.add(a)
             if mate[a] == -1:
                 break
             a = parent[mate[a]]
         while True:
             b = base[b]
-            if on_path[b]:
+            if b in on_path:
                 return b
             b = parent[mate[b]]
 
@@ -108,27 +114,36 @@ def max_matching(g: Graph) -> Matching:
         in_tree[root] = True
         queue.append(root)
         head = 0
+        members: dict[int, list[int]] = {}  # blossom base -> its vertices
 
         def contract(v: int, w: int) -> None:
             anchor = lowest_common_base(v, w)
-            shrink = [False] * n
+            shrink = set()
 
             def mark_path(x: int, child: int) -> None:
                 while base[x] != anchor:
-                    shrink[base[x]] = True
-                    shrink[base[mate[x]]] = True
+                    shrink.add(base[x])
+                    shrink.add(base[mate[x]])
                     parent[x] = child
                     child = mate[x]
                     x = parent[mate[x]]
 
             mark_path(v, w)
             mark_path(w, v)
-            for i in range(n):
-                if shrink[base[i]]:
+            shrink.discard(anchor)  # its members are the list that grows
+            # a vertex that is no blossom's base is the only one with itself
+            # as base; the ones new to the queue join it in id order
+            blossom = members.setdefault(anchor, [anchor])
+            grown = []
+            for b in shrink:
+                for i in members.pop(b, (b,)):
                     base[i] = anchor
+                    blossom.append(i)
                     if not in_tree[i]:
                         in_tree[i] = True
-                        queue.append(i)
+                        grown.append(i)
+            grown.sort()
+            queue.extend(grown)
 
         while head < len(queue):
             v = queue[head]
@@ -149,6 +164,8 @@ def max_matching(g: Graph) -> Matching:
     for root in range(n):
         if mate[root] != -1:
             continue
+        if clock is not None:
+            clock.tick()
         queue: list[int] = []
         end = find_augmenting_from(root, queue)
         labelled = queue + [mate[v] for v in queue if mate[v] != -1]

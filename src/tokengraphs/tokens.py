@@ -95,7 +95,7 @@ def token_graph(g: Graph, k: int) -> TokenGraph:
     # binom[j][x] = C(x, j): an element x at position j - 1 of a sorted
     # subset contributes C(x, j) to its colex rank
     binom = [[comb(x, j) for x in range(n)] for j in range(k + 1)]
-    below = [[u for u in g.neighbors(x) if u < x] for x in range(n)]
+    below = [[u for u in g.adj[x] if u < x] for x in range(n)]
     rank = [0] * n  # rank of R + {x}, or -1 for x in R
     edges = []
     for rest in combinations(range(n), k - 1):

@@ -138,6 +138,17 @@ def test_cli_scan_budget_exceeded_rows_are_reported(tmp_path, capsys):
     assert "budget-exceeded" in statuses and statuses <= {"budget-exceeded", "pass"}
 
 
+def test_cli_scan_fig3_budget_exceeded_rows_are_reported(tmp_path, capsys):
+    js = tmp_path / "scan.json"
+    assert main(["--budget", "0", "scan", "fig3", "--covered-only", "--json", str(js)]) == 3
+    rows = json.loads(js.read_text())
+    # every parts-2/5 graph without isolated vertices is solved to a tick,
+    # so each is a row named by its edges, and the scan reaches the last
+    assert len(rows) == 241
+    assert all(r["status"] == "budget-exceeded" and r["instance"].startswith("edges [") for r in rows)
+    assert rows[-1]["instance"] == "edges " + str([(a, b) for a in (1, 2) for b in range(3, 8)])
+
+
 @pytest.mark.parametrize(
     "argv, json_digest, csv_digest",
     [
@@ -180,6 +191,17 @@ def test_cli_budget_flag_parses(capsys):
 def test_cli_budget_env(monkeypatch, capsys):
     monkeypatch.setenv("TOKENGRAPHS_BUDGET", "30")
     assert main(["beta", "cycle:7", "-k", "2"]) == 0
+
+
+@pytest.mark.parametrize("flag, env", [(["--budget", "0"], None), ([], "0")])
+def test_cli_nu_honours_the_budget(monkeypatch, capsys, flag, env):
+    if env is not None:
+        monkeypatch.setenv("TOKENGRAPHS_BUDGET", env)
+    assert main([*flag, "nu", "path:16", "-k", "8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("budget exceeded:")
+    assert "Traceback" not in captured.err
 
 
 def test_cli_verify_without_rows_is_usage_error(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,8 @@ from tokengraphs.graphs import (
     to_dot,
     to_edge_list_text,
 )
+from tokengraphs.matching import max_matching
+from tokengraphs.tokens import token_graph
 
 
 def test_make_graph_complete_triangle():
@@ -220,3 +224,157 @@ def test_dot_export_mentions_every_vertex_and_edge():
     dot = to_dot(g)
     assert '"3";' in dot  # the isolated vertex is visible
     assert '"1" -- "2";' in dot
+
+
+# -- one sorted neighbour tuple per vertex: same graph as the set-based class --
+
+
+class _ReferenceGraph:
+    """The set-based graph class, kept verbatim as the reference for the
+    tuple-based one.
+
+    Edges are canonicalised to sorted ``(u, v)`` pairs with ``u < v``,
+    duplicates collapsed. Adjacency is queryable in O(1). Instances are
+    safe to share across threads; nothing mutates after construction.
+    """
+
+    __slots__ = ("n", "edges", "_adj", "_masks")
+
+    def __init__(self, n: int, edges=()):
+        if n < 0:
+            raise GraphError("vertex count must be nonnegative")
+        canon = set()
+        for u, v in edges:
+            if u == v:
+                raise GraphError(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge ({u}, {v}) out of range for order {n}")
+            canon.add((u, v) if u < v else (v, u))
+        self.n = n
+        self.edges = tuple(sorted(canon))
+        adj = [set() for _ in range(n)]
+        for u, v in self.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        self._adj = tuple(frozenset(s) for s in adj)
+        self._masks = None
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
+
+    def neighbors(self, v: int) -> frozenset:
+        return self._adj[v]
+
+    def degree(self, v: int) -> int:
+        return len(self._adj[v])
+
+    def adjacent(self, u: int, v: int) -> bool:
+        return v in self._adj[u]
+
+    def closed_neighborhood(self, v: int) -> frozenset:
+        """N[v]: the vertex together with its neighbors."""
+        return self._adj[v] | {v}
+
+    def degree_sequence(self) -> tuple:
+        return tuple(len(self._adj[v]) for v in range(self.n))
+
+    def adjacency_masks(self) -> tuple:
+        """Per-vertex neighborhoods as bitmasks (cached)."""
+        if self._masks is None:
+            masks = [0] * self.n
+            for u, v in self.edges:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+            self._masks = tuple(masks)
+        return self._masks
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _ReferenceGraph):
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n}, m={self.edge_count})"
+
+
+def _assert_same_graph(g: Graph, ref: _ReferenceGraph) -> None:
+    assert g.n == ref.n
+    assert g.adj == tuple(tuple(sorted(ref.neighbors(v))) for v in range(ref.n))
+    assert g.edges == ref.edges
+    assert g.edge_count == ref.edge_count
+    assert g.degree_sequence() == ref.degree_sequence()
+    assert g.adjacency_masks() == ref.adjacency_masks()
+    assert hash(g) == hash(ref)
+    assert repr(g) == repr(ref)
+    for v in range(g.n):
+        assert g.neighbors(v) == ref.neighbors(v)
+        assert g.degree(v) == ref.degree(v)
+        assert g.closed_neighborhood(v) == ref.closed_neighborhood(v)
+        for w in range(g.n):
+            assert g.adjacent(v, w) == ref.adjacent(v, w)
+
+
+# edge lists with duplicates, reversed pairs and isolated vertices
+_edge_lists = st.integers(0, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+            max_size=40,
+        ).flatmap(lambda es: st.permutations(es + es[: len(es) // 3] + [(v, u) for u, v in es[::2]]))
+        if n > 1
+        else st.just([]),
+    )
+)
+
+
+@given(_edge_lists, _edge_lists)
+@settings(max_examples=200, deadline=None)
+def test_graph_matches_the_set_based_reference(first, second):
+    (n, edges), (n2, edges2) = first, second
+    g, ref = Graph(n, edges), _ReferenceGraph(n, edges)
+    _assert_same_graph(g, ref)
+    h, ref2 = Graph(n2, edges2), _ReferenceGraph(n2, edges2)
+    assert (g == h) == (ref == ref2)
+    assert g == Graph(n, reversed(edges)) and g == Graph(n, list(g.edges))
+
+
+def test_graph_matches_the_set_based_reference_on_relabelled_token_graphs():
+    bases = [path_graph(7), cycle_graph(7), complete_bipartite_graph(3, 4), star_graph(6)]
+    for i, base in enumerate(bases):
+        for k in range(1, base.n):
+            t = token_graph(base, k).graph
+            _assert_same_graph(t, _ReferenceGraph(t.n, t.edges))
+            perm = list(range(t.n))
+            random.Random(i * 100 + k).shuffle(perm)
+            edges = [(perm[u], perm[v]) for u, v in t.edges]
+            _assert_same_graph(Graph(t.n, edges), _ReferenceGraph(t.n, edges))
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (-1, []),
+        (3, [(0, 1), (2, 2), (0, 5)]),
+        (3, [(0, 1), (0, 3), (1, 1)]),
+        (3, [(-1, 2)]),
+        (4, [(1, 0), (4, 4)]),
+        (0, [(0, 1)]),
+    ],
+)
+def test_graph_errors_match_the_set_based_reference(n, edges):
+    with pytest.raises(GraphError) as ours:
+        Graph(n, edges)
+    with pytest.raises(GraphError) as theirs:
+        _ReferenceGraph(n, edges)
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_matching_a_token_graph_builds_no_edges_or_frozensets():
+    g = token_graph(path_graph(16), 8).graph
+    assert max_matching(g).size == 6400
+    assert g._edges is None and g._neighbors is None and g._masks is None

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokengraphs.budget import Budget, BudgetExceededError
 from tokengraphs.graphs import (
     Bipartition,
     Graph,
@@ -79,6 +80,22 @@ def test_blossom_needs_blossoms():
 def test_max_matching_deterministic():
     g = erdos_renyi(12, 0.4, 7)
     assert max_matching(g) == max_matching(g)
+
+
+def test_max_matching_budget_counts_searched_roots():
+    # the greedy seed matches all of a perfect matching graph, so no root
+    # is searched and no node is spent
+    g = matching_graph(3, 0)
+    assert max_matching(g, Budget(node_limit=0)).size == 3
+    # an odd path leaves an exposed vertex: one search, one node
+    g = path_graph(3)
+    with pytest.raises(BudgetExceededError, match="after 1 nodes"):
+        max_matching(g, Budget(node_limit=0))
+    assert max_matching(g, Budget(node_limit=1)) == max_matching(g)
+    g = token_graph(cycle_graph(11), 4).graph
+    assert max_matching(g, Budget(node_limit=g.n, seconds=60)) == max_matching(g)
+    with pytest.raises(BudgetExceededError, match="time budget"):
+        max_matching(g, Budget(seconds=0))
 
 
 def test_matching_examples_from_token_graphs():
