@@ -42,4 +42,4 @@ class _BudgetClock:
         if self.node_limit is not None and self.nodes > self.node_limit:
             raise BudgetExceededError(f"search aborted after {self.nodes} nodes")
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceededError("search aborted on time budget")
+            raise BudgetExceededError(f"search aborted on time budget after {self.nodes} nodes")

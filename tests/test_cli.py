@@ -202,6 +202,14 @@ def test_cli_nu_honours_the_budget(monkeypatch, capsys, flag, env):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("budget exceeded:")
     assert "Traceback" not in captured.err
+    assert captured.err.endswith("on time budget after 1 nodes\n")
+
+
+def test_cli_beta_budget_error_names_its_node_count(capsys):
+    assert main(["--budget", "0", "beta", "cycle:9", "-k", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: search aborted on time budget after 1 nodes\n"
 
 
 def test_cli_verify_without_rows_is_usage_error(capsys):

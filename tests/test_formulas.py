@@ -1,3 +1,4 @@
+import time
 from math import comb
 
 import pytest
@@ -26,7 +27,8 @@ from tokengraphs.independence import token_independence_number
 from tokengraphs.matching import hall_witness, max_matching
 from tokengraphs.reports import STATUS_PASS
 from tokengraphs.tokens import token_bipartition, token_graph
-from tokengraphs.verify import conjecture_rows, run_rows
+import tokengraphs.verify as verify
+from tokengraphs.verify import conjecture_rows, fig3_rows, run_rows
 
 from conftest import conjecture_mnk
 
@@ -180,6 +182,24 @@ def test_conjecture_scan_guard():
 def test_conjecture_rows_are_timed():
     rows = run_rows("conjecture", conjecture_rows(10, 4, None))
     assert len(rows) == 63 and all(r.seconds > 0 for r in rows)
+
+
+def test_fig3_rows_time_their_own_solve(monkeypatch):
+    solves = []
+    solve = verify.independence_number
+
+    def timed(g, budget):
+        start = time.perf_counter()
+        beta = solve(g, budget)
+        solves.append((beta, time.perf_counter() - start))
+        return beta
+
+    monkeypatch.setattr(verify, "independence_number", timed)
+    rows = run_rows("fig3-scan", fig3_rows(True, None))
+    hits = [seconds for beta, seconds in solves if beta > 11]
+    assert len(solves) == 241 and len(rows) == len(hits) > 0
+    assert all(r.seconds > 0 for r in rows)
+    assert all(r.seconds >= seconds for r, seconds in zip(rows, hits))
 
 
 # -- formulas vs solver spot grid ----------------------------------------------

@@ -22,6 +22,7 @@ from tokengraphs.graphs import (
 )
 import tokengraphs.independence as independence
 from tokengraphs.independence import (
+    _clique_cover_bound,
     _component_masks,
     _greedy_seed,
     _two_color,
@@ -207,6 +208,22 @@ def test_budget_node_limit_aborts():
         max_independent_set(t.graph, Budget(node_limit=1))
 
 
+@pytest.mark.parametrize(
+    "base, k, nodes, beta",
+    [(complete_graph(9), 3, 11_079, 12), (cycle_graph(9), 3, 93, 38)],
+    ids=["J(9,3)", "F_3(C_9)"],
+)
+def test_budget_node_limit_pins_the_search_tree(base, k, nodes, beta):
+    # node counts at the paper's labels. The seed of J(9,3) is already
+    # maximum, so its count does not depend on the branch order; F_3(C_9)
+    # finds a larger set, and would take 91 nodes with the exclude branch
+    # first
+    g = token_graph(base, k).graph
+    assert max_independent_set(g, Budget(node_limit=nodes)).size == beta
+    with pytest.raises(BudgetExceededError, match=f"after {nodes} nodes"):
+        max_independent_set(g, Budget(node_limit=nodes - 1))
+
+
 def test_budget_generous_limit_succeeds():
     t = token_graph(cycle_graph(9), 2)
     found = max_independent_set(t.graph, Budget(seconds=60, node_limit=10_000_000))
@@ -265,6 +282,62 @@ def test_greedy_seed_matches_reference_on_relabelled_token_graphs():
     assert checked > 300
 
 
+# -- clique-cover bound ----------------------------------------------------
+
+
+def _first_fit_clique_cover(cand, masks):
+    """Reference bound: each vertex, in id order, joins the first open
+    clique whose members it all sees, or opens a new one."""
+    cliques = []
+    m = cand
+    while m:
+        low = m & (-m)
+        m ^= low
+        nb = masks[low.bit_length() - 1]
+        for i, c in enumerate(cliques):
+            if c & ~nb == 0:
+                cliques[i] = c | low
+                break
+        else:
+            cliques.append(low)
+    return len(cliques)
+
+
+def _random_subsets(n, seed, count):
+    rng = random.Random(seed)
+    full = (1 << n) - 1
+    return [full, 0] + [rng.getrandbits(n) for _ in range(count)]
+
+
+@given(
+    st.integers(0, 48),
+    st.sampled_from((0.05, 0.2, 0.5, 0.8, 1.0)),
+    st.integers(0, 10_000),
+)
+@settings(max_examples=80, deadline=None)
+def test_clique_cover_bound_matches_first_fit_on_random_graphs(n, p, seed):
+    masks = erdos_renyi(n, p, seed).adjacency_masks()
+    for cand in _random_subsets(n, seed, 12):
+        assert _clique_cover_bound(cand, masks) == _first_fit_clique_cover(cand, masks)
+
+
+def test_clique_cover_bound_matches_first_fit_on_relabelled_token_graphs():
+    bases = [cycle_graph(n) for n in range(3, 10)]
+    bases += [path_graph(n) for n in range(2, 10)]
+    bases += [complete_graph(n) for n in range(2, 8)]
+    checked = 0
+    for i, base in enumerate(bases):
+        for k in range(1, base.n):
+            t = token_graph(base, k).graph
+            for g in (t, relabelled(t, i * 100 + k)):
+                masks = g.adjacency_masks()
+                for cand in _random_subsets(g.n, i * 100 + k, 8):
+                    bound = _clique_cover_bound(cand, masks)
+                    assert bound == _first_fit_clique_cover(cand, masks)
+                    checked += 1
+    assert checked > 1500
+
+
 def test_solve_leaves_no_cyclic_garbage():
     solves = [
         (max_independent_set, token_graph(cycle_graph(8), 4).graph),
@@ -293,6 +366,36 @@ def test_solve_restores_the_recursion_limit():
     with pytest.raises(BudgetExceededError):
         max_independent_set(g, Budget(node_limit=0))
     assert sys.getrecursionlimit() == limit
+
+
+def _noop():
+    pass
+
+
+def _least_working_limit():
+    """The least recursion limit under which a call made here succeeds."""
+    limit = 1
+    while True:
+        try:
+            sys.setrecursionlimit(limit)
+            _noop()
+            return limit
+        except RecursionError:
+            limit += 1
+
+
+def test_branching_depth_is_not_bounded_by_the_recursion_limit():
+    # F_3(C_9) is not bipartite, so its solve branches. The solve goes two
+    # calls deeper than the probe; a search that recursed once per include
+    # level would go eight deeper, past the five allowed here
+    g = token_graph(cycle_graph(9), 3).graph
+    g.adjacency_masks()
+    limit = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(_least_working_limit() + 5)
+        assert max_independent_set(g).size == 38
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # -- saturation shortcut ----------------------------------------------------

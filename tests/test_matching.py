@@ -96,6 +96,8 @@ def test_max_matching_budget_counts_searched_roots():
     assert max_matching(g, Budget(node_limit=g.n, seconds=60)) == max_matching(g)
     with pytest.raises(BudgetExceededError, match="time budget"):
         max_matching(g, Budget(seconds=0))
+    with pytest.raises(BudgetExceededError, match="time budget after 1 nodes$"):
+        max_matching(g, Budget(seconds=0))
 
 
 def test_matching_examples_from_token_graphs():
