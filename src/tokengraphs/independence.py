@@ -10,12 +10,18 @@ cover is a maximum independent set; the seed or the larger color class is
 returned when it already has that size. Every other component goes to a
 bitmask branch-and-bound on an explicit stack, so no recursion limit
 bounds its depth: degree-0/degree-1 vertices are taken greedily (exact
-reductions), branching picks the busiest candidate vertex with the include
-branch first, and a greedy clique cover bounds the search. The cover grows
-one clique at a time by intersecting neighborhood masks, the partition
-first-fit would build at O(1) mask operations per vertex. The helpers are
-module functions, not closures, so a solve leaves no reference cycles
-behind. A brute-force enumerator backs the solver as an independent oracle.
+reductions, found in the same scan that picks the branching vertex),
+branching picks the busiest candidate vertex with the include branch first,
+and a greedy clique cover bounds the search. The cover grows one clique at
+a time by intersecting neighborhood masks, the partition first-fit would
+build at O(1) mask operations per vertex. On a triangle-free component,
+where each cover clique is a vertex or an edge, a node the cover cannot
+prune also tries the LP bound: |cand| minus half the matching number of the
+bipartite double cover, from the same matching engine. A stronger bound
+prunes only subtrees that cannot beat the best set so far, so the search
+returns the same set. The helpers are module functions, not closures, so a
+solve leaves no reference cycles behind. A brute-force enumerator backs the
+solver as an independent oracle.
 """
 
 from __future__ import annotations
@@ -198,22 +204,53 @@ def _solve_component(comp: int, masks: tuple[int, ...], clock: _BudgetClock) -> 
     return reach | (two & ~_neighborhood(reach, masks))
 
 
+def _triangle_free(comp: int, masks: tuple[int, ...]) -> bool:
+    """Whether ``comp`` induces no triangle: no edge uv of it has a common
+    neighbor inside it."""
+    for v in _bit_list(comp):
+        nb = masks[v] & comp
+        for u in _bit_list(nb):
+            if masks[u] & nb:
+                return False
+    return True
+
+
+def _double_cover(masks: tuple[int, ...]) -> tuple[int, ...]:
+    """Masks of the bipartite double cover: left vertex v is v, right vertex
+    v is v + n, and each edge uw gives the edges u-(w + n) and w-(u + n).
+    Half its matching number on ``cand | cand << n`` is the LP vertex-cover
+    optimum of ``cand`` (Nemhauser & Trotter, 1975)."""
+    n = len(masks)
+    return tuple(m << n for m in masks) + masks
+
+
 def _branch(cand: int, best_mask: int, masks: tuple[int, ...], clock: _BudgetClock) -> int:
     """The best of ``best_mask`` and every independent set inside ``cand``.
 
     Depth-first on an explicit stack of ``(cand, cur_mask, cur_size)``
     nodes: a node pushes its exclude continuation before its include child,
-    so the include branch is searched first."""
+    so the include branch is searched first. A node the clique cover cannot
+    prune tries the LP bound, |cand| minus the LP vertex-cover optimum, when
+    ``cand`` is triangle-free, which every node then is. There each cover
+    clique is a vertex or an edge, so the LP bound is never weaker; it
+    prunes only nodes that cannot beat ``best_mask``, so the search returns
+    the same set either way."""
     best_size = best_mask.bit_count()
+    n = len(masks)
+    left = (1 << n) - 1
+    double = _double_cover(masks) if _triangle_free(cand, masks) else None
     stack = [(cand, 0, 0)]
     while stack:
         cand, cur_mask, cur_size = stack.pop()
         clock.tick()
-        # exact reductions: isolated vertices join, degree-1 vertices
-        # join and evict their single neighbor
+        # exact reductions: isolated vertices join, degree-1 vertices join
+        # and evict their single neighbor. A pass that reduces nothing saw
+        # every degree of the final ``cand``, so it picks the branching
+        # vertex: the busiest, ties to the lowest id
         progressed = True
         while progressed:
             progressed = False
+            pick, pick_deg = 0, 1
             m = cand
             while m:
                 low = m & (-m)
@@ -221,34 +258,28 @@ def _branch(cand: int, best_mask: int, masks: tuple[int, ...], clock: _BudgetClo
                 if not cand & low:
                     continue
                 nb = masks[low.bit_length() - 1] & cand
-                if nb == 0:
-                    cand ^= low
-                    cur_mask |= low
-                    cur_size += 1
-                    progressed = True
-                elif nb & (nb - 1) == 0:
+                if nb & (nb - 1) == 0:
                     cand &= ~(low | nb)
                     cur_mask |= low
                     cur_size += 1
                     progressed = True
+                elif not progressed:
+                    d = nb.bit_count()
+                    if d > pick_deg:
+                        pick, pick_deg = low, d
         if cand == 0:
             if cur_size > best_size:
                 best_mask, best_size = cur_mask, cur_size
             continue
         if cur_size + _clique_cover_bound(cand, masks) <= best_size:
             continue
-        pick, pick_deg = -1, -1
-        m = cand
-        while m:
-            low = m & (-m)
-            m ^= low
-            v = low.bit_length() - 1
-            d = (masks[v] & cand).bit_count()
-            if d > pick_deg:
-                pick, pick_deg = v, d
-        vbit = 1 << pick
-        stack.append((cand & ~vbit, cur_mask, cur_size))
-        stack.append((cand & ~(masks[pick] | vbit), cur_mask | vbit, cur_size + 1))
+        if double is not None:
+            nu, _ = _bipartite_matching_size(cand | cand << n, double, left)
+            if cur_size + cand.bit_count() - (nu + 1) // 2 <= best_size:
+                continue
+        stack.append((cand & ~pick, cur_mask, cur_size))
+        inside = cand & ~(masks[pick.bit_length() - 1] | pick)
+        stack.append((inside, cur_mask | pick, cur_size + 1))
     return best_mask
 
 

@@ -21,10 +21,15 @@ from tokengraphs.graphs import (
     star_graph,
 )
 import tokengraphs.independence as independence
+from tokengraphs.budget import _BudgetClock
 from tokengraphs.independence import (
+    _branch,
+    _brute_force_rec,
     _clique_cover_bound,
     _component_masks,
+    _double_cover,
     _greedy_seed,
+    _triangle_free,
     _two_color,
     BoundsPair,
     Budget,
@@ -203,20 +208,21 @@ def test_perfect_matching_bipartite_bases_odd_k():
 
 
 def test_budget_node_limit_aborts():
-    t = token_graph(cycle_graph(11), 2)
+    # the LP bound closes F_2(C_n) at its root, but not F_4(C_9)
+    t = token_graph(cycle_graph(9), 4)
     with pytest.raises(BudgetExceededError):
         max_independent_set(t.graph, Budget(node_limit=1))
 
 
 @pytest.mark.parametrize(
     "base, k, nodes, beta",
-    [(complete_graph(9), 3, 11_079, 12), (cycle_graph(9), 3, 93, 38)],
+    [(complete_graph(9), 3, 11_079, 12), (cycle_graph(9), 3, 35, 38)],
     ids=["J(9,3)", "F_3(C_9)"],
 )
 def test_budget_node_limit_pins_the_search_tree(base, k, nodes, beta):
     # node counts at the paper's labels. The seed of J(9,3) is already
     # maximum, so its count does not depend on the branch order; F_3(C_9)
-    # finds a larger set, and would take 91 nodes with the exclude branch
+    # finds a larger set, and would take 49 nodes with the exclude branch
     # first
     g = token_graph(base, k).graph
     assert max_independent_set(g, Budget(node_limit=nodes)).size == beta
@@ -338,6 +344,169 @@ def test_clique_cover_bound_matches_first_fit_on_relabelled_token_graphs():
     assert checked > 1500
 
 
+# -- LP bound on triangle-free components ----------------------------------
+
+
+def _cover_only_branch(cand, best_mask, masks, clock):
+    """Reference search: ``_branch`` with the clique-cover bound alone, a
+    reduction loop that runs until nothing changes and a separate popcount
+    scan for the busiest vertex."""
+    best_size = best_mask.bit_count()
+    stack = [(cand, 0, 0)]
+    while stack:
+        cand, cur_mask, cur_size = stack.pop()
+        clock.tick()
+        progressed = True
+        while progressed:
+            progressed = False
+            m = cand
+            while m:
+                low = m & (-m)
+                m ^= low
+                if not cand & low:
+                    continue
+                nb = masks[low.bit_length() - 1] & cand
+                if nb == 0:
+                    cand ^= low
+                    cur_mask |= low
+                    cur_size += 1
+                    progressed = True
+                elif nb & (nb - 1) == 0:
+                    cand &= ~(low | nb)
+                    cur_mask |= low
+                    cur_size += 1
+                    progressed = True
+        if cand == 0:
+            if cur_size > best_size:
+                best_mask, best_size = cur_mask, cur_size
+            continue
+        if cur_size + _clique_cover_bound(cand, masks) <= best_size:
+            continue
+        pick, pick_deg = -1, -1
+        m = cand
+        while m:
+            low = m & (-m)
+            m ^= low
+            v = low.bit_length() - 1
+            d = (masks[v] & cand).bit_count()
+            if d > pick_deg:
+                pick, pick_deg = v, d
+        vbit = 1 << pick
+        stack.append((cand & ~vbit, cur_mask, cur_size))
+        stack.append((cand & ~(masks[pick] | vbit), cur_mask | vbit, cur_size + 1))
+    return best_mask
+
+
+def _random_triangle_free(n, p, seed):
+    """Edges drawn as in G(n, p), each kept only if it closes no triangle."""
+    rng = random.Random(seed)
+    masks = [0] * n
+    edges = []
+    for u in range(n):
+        for w in range(u + 1, n):
+            if rng.random() < p and not masks[u] & masks[w]:
+                masks[u] |= 1 << w
+                masks[w] |= 1 << u
+                edges.append((u, w))
+    return Graph(n, edges)
+
+
+def _search_nodes(search, cand, best_mask, masks):
+    clock = _BudgetClock(None)
+    return search(cand, best_mask, masks, clock), clock.nodes
+
+
+def _assert_branch_matches_cover_only(g, from_empty=True):
+    """Both searches return the same set from every component's seed and,
+    if asked, from the empty set on the whole graph; the LP bound never adds
+    a node. Returns the node counts of both."""
+    masks = g.adjacency_masks()
+    total = [0, 0]
+    starts = [(comp, _greedy_seed(comp, masks)[0]) for comp in _component_masks(g.n, masks)]
+    if from_empty:
+        starts.append(((1 << g.n) - 1, 0))
+    for cand, seed in starts:
+        found, nodes = _search_nodes(_branch, cand, seed, masks)
+        reference, reference_nodes = _search_nodes(_cover_only_branch, cand, seed, masks)
+        assert found == reference
+        assert nodes <= reference_nodes
+        total[0] += nodes
+        total[1] += reference_nodes
+    return total
+
+
+@given(st.integers(1, 40), st.sampled_from((0.05, 0.1, 0.2, 0.4)), st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_branch_matches_cover_only_on_triangle_free_graphs(n, p, seed):
+    _assert_branch_matches_cover_only(_random_triangle_free(n, p, seed))
+
+
+def test_branch_matches_cover_only_on_relabelled_odd_cycle_token_graphs():
+    # relabelled, F_3(C_11) takes the cover-only search 8 s, so it runs at
+    # the paper's labels only
+    graphs = [token_graph(cycle_graph(11), 3).graph]
+    for n, k in [(5, 2), (7, 2), (9, 2), (11, 2), (7, 3), (9, 3), (7, 4), (9, 4)]:
+        t = token_graph(cycle_graph(n), k).graph
+        graphs += [t, relabelled(t, 10 * n + k)]
+    nodes, reference_nodes = 0, 0
+    for g in graphs:
+        found, reference = _assert_branch_matches_cover_only(g, from_empty=False)
+        nodes += found
+        reference_nodes += reference
+    # the bound does prune here: a fifth of the cover-only nodes or fewer
+    assert 5 * nodes < reference_nodes
+
+
+def _lp_bound(cand, double):
+    """|cand| minus half the matching number of its double cover, rounded
+    up: the bound ``_branch`` prunes with."""
+    n = len(double) // 2
+    nu, _ = independence._bipartite_matching_size(cand | cand << n, double, (1 << n) - 1)
+    return cand.bit_count() - (nu + 1) // 2
+
+
+def _brute_triangle_free(g):
+    return not any(
+        set(g.adj[u]) & set(g.adj[w]) for u in range(g.n) for w in g.adj[u]
+    )
+
+
+@given(
+    st.integers(0, 22),
+    st.sampled_from((0.1, 0.2, 0.35, 0.6)),
+    st.integers(0, 10_000),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_lp_bound_is_an_upper_bound_on_triangle_free_graphs(n, p, seed, free):
+    g = _random_triangle_free(n, p, seed) if free else erdos_renyi(n, p, seed)
+    masks = g.adjacency_masks()
+    assert _triangle_free((1 << n) - 1, masks) == _brute_triangle_free(g)
+    if not free:
+        return
+    double = _double_cover(masks)
+    assert _lp_bound((1 << n) - 1, double) >= brute_force_mis(g)
+    for cand in _random_subsets(n, seed, 6):
+        # on a triangle-free graph the LP bound is never weaker than the cover
+        bound = _lp_bound(cand, double)
+        assert _brute_force_rec(cand, masks) <= bound <= _clique_cover_bound(cand, masks)
+
+
+def test_lp_bound_is_never_tried_on_graphs_with_triangles(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("matching engine called on a graph with triangles")
+
+    monkeypatch.setattr(independence, "_bipartite_matching_size", refuse)
+    assert max_independent_set(token_graph(complete_graph(9), 3).graph).size == 12
+    assert max_independent_set(token_graph(complete_graph(8), 4).graph).size == 14
+
+
+def test_complement_isomorphism_oracle_f3_f8_c11():
+    # F_k(G) and F_{n-k}(G) are isomorphic through complementing token sets
+    assert token_independence_number(cycle_graph(11), 3) == 75
+    assert token_independence_number(cycle_graph(11), 8) == 75
+
+
 def test_solve_leaves_no_cyclic_garbage():
     solves = [
         (max_independent_set, token_graph(cycle_graph(8), 4).graph),
@@ -385,9 +554,10 @@ def _least_working_limit():
 
 
 def test_branching_depth_is_not_bounded_by_the_recursion_limit():
-    # F_3(C_9) is not bipartite, so its solve branches. The solve goes two
-    # calls deeper than the probe; a search that recursed once per include
-    # level would go eight deeper, past the five allowed here
+    # F_3(C_9) is not bipartite, so its solve branches. The solve goes four
+    # calls deeper than the probe, through the LP bound's matching engine; a
+    # search that recursed once per include level would go eight deeper,
+    # past the five allowed here
     g = token_graph(cycle_graph(9), 3).graph
     g.adjacency_masks()
     limit = sys.getrecursionlimit()
