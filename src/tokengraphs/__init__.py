@@ -17,16 +17,12 @@ from .constructions import (
 )
 from .formulas import (
     FormulaValue,
-    OeisCheck,
-    ScanHit,
     beta_balanced_family,
     beta_cycle_f2,
     beta_kmn_f2,
     beta_star,
     class_order_predicate,
-    counterexample_scan_2x5,
     nu_token_formula,
-    oeis_check,
     r_value,
     s_threshold,
 )
@@ -85,6 +81,6 @@ from .tokens import (
     token_graph_to_json,
     validate_token_matching,
 )
-from .verify import CHECKS, run_check
+from .verify import CHECKS, OeisCheck, oeis_check, run_check
 
 __version__ = "0.1.0"

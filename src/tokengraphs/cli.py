@@ -2,7 +2,9 @@
 
 Subcommands: build (construct and export a token graph), nu / beta (exact
 values with witnesses), verify (replay a named check), scan (bulk
-scanners), oeis (sequence prefixes with solver cross-checks).
+scanners), oeis (sequence prefixes with solver cross-checks). Every
+command that compares closed forms with the solvers runs through
+``verify``: the catalog, the scans and the sequence cross-checks.
 
 Graph specs: path:N | cycle:N | complete:N | kbip:M,N | star:N | match:M,S
 | file:PATH. Exit codes: 0 all rows pass or hold their bound, 1 any row
@@ -20,7 +22,6 @@ import sys
 from pathlib import Path
 
 from .budget import Budget, BudgetExceededError
-from .formulas import oeis_check
 from .graphs import Graph, GraphError, family, parse_edge_list_text
 from .independence import max_independent_set
 from .matching import max_matching
@@ -32,7 +33,7 @@ from .reports import (
     reports_to_json,
 )
 from .tokens import subset_label, token_graph, token_graph_to_dot, token_graph_to_json
-from .verify import CHECKS, conjecture_rows, fig3_rows, run_check, run_rows
+from .verify import CHECKS, conjecture_rows, fig3_rows, oeis_check, run_check, run_rows
 
 BUDGET_ENV = "TOKENGRAPHS_BUDGET"
 

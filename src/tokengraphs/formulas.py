@@ -1,6 +1,7 @@
 """Closed-form evaluators for the token-graph matching and independence
-numbers, integer-sequence cross-checks, and the parts-2/5 counterexample
-scan (its report rows, and the conjecture scan's, are built in ``verify``).
+numbers. Nothing here solves a graph: every check of a closed form against
+the exact solvers, the integer-sequence cross-checks and the parts-2/5 scan
+included, lives in ``verify``.
 
 All threshold tests use exact integer arithmetic (binomial comparisons);
 no floating point enters any verdict.
@@ -11,19 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator
 
-from .budget import Budget
-from .graphs import (
-    Graph,
-    GraphError,
-    complete_bipartite_graph,
-    cycle_graph,
-    path_graph,
-    star_graph,
-)
-from .independence import independence_number, token_independence_number
-from .tokens import token_graph
+from .graphs import GraphError
 
 
 @dataclass(frozen=True)
@@ -133,117 +123,3 @@ def class_order_predicate(m: int, n: int) -> bool:
     if m < 1 or n < m:
         raise GraphError("need 1 <= m <= n")
     return comb(n - m, 2) >= m
-
-
-# ---------------------------------------------------------------------------
-# integer-sequence cross-checks (offline: ids are documentation labels)
-
-
-@dataclass(frozen=True)
-class OeisCheck:
-    sequence_id: str
-    terms: tuple[int, ...]
-    solver_agrees: bool
-
-
-def _a091044_terms(count: int) -> list[int]:
-    # half central-free odd binomials, read as a triangle row by row
-    out: list[int] = []
-    n = 1
-    while len(out) < count:
-        for m in range(n):
-            out.append(comb(2 * n, 2 * m + 1) // 2)
-            if len(out) == count:
-                break
-        n += 1
-    return out
-
-
-#: Sequence id -> (its first ``count`` terms, the solver cross-check cases
-#: ``(graph, k, expected β(F_k(graph)))``).
-_OEIS = {
-    "A091044": (
-        _a091044_terms,
-        lambda: [
-            (path_graph(2 * n), 2 * m + 1, comb(2 * n, 2 * m + 1) // 2)
-            for n in (1, 2, 3)
-            for m in range(n)
-        ],
-    ),
-    # triangular numbers match star independence from 3 leaves onward
-    "A000217": (
-        lambda count: [comb(j + 1, 2) for j in range(count)],
-        lambda: [(star_graph(j + 1), 2, comb(j + 1, 2)) for j in range(2, 6)],
-    ),
-    # the solver meets both the quarter square and the balanced-family form
-    "A002620": (
-        lambda count: [(t * t) // 4 for t in range(count)],
-        lambda: [
-            (path_graph(t), 2, value)
-            for t in range(3, 7)
-            for value in ((t * t) // 4, beta_balanced_family(t, 2))
-        ],
-    ),
-    "A189889": (
-        lambda count: [beta_cycle_f2(p) for p in range(3, 3 + count)],
-        lambda: [(cycle_graph(p), 2, beta_cycle_f2(p)) for p in range(3, 8)],
-    ),
-}
-
-
-def oeis_check(sequence_id: str, count: int) -> OeisCheck:
-    """Generate a sequence prefix from this package's formulas and cross-check
-    the small indices against the exact solver. No network access; the ids
-    are labels only."""
-    if sequence_id not in _OEIS:
-        raise GraphError(f"unknown sequence id {sequence_id!r}")
-    if not 1 <= count <= 20:
-        raise GraphError("count must be between 1 and 20")
-    terms, cases = _OEIS[sequence_id]
-    agrees = all(token_independence_number(g, k) == expected for g, k, expected in cases())
-    return OeisCheck(sequence_id, tuple(terms(count)), agrees)
-
-
-# ---------------------------------------------------------------------------
-# scanners
-
-
-@dataclass(frozen=True)
-class ScanHit:
-    """A bipartite graph on parts 2 and 5 whose 2-token independence number
-    beats the larger parity class."""
-
-    edge_mask: int
-    graph: Graph
-    beta: int
-    class_bound: int
-
-
-def spanning_subgraphs_2x5(require_no_isolated: bool = False) -> Iterator[tuple[int, Graph]]:
-    """Every spanning subgraph of the complete bipartite graph on parts 2
-    and 5, as ``(edge mask, graph)`` in mask order; with
-    ``require_no_isolated`` only those covering every vertex."""
-    base = complete_bipartite_graph(2, 5)
-    for mask in range(1 << base.edge_count):
-        g = Graph(7, [e for i, e in enumerate(base.edges) if (mask >> i) & 1])
-        if not (require_no_isolated and 0 in g.degree_sequence()):
-            yield mask, g
-
-
-def counterexample_scan_2x5(
-    budget: Budget | None = None, require_no_isolated: bool = False
-) -> list[ScanHit]:
-    """Scan every spanning subgraph of the complete bipartite graph on parts
-    2 and 5 and return those whose 2-token independence number exceeds the
-    parity-class bound (11).
-
-    With ``require_no_isolated`` only subgraphs covering every vertex are
-    kept, which isolates the structurally interesting hits.
-    """
-    bound = class_bound(2, 5, 2)
-    hits: list[ScanHit] = []
-    for mask, g in spanning_subgraphs_2x5(require_no_isolated):
-        beta = independence_number(token_graph(g, 2).graph, budget)
-        if beta > bound:
-            hits.append(ScanHit(edge_mask=mask, graph=g, beta=beta, class_bound=bound))
-    return hits

@@ -364,8 +364,7 @@ def _beta_with_conventions(oracle: BetaOracle, h: Graph, j: int) -> int:
 def recursive_bounds(
     g: Graph,
     k: int,
-    beta_oracle: BetaOracle | None = None,
-    budget: Budget | None = None,
+    beta_oracle: BetaOracle = token_independence_number,
 ) -> BoundsPair:
     """Bracket the independence number of the k-token graph by recursion on
     vertex deletion.
@@ -377,14 +376,13 @@ def recursive_bounds(
     n = g.n
     if not 2 <= k <= n - 1:
         raise GraphError(f"k={k} out of range for recursion on order {n}")
-    oracle = beta_oracle or (lambda h, j: token_independence_number(h, j, budget))
     lower = 0
     total = 0
     for v in range(n):
         g_minus_v, _ = delete_vertices(g, (v,))
         g_minus_nv, _ = delete_vertices(g, g.closed_neighborhood(v))
-        with_v = _beta_with_conventions(oracle, g_minus_v, k - 1)
-        without_nv = _beta_with_conventions(oracle, g_minus_nv, k)
+        with_v = _beta_with_conventions(beta_oracle, g_minus_v, k - 1)
+        without_nv = _beta_with_conventions(beta_oracle, g_minus_nv, k)
         lower = max(lower, with_v + without_nv)
         total += with_v
     return BoundsPair(lower=lower, upper=total // k)
@@ -394,8 +392,7 @@ def vertex_transitive_bound(
     g: Graph,
     k: int,
     w: int,
-    beta_oracle: BetaOracle | None = None,
-    budget: Budget | None = None,
+    beta_oracle: BetaOracle = token_independence_number,
 ) -> int:
     """Upper bound on the k-token independence number of a vertex-transitive
     graph, from a single vertex deletion.
@@ -412,8 +409,7 @@ def vertex_transitive_bound(
     degs = set(g.degree_sequence())
     if len(degs) > 1:
         raise GraphError("graph is not regular, hence not vertex-transitive")
-    oracle = beta_oracle or (lambda h, j: token_independence_number(h, j, budget))
     g_minus_w, _ = delete_vertices(g, (w,))
-    smaller = _beta_with_conventions(oracle, g_minus_w, k - 1)
-    same = _beta_with_conventions(oracle, g_minus_w, k)
+    smaller = _beta_with_conventions(beta_oracle, g_minus_w, k - 1)
+    same = _beta_with_conventions(beta_oracle, g_minus_w, k)
     return min((n * smaller) // k, (n * same) // (n - k))

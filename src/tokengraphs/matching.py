@@ -70,14 +70,14 @@ def max_matching(g: Graph, budget: Budget | None = None) -> Matching:
     kept per blossom base for the current search, never the whole graph.
 
     Deterministic: greedy seeding and augmenting-path scans run in vertex-id
-    order, so identical inputs yield identical matchings. With a ``budget``,
-    each exposed root searched from is one node; running out raises
+    order, so identical inputs yield identical matchings. Each exposed root
+    searched from is one node of the ``budget``; running out raises
     :class:`BudgetExceededError`.
     """
     n = g.n
     adj = g.adj
     mate = [-1] * n
-    clock = _BudgetClock(budget) if budget is not None else None
+    clock = _BudgetClock(budget)
 
     for v in range(n):
         if mate[v] == -1:
@@ -164,8 +164,7 @@ def max_matching(g: Graph, budget: Budget | None = None) -> Matching:
     for root in range(n):
         if mate[root] != -1:
             continue
-        if clock is not None:
-            clock.tick()
+        clock.tick()
         queue: list[int] = []
         end = find_augmenting_from(root, queue)
         labelled = queue + [mate[v] for v in queue if mate[v] != -1]

@@ -10,11 +10,16 @@ runs out of budget is reported as such. Most rows are built by :func:`_beta`
 or :func:`_nu`. The two scans, :func:`conjecture_rows` and
 :func:`fig3_rows`, are row generators of the same kind outside
 :data:`CHECKS`; the CLI runs them through :func:`run_rows` as well.
+``fig3_rows`` and the ``fig34`` check draw their graphs from
+:func:`spanning_subgraphs_2x5`. Every cross-check of a closed form against
+the exact solvers lives here, :func:`oeis_check` included; ``formulas``
+holds only the closed forms.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from functools import cache, partial
 from math import comb
 from typing import Callable, Iterable, Iterator
@@ -35,9 +40,7 @@ from .formulas import (
     beta_star,
     class_bound,
     class_order_predicate,
-    counterexample_scan_2x5,
     nu_token_formula,
-    spanning_subgraphs_2x5,
 )
 from .graphs import (
     Graph,
@@ -55,6 +58,7 @@ from .independence import (
     independence_number,
     max_independent_set,
     recursive_bounds,
+    token_independence_number,
     vertex_transitive_bound,
 )
 from .matching import Matching, hall_witness, max_matching
@@ -138,7 +142,11 @@ def _beta(
 
 
 def _nu(
-    g: Graph, k: int, target: int, build: Callable[[], Matching] | None = None
+    g: Graph,
+    k: int,
+    target: int,
+    budget: Budget | None,
+    build: Callable[[], Matching] | None = None,
 ) -> Compute:
     """A ν row: the solver's maximum matching of the k-token graph of ``g`` is
     valid and has ``target`` edges, and so does the ``build`` construction,
@@ -147,7 +155,7 @@ def _nu(
     def compute():
         t = token_graph(g, k)
         built = build() if build else None
-        solved = max_matching(t.graph)
+        solved = max_matching(t.graph, budget)
         solved.validate(t.graph)
         shown = solved if built is None else built
         ok = solved.size == target == shown.size
@@ -186,7 +194,7 @@ def _thm1(max_n: int | None, budget: Budget | None) -> Rows:
         base_matching = max_matching(g)
         for k in range(1, g.n, 2):
             build = partial(theorem1_matching, g, base_matching, k)
-            yield f"exact: {name}, k={k}", _nu(g, k, nu_token_formula(g.n, k).value, build)
+            yield f"exact: {name}, k={k}", _nu(g, k, nu_token_formula(g.n, k).value, budget, build)
 
     for m, s in _matching_sweep_pairs(10 if max_n is None else max_n):
         g = matching_graph(m, s)
@@ -196,7 +204,7 @@ def _thm1(max_n: int | None, budget: Budget | None) -> Rows:
                 t = token_graph(g, k)
                 target = nu_token_formula(g.n, k).value
                 built = theorem1_matching(g, base_matching, k)
-                solved = max_matching(t.graph).size
+                solved = max_matching(t.graph, budget).size
                 isolated = isolated_tokens(m, s, k)
                 iso_target = comb(m, k // 2) if (k % 2 == 0 or s == 1) else 0
                 ok = built.size == target == solved and len(isolated) == iso_target
@@ -214,19 +222,19 @@ def _lemma3(max_n: int | None, budget: Budget | None) -> Rows:
         if 2 * m + s >= 3:
             build = partial(f2_matching_construction, m, s)
             target = nu_token_formula(2 * m + s, 2).value
-            yield f"match({m},{s}), k=2", _nu(matching_graph(m, s), 2, target, build)
+            yield f"match({m},{s}), k=2", _nu(matching_graph(m, s), 2, target, budget, build)
 
 
 def _fig1(max_n: int | None, budget: Budget | None) -> Rows:
     """The 3-token graph of the 5-leaf star has a perfect matching even
     though the star itself has none."""
-    yield "K_{1,5}, k=3", _nu(star_graph(5), 3, 10)
+    yield "K_{1,5}, k=3", _nu(star_graph(5), 3, 10, budget)
 
 
 def _fig2(max_n: int | None, budget: Budget | None) -> Rows:
     """The 3-token graph of the 5-path has no perfect matching: its matching
     number is 4, not 5."""
-    yield "P5, k=3", _nu(path_graph(5), 3, 4)
+    yield "P5, k=3", _nu(path_graph(5), 3, 4, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +359,12 @@ def _j73(max_n: int | None, budget: Budget | None) -> Rows:
     )
 
 
-def _hall_violator(g: Graph) -> tuple[TokenGraph, frozenset[int] | None]:
-    """The 2-token graph of a bipartite ``g`` and a Hall violator of its
-    smaller parity class, if there is one."""
-    t = token_graph(g, 2)
-    classes = token_bipartition(t, bipartition_of(g))
+def _hall_violator(t: TokenGraph) -> frozenset[int] | None:
+    """A Hall violator of the smaller parity class of the token graph ``t``
+    of a bipartite base, if there is one."""
+    classes = token_bipartition(t, bipartition_of(t.base))
     small = "b" if len(classes.part_b) <= len(classes.part_r) else "r"
-    return t, hall_witness(t.graph, classes, small)
+    return hall_witness(t.graph, classes, small)
 
 
 def _fig34(max_n: int | None, budget: Budget | None) -> Rows:
@@ -366,21 +373,27 @@ def _fig34(max_n: int | None, budget: Budget | None) -> Rows:
     condition fails on their token classes."""
 
     def compute():
-        hits = counterexample_scan_2x5(budget=budget, require_no_isolated=True)
+        bound = class_bound(2, 5, 2)
+        hits = []  # (token graph, β) of each covered graph above the bound
+        for g in spanning_subgraphs_2x5(require_no_isolated=True):
+            t = token_graph(g, 2)
+            beta = independence_number(t.graph, budget)
+            if beta > bound:
+                hits.append((t, beta))
         if not hits:
             return ">=1 graph with beta > 11", 0, None, STATUS_FAIL
-        twelve = [h for h in hits if h.beta == 12]
-        sample = twelve[0] if twelve else hits[0]
-        t, deficient = _hall_violator(sample.graph)
-        all_fail_hall = all(_hall_violator(h.graph)[1] is not None for h in hits)
+        twelve = [h for h in hits if h[1] == 12]
+        t, beta = twelve[0] if twelve else hits[0]
+        deficient = _hall_violator(t)
+        all_fail_hall = all(_hall_violator(h) is not None for h, _ in hits)
         ok = bool(twelve) and deficient is not None and all_fail_hall
         witness = {
             "hits": len(hits),
-            "sample_edges": [[u + 1, v + 1] for u, v in sample.graph.edges],
-            "sample_beta": sample.beta,
+            "sample_edges": [[u + 1, v + 1] for u, v in t.base.edges],
+            "sample_beta": beta,
             "hall_violator": _subset_witness(t, deficient) if deficient else None,
         }
-        return 12, sample.beta, witness, STATUS_PASS if ok else STATUS_FAIL
+        return 12, beta, witness, STATUS_PASS if ok else STATUS_FAIL
 
     yield "bipartite scan, parts 2/5", compute
 
@@ -390,11 +403,10 @@ def _fig34(max_n: int | None, budget: Budget | None) -> Rows:
 
 
 def _cached_beta(budget: Budget | None) -> Callable[[Graph, int], int]:
-    @cache
-    def beta(h: Graph, j: int) -> int:
-        return max_independent_set(token_graph(h, j).graph, budget).size
-
-    return beta
+    """β(F_j(h)), each solved once up to complement: taking complements of
+    the token sets makes F_j(h) and F_{n-j}(h) isomorphic."""
+    solve = cache(partial(token_independence_number, budget=budget))
+    return lambda h, j: solve(h, min(j, h.n - j))
 
 
 def _eq1_corpus(limit: int) -> list[tuple[str, Graph]]:
@@ -547,6 +559,17 @@ def conjecture_rows(max_order: int, max_k: int, budget: Budget | None) -> Rows:
                 yield f"K_{{{m},{n}}}, k={k}", compute
 
 
+def spanning_subgraphs_2x5(require_no_isolated: bool = False) -> Iterator[Graph]:
+    """Every spanning subgraph of the complete bipartite graph on parts 2
+    and 5, in edge-mask order; with ``require_no_isolated`` only those
+    covering every vertex."""
+    base = complete_bipartite_graph(2, 5)
+    for mask in range(1 << base.edge_count):
+        g = Graph(7, [e for i, e in enumerate(base.edges) if (mask >> i) & 1])
+        if not (require_no_isolated and 0 in g.degree_sequence()):
+            yield g
+
+
 def fig3_rows(covered_only: bool, budget: Budget | None) -> Rows:
     """One row per bipartite graph on parts 2 and 5 whose 2-token
     independence number beats the class bound, which it holds with slack;
@@ -566,9 +589,78 @@ def fig3_rows(covered_only: bool, budget: Budget | None) -> Rows:
             return None
         return bound, beta, None, STATUS_BOUND
 
-    for _, g in spanning_subgraphs_2x5(covered_only):
+    for g in spanning_subgraphs_2x5(covered_only):
         graphs += 1
         yield f"edges {[(u + 1, v + 1) for u, v in g.edges]}", partial(compute, g)
     # run_rows has called every compute by the time it asks for more
     if within == graphs:
         yield "no graph beat the class bound", lambda: (None, None, None, STATUS_FAIL)
+
+
+# ---------------------------------------------------------------------------
+# integer-sequence cross-checks (offline: ids are documentation labels)
+
+
+@dataclass(frozen=True)
+class OeisCheck:
+    sequence_id: str
+    terms: tuple[int, ...]
+    solver_agrees: bool
+
+
+def _a091044_terms(count: int) -> list[int]:
+    # half central-free odd binomials, read as a triangle row by row
+    out: list[int] = []
+    n = 1
+    while len(out) < count:
+        for m in range(n):
+            out.append(comb(2 * n, 2 * m + 1) // 2)
+            if len(out) == count:
+                break
+        n += 1
+    return out
+
+
+#: Sequence id -> (its first ``count`` terms, the solver cross-check cases
+#: ``(graph, k, expected β(F_k(graph)))``).
+_OEIS = {
+    "A091044": (
+        _a091044_terms,
+        lambda: [
+            (path_graph(2 * n), 2 * m + 1, comb(2 * n, 2 * m + 1) // 2)
+            for n in (1, 2, 3)
+            for m in range(n)
+        ],
+    ),
+    # triangular numbers match star independence from 3 leaves onward
+    "A000217": (
+        lambda count: [comb(j + 1, 2) for j in range(count)],
+        lambda: [(star_graph(j + 1), 2, comb(j + 1, 2)) for j in range(2, 6)],
+    ),
+    # the solver meets both the quarter square and the balanced-family form
+    "A002620": (
+        lambda count: [(t * t) // 4 for t in range(count)],
+        lambda: [
+            (path_graph(t), 2, value)
+            for t in range(3, 7)
+            for value in ((t * t) // 4, beta_balanced_family(t, 2))
+        ],
+    ),
+    "A189889": (
+        lambda count: [beta_cycle_f2(p) for p in range(3, 3 + count)],
+        lambda: [(cycle_graph(p), 2, beta_cycle_f2(p)) for p in range(3, 8)],
+    ),
+}
+
+
+def oeis_check(sequence_id: str, count: int) -> OeisCheck:
+    """Generate a sequence prefix from the closed forms and cross-check the
+    small indices against the exact solver. No network access; the ids are
+    labels only."""
+    if sequence_id not in _OEIS:
+        raise GraphError(f"unknown sequence id {sequence_id!r}")
+    if not 1 <= count <= 20:
+        raise GraphError("count must be between 1 and 20")
+    terms, cases = _OEIS[sequence_id]
+    agrees = all(token_independence_number(g, k) == expected for g, k, expected in cases())
+    return OeisCheck(sequence_id, tuple(terms(count)), agrees)

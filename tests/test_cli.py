@@ -193,6 +193,14 @@ def test_cli_budget_env(monkeypatch, capsys):
     assert main(["beta", "cycle:7", "-k", "2"]) == 0
 
 
+def test_cli_verify_nu_rows_honour_the_budget(tmp_path, capsys):
+    # the same instance as `nu path:5 -k 3`, which exits 3 under this budget
+    js = tmp_path / "fig2.json"
+    assert main(["--budget", "0", "verify", "fig2", "--json", str(js)]) == 3
+    rows = json.loads(js.read_text())
+    assert [(r["instance"], r["status"]) for r in rows] == [("P5, k=3", "budget-exceeded")]
+
+
 @pytest.mark.parametrize("flag, env", [(["--budget", "0"], None), ([], "0")])
 def test_cli_nu_honours_the_budget(monkeypatch, capsys, flag, env):
     if env is not None:

@@ -8,10 +8,9 @@ from tokengraphs.formulas import (
     beta_cycle_f2,
     beta_kmn_f2,
     beta_star,
+    class_bound,
     class_order_predicate,
-    counterexample_scan_2x5,
     nu_token_formula,
-    oeis_check,
     r_value,
     s_threshold,
 )
@@ -28,7 +27,13 @@ from tokengraphs.matching import hall_witness, max_matching
 from tokengraphs.reports import STATUS_PASS
 from tokengraphs.tokens import token_bipartition, token_graph
 import tokengraphs.verify as verify
-from tokengraphs.verify import conjecture_rows, fig3_rows, run_rows
+from tokengraphs.verify import (
+    conjecture_rows,
+    fig3_rows,
+    oeis_check,
+    run_rows,
+    spanning_subgraphs_2x5,
+)
 
 from conftest import conjecture_mnk
 
@@ -138,20 +143,26 @@ def test_oeis_guards():
 # -- scanners -------------------------------------------------------------------
 
 
+def _covered_hits_2x5():
+    """(graph, β) of every covered parts-2/5 graph above the class bound."""
+    solved = ((g, token_independence_number(g, 2))
+              for g in spanning_subgraphs_2x5(require_no_isolated=True))
+    return [(g, beta) for g, beta in solved if beta > class_bound(2, 5, 2)]
+
+
 def test_counterexample_scan_filtered():
-    hits = counterexample_scan_2x5(require_no_isolated=True)
-    assert hits
-    assert {h.beta for h in hits} == {12}
-    assert all(h.class_bound == 11 for h in hits)
-    full_mask = (1 << 10) - 1
-    assert all(h.edge_mask != full_mask for h in hits)
+    hits = _covered_hits_2x5()
+    assert hits and class_bound(2, 5, 2) == 11
+    assert {beta for _, beta in hits} == {12}
+    full = complete_bipartite_graph(2, 5)
+    assert list(spanning_subgraphs_2x5(require_no_isolated=True))[-1] == full
+    assert all(g != full for g, _ in hits)
 
 
 def test_counterexample_hits_fail_hall():
-    hits = counterexample_scan_2x5(require_no_isolated=True)
-    for hit in hits[:5]:
-        t = token_graph(hit.graph, 2)
-        classes = token_bipartition(t, bipartition_of(hit.graph))
+    for g, _ in _covered_hits_2x5()[:5]:
+        t = token_graph(g, 2)
+        classes = token_bipartition(t, bipartition_of(g))
         small = "b" if len(classes.part_b) <= len(classes.part_r) else "r"
         witness = hall_witness(t.graph, classes, small)
         assert witness is not None

@@ -594,13 +594,13 @@ def test_saturation_route_matching_graphs():
 
 def test_saturation_route_inconclusive_on_counterexample():
     # a parts-2/5 graph whose 2-token independence beats both classes
-    from tokengraphs.formulas import counterexample_scan_2x5
+    from tokengraphs.verify import spanning_subgraphs_2x5
 
-    hit = counterexample_scan_2x5(require_no_isolated=True)[0]
-    t = token_graph(hit.graph, 2)
-    classes = token_bipartition(t, bipartition_of(hit.graph))
+    tokens = (token_graph(g, 2) for g in spanning_subgraphs_2x5(require_no_isolated=True))
+    t = next(t for t in tokens if independence_number(t.graph) > 11)
+    classes = token_bipartition(t, bipartition_of(t.base))
     assert beta_via_saturation(t, classes) is None
-    assert independence_number(t.graph) == hit.beta > 11
+    assert independence_number(t.graph) == 12
 
 
 def test_saturation_matches_solver_wherever_conclusive(small_named):

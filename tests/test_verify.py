@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from tokengraphs.reports import all_good, reports_to_csv, reports_to_json
+import tokengraphs.verify as verify
 from tokengraphs.verify import CHECKS, run_check
 
 #: The catalog order of the merged reports below.
@@ -76,3 +77,24 @@ def test_catalog_reports_match_the_recorded_digests(default_reports):
     assert (hashlib.sha256(csv_text).hexdigest(), len(csv_text)) == (
         "8cc1eb45a4a27f0ff92009f5e9a9cd9a71dd488ed225f146c4051fb8aa0e86c7", 27709
     )
+
+
+def test_recursive_checks_solve_each_token_graph_once_up_to_complement(monkeypatch):
+    # F_j(H) and F_{n-j}(H) are isomorphic, so the bound checks share one
+    # solve between them; caching on (H, j) alone took 1,736 / 15 / 13
+    solves = []
+    solve = verify.token_independence_number
+
+    def counted(h, j, budget=None):
+        solves.append((h, j))
+        return solve(h, j, budget)
+
+    monkeypatch.setattr(verify, "token_independence_number", counted)
+    counts = {}
+    for check_id in ("eq1", "eq2", "eq3"):
+        solves.clear()
+        assert all_good(run_check(check_id))
+        assert len(set(solves)) == len(solves)
+        assert all(2 * j <= h.n for h, j in solves)
+        counts[check_id] = len(solves)
+    assert counts == {"eq1": 997, "eq2": 9, "eq3": 10}
