@@ -124,9 +124,17 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_nu(args: argparse.Namespace) -> int:
+def _solve(solve, args: argparse.Namespace):
+    """The named token graph and ``solve``'s answer; budget errors name it."""
     t = token_graph(parse_graph_spec(args.graph), args.k)
-    found = max_matching(t.graph, _budget_from(args))
+    try:
+        return t, solve(t.graph, _budget_from(args))
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(f"F_{args.k}({args.graph}): {exc}") from None
+
+
+def _cmd_nu(args: argparse.Namespace) -> int:
+    t, found = _solve(max_matching, args)
     print(f"nu = {found.size}")
     for a, b in found.sorted_edges():
         print(f"  {subset_label(t.codec.unrank(a))} -- {subset_label(t.codec.unrank(b))}")
@@ -134,8 +142,7 @@ def _cmd_nu(args: argparse.Namespace) -> int:
 
 
 def _cmd_beta(args: argparse.Namespace) -> int:
-    t = token_graph(parse_graph_spec(args.graph), args.k)
-    found = max_independent_set(t.graph, _budget_from(args))
+    t, found = _solve(max_independent_set, args)
     print(f"beta = {found.size}")
     print("  " + " ".join(subset_label(t.codec.unrank(r)) for r in found.sorted_vertices()))
     return 0

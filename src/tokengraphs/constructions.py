@@ -134,28 +134,12 @@ def theorem1_matching(g: Graph, base_matching: Matching, k: int) -> Matching:
 
 def _theorem1_recurse(g: Graph, base_matching: Matching, k: int) -> Matching:
     n = g.n
-    codec = SubsetCodec(n, k)
     if k == 1:
-        return Matching.of(
-            (codec.rank((u,)), codec.rank((v,))) for u, v in base_matching.edges
-        )
-    if k == n - 1:
-        full = set(range(n))
-        return Matching.of(
-            (codec.rank(full - {u}), codec.rank(full - {v}))
-            for u, v in base_matching.edges
-        )
+        return base_matching  # the colex rank of {u} is u
     if 2 * k > n:
-        mirrored = _theorem1_recurse(g, base_matching, n - k)
-        small = SubsetCodec(n, n - k)
-        full = set(range(n))
-        return Matching.of(
-            (
-                codec.rank(full - set(small.unrank(a))),
-                codec.rank(full - set(small.unrank(b))),
-            )
-            for a, b in mirrored.edges
-        )
+        # complementing reverses colex rank (see tokens.complement_map)
+        last, mirrored = comb(n, k) - 1, _theorem1_recurse(g, base_matching, n - k)
+        return Matching.of((last - a, last - b) for a, b in mirrored.edges)
     if k == 2:
         return _f2_from_matching(g, base_matching)
     edge = min(base_matching.edges)

@@ -37,7 +37,9 @@ class Graph:
     ``u < v``; the ``neighbors`` frozensets; and ``adjacency_masks``. The
     solvers read ``adj`` directly, so a token graph that is only matched
     never builds the others. Instances are safe to share across threads;
-    a cache filled twice holds equal values.
+    a cache filled twice holds equal values. ``_freeze`` sorts, dedupes and
+    stores neighbour lists, the one normalisation step: ``__init__`` runs it
+    after checking its edges, and ``tokens.token_graph`` on the lists it fills.
     """
 
     __slots__ = ("n", "adj", "edge_count", "_edges", "_neighbors", "_masks")
@@ -53,11 +55,21 @@ class Graph:
                 raise GraphError(f"edge ({u}, {v}) out of range for order {n}")
             rows[u].append(v)
             rows[v].append(u)
+        self._freeze(rows)
+
+    @classmethod
+    def _from_rows(cls, rows: list[list[int]]) -> Graph:
+        """Unchecked: each edge must be in the lists of both of its ends."""
+        g = cls.__new__(cls)
+        g._freeze(rows)
+        return g
+
+    def _freeze(self, rows: list[list[int]]) -> None:
         for i, row in enumerate(rows):
             row.sort()
             if len(set(row)) != len(row):
                 rows[i] = sorted(set(row))
-        self.n = n
+        self.n = len(rows)
         self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, rows))
         self.edge_count: int = sum(map(len, self.adj)) // 2
         self._edges: tuple[tuple[int, int], ...] | None = None

@@ -3,13 +3,15 @@
 Two k-subsets are adjacent exactly when their symmetric difference is an edge
 of the base graph. Subsets are identified with dense vertex ids through a
 colexicographic combinadic codec, so derived graphs plug into every solver
-that works on plain graphs.
+that works on plain graphs. Token edges and parity classes come from bitwise
+operations on membership lanes, one int per base vertex with a 0/1 byte per
+token rank, built and combined with no Python work per token.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import compress
 from math import comb
 from typing import Iterable, Sequence
 
@@ -71,18 +73,35 @@ class TokenGraph:
         return f"TokenGraph(base_n={self.base.n}, k={self.k}, n={self.graph.n}, m={self.graph.edge_count})"
 
 
+def _membership_lanes(n: int, k: int) -> list[int]:
+    """One lane per base vertex x: byte r is 1 when the token of colex rank r
+    holds x. In colex order the j-subsets with largest element t are the first
+    C(t, j-1) (j-1)-subsets plus t, so lane x over the j-subsets is C(x, j)
+    zeros, C(x, j-1) ones, then for each t > x the first C(t, j-1) bytes of
+    lane x over the (j-1)-subsets. Level j needs only the j-subsets of
+    {0..n-k+j-1}: n * C(n+1, k) bytes in all."""
+    lanes = [bytes(x) + b"\1" + bytes(n - k - x) for x in range(n - k + 1)]
+    for j in range(2, k + 1):
+        prefix = [comb(t, j - 1) for t in range(n - k + j)]
+        lanes = [
+            bytes(comb(x, j)) + b"\1" * prefix[x] + b"".join([lanes[x][:p] for p in prefix[x + 1:]])
+            for x in range(len(prefix))
+        ]
+    return [int.from_bytes(lane, "little") for lane in lanes]
+
+
 def token_graph(g: Graph, k: int) -> TokenGraph:
     """Build the k-token graph of ``g``.
 
-    Edges are generated by combining each base edge [u, v] with every
-    (k-1)-subset R avoiding u and v, never by comparing all subset pairs.
-    One sweep over x per R gives the colex rank of R + {x} for every x
-    outside R: a prefix sum over the elements of R below x and a suffix sum
-    over those above it, each element that x passes moving its term from
-    one to the other. Each base edge outside R then costs one lookup per
-    endpoint, so the cost is C(n, k-1) * n plus the output size. Isolated
-    derived vertices are kept. Raises :class:`GraphError` before building
-    anything when the vertex plus edge count exceeds
+    Each base edge uw with u < w pairs the tokens that hold u but not w
+    with those that hold w but not u. Both lists come out in rank order
+    from one mask of two membership lanes each, and the i-th of one is
+    joined to the i-th of the other; every pair goes straight into the
+    neighbour lists of its two ends. Besides the lanes and the output, the
+    cost is O(m * C(n, k)) bytes of C-level work, with no edge list and no
+    per-subset Python loop. Every row holds the same int object for a rank.
+    Isolated derived vertices are kept. Raises :class:`GraphError` before
+    building anything when the vertex plus edge count exceeds
     :data:`MAX_TOKEN_GRAPH_SIZE`.
     """
     n = g.n
@@ -92,31 +111,18 @@ def token_graph(g: Graph, k: int) -> TokenGraph:
     if size > MAX_TOKEN_GRAPH_SIZE:
         raise GraphError(f"{size} token vertices and edges, over the cap of {MAX_TOKEN_GRAPH_SIZE}")
     codec = SubsetCodec(n, k)
-    # binom[j][x] = C(x, j): an element x at position j - 1 of a sorted
-    # subset contributes C(x, j) to its colex rank
-    binom = [[comb(x, j) for x in range(n)] for j in range(k + 1)]
-    below = [[u for u in g.adj[x] if u < x] for x in range(n)]
-    rank = [0] * n  # rank of R + {x}, or -1 for x in R
-    edges = []
-    for rest in combinations(range(n), k - 1):
-        stops = rest + (n,)
-        low, high = 0, sum(binom[i + 2][r] for i, r in enumerate(rest))
-        p, stop = 0, stops[0]
-        for x in range(n):
-            if x == stop:
-                low += binom[p + 1][x]
-                high -= binom[p + 2][x]
-                p += 1
-                stop = stops[p]
-                rank[x] = -1
-                continue
-            b = rank[x] = low + binom[p + 1][x] + high
-            # colex rank grows with x, so a lower neighbor ranks lower
-            for u in below[x]:
-                a = rank[u]
-                if a >= 0:
-                    edges.append((a, b))
-    derived = Graph(codec.size, edges)
+    lanes = _membership_lanes(n, k)
+    ids = list(range(codec.size))
+    rows: list[list[int]] = [[] for _ in ids]
+    for u, w in g.edges:
+        lu, lw = lanes[u], lanes[w]
+        # A -> A - u + w keeps colex order on the tokens holding u but not w
+        # (two of them differ only outside {u, w}), and it raises the rank.
+        for a, b in zip(compress(ids, (lu & ~lw).to_bytes(codec.size, "little")),
+                        compress(ids, (lw & ~lu).to_bytes(codec.size, "little"))):
+            rows[a].append(b)
+            rows[b].append(a)
+    derived = Graph._from_rows(rows)
     # Each derived edge arises from exactly one base edge, so none collapse.
     assert derived.edge_count == g.edge_count * comb(n - 2, k - 1)
     return TokenGraph(base=g, k=k, graph=derived, codec=codec)
@@ -135,14 +141,13 @@ class ComplementMap:
 def complement_map(t: TokenGraph) -> ComplementMap:
     """The set-complement isomorphism from ``t`` onto the (n-k)-token graph.
 
-    When k == n-k the map is an automorphism of the same derived graph.
+    Complementing reverses colex order: A, B and their complements differ at
+    the same elements, the largest of which is in B just when not in B's
+    complement. So rank r maps to C(n, k) - 1 - r, onto ``t`` if k == n-k.
     """
     n = t.base.n
     target = token_graph(t.base, n - t.k) if t.k != n - t.k else t
-    full = frozenset(range(n))
-    table = tuple(
-        target.codec.rank(full - set(t.codec.unrank(r))) for r in range(t.codec.size)
-    )
+    table = tuple(range(t.codec.size - 1, -1, -1))
     for a, b in t.graph.edges:
         if not target.graph.adjacent(table[a], table[b]):
             raise AssertionError("complement map failed to preserve an edge")
@@ -159,13 +164,12 @@ def token_bipartition(t: TokenGraph, base: Bipartition) -> Bipartition:
     2-colors the token graph.
     """
     base.validate(t.base)
-    r_side = base.part_r
-    odd, even = [], []
-    for rank in range(t.codec.size):
-        subset = t.codec.unrank(rank)
-        hits = sum(1 for x in subset if x in r_side)
-        (odd if hits % 2 else even).append(rank)
-    return Bipartition(part_b=frozenset(even), part_r=frozenset(odd))
+    parity, size = 0, t.codec.size
+    for x, lane in enumerate(_membership_lanes(t.base.n, t.k)):
+        if x in base.part_r:
+            parity ^= lane
+    odd = frozenset(compress(range(size), parity.to_bytes(size, "little")))
+    return Bipartition(part_b=frozenset(range(size)) - odd, part_r=odd)
 
 
 def validate_token_matching(base: Graph, k: int, edges: Iterable[tuple[int, int]]) -> None:

@@ -96,17 +96,10 @@ def _row(check_id: str, instance: str, compute: Compute) -> VerificationReport |
     try:
         result = compute()
     except BudgetExceededError:
-        return VerificationReport(
-            check_id, instance, None, None, None, STATUS_BUDGET,
-            time.perf_counter() - start,
-        )
+        result = None, None, None, STATUS_BUDGET
     if result is None:
         return None
-    formula, solver, witness, status = result
-    return VerificationReport(
-        check_id, instance, formula, solver, witness, status,
-        time.perf_counter() - start,
-    )
+    return VerificationReport(check_id, instance, *result, time.perf_counter() - start)
 
 
 def _eq_status(formula: object, solver: object) -> str:
@@ -404,9 +397,22 @@ def _fig34(max_n: int | None, budget: Budget | None) -> Rows:
 
 def _cached_beta(budget: Budget | None) -> Callable[[Graph, int], int]:
     """β(F_j(h)), each solved once up to complement: taking complements of
-    the token sets makes F_j(h) and F_{n-j}(h) isomorphic."""
-    solve = cache(partial(token_independence_number, budget=budget))
-    return lambda h, j: solve(h, min(j, h.n - j))
+    the token sets makes F_j(h) and F_{n-j}(h) isomorphic. A solve that ran
+    out of budget is kept too, and its error raised again on every call."""
+    @cache
+    def solve(h: Graph, j: int) -> int | BudgetExceededError:
+        try:
+            return token_independence_number(h, j, budget=budget)
+        except BudgetExceededError as exc:
+            return exc.with_traceback(None)  # keeps none of the solver's frames
+
+    def beta(h: Graph, j: int) -> int:
+        found = solve(h, min(j, h.n - j))
+        if isinstance(found, BudgetExceededError):
+            raise found
+        return found
+
+    return beta
 
 
 def _eq1_corpus(limit: int) -> list[tuple[str, Graph]]:

@@ -217,7 +217,17 @@ def test_cli_beta_budget_error_names_its_node_count(capsys):
     assert main(["--budget", "0", "beta", "cycle:9", "-k", "3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "budget exceeded: search aborted on time budget after 1 nodes\n"
+    assert captured.err == (
+        "budget exceeded: F_3(cycle:9): search aborted on time budget after 1 nodes\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["beta", "nu"])
+def test_cli_budget_error_names_its_instance(capsys, command):
+    assert main(["--budget", "0", command, "cycle:7", "-k", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget exceeded: F_3(cycle:7): search aborted")
 
 
 def test_cli_verify_without_rows_is_usage_error(capsys):

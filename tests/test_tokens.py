@@ -19,6 +19,7 @@ from tokengraphs.graphs import (
 from tokengraphs.formulas import r_value
 from tokengraphs.tokens import (
     SubsetCodec,
+    _membership_lanes,
     complement_map,
     subset_label,
     token_bipartition,
@@ -162,6 +163,30 @@ def test_token_graph_matches_reference_on_relabelled_cycles_and_paths():
             assert token_graph(g, k).graph == _reference_token_graph(g, k), (g, k)
 
 
+def test_token_graph_matches_reference_above_3000_vertices():
+    g = cycle_graph(14)
+    t = token_graph(g, 7)
+    assert t.graph.n == 3432
+    assert t.graph == _reference_token_graph(g, 7)
+
+
+def test_token_rows_share_one_int_per_rank():
+    # every row refers to the rank ints of one list, not to fresh copies
+    t = token_graph(path_graph(12), 6)
+    assert len({id(r) for row in t.graph.adj for r in row}) <= t.graph.n
+
+
+def test_membership_lanes_match_the_codec():
+    for n in range(2, 11):
+        for k in range(1, n):
+            codec = SubsetCodec(n, k)
+            lanes = _membership_lanes(n, k)
+            assert len(lanes) == n
+            for x, lane in enumerate(lanes):
+                flags = lane.to_bytes(codec.size, "little")
+                assert flags == bytes(x in codec.unrank(r) for r in range(codec.size)), (n, k, x)
+
+
 # -- complement map ---------------------------------------------------------
 
 
@@ -187,6 +212,15 @@ def test_complement_map_self_automorphism_c6():
     assert sorted(cm.table) == list(range(20))
     for a, b in t.graph.edges:
         assert t.graph.adjacent(cm.table[a], cm.table[b])
+
+
+def test_complement_reverses_colex_rank():
+    for n in range(2, 10):
+        for k in range(1, n):
+            codec, co = SubsetCodec(n, k), SubsetCodec(n, n - k)
+            for r in range(codec.size):
+                complement = set(range(n)) - set(codec.unrank(r))
+                assert set(co.unrank(codec.size - 1 - r)) == complement, (n, k, r)
 
 
 def test_complement_map_everywhere_small():
@@ -235,6 +269,22 @@ def test_token_bipartition_proper_and_sized(small_named):
             classes = token_bipartition(t, base)
             classes.validate(t.graph)
             assert len(classes.part_r) == r_value(len(base.part_b), len(base.part_r), k)
+
+
+def test_token_bipartition_counts_part_r_hits():
+    for name, g in named_graphs(10):
+        base = bipartition_of(g)
+        if base is None:
+            continue
+        for k in range(1, g.n):
+            t = token_graph(g, k)
+            odd = frozenset(
+                r for r in range(t.codec.size)
+                if sum(x in base.part_r for x in t.codec.unrank(r)) % 2
+            )
+            classes = token_bipartition(t, base)
+            assert classes.part_r == odd, (name, k)
+            assert classes.part_b == frozenset(range(t.codec.size)) - odd, (name, k)
 
 
 # -- exports ----------------------------------------------------------------

@@ -2,6 +2,8 @@ import hashlib
 
 import pytest
 
+from tokengraphs.budget import Budget, BudgetExceededError
+from tokengraphs.graphs import cycle_graph
 from tokengraphs.reports import all_good, reports_to_csv, reports_to_json
 import tokengraphs.verify as verify
 from tokengraphs.verify import CHECKS, run_check
@@ -98,3 +100,22 @@ def test_recursive_checks_solve_each_token_graph_once_up_to_complement(monkeypat
         assert all(2 * j <= h.n for h, j in solves)
         counts[check_id] = len(solves)
     assert counts == {"eq1": 997, "eq2": 9, "eq3": 10}
+
+
+def test_cached_beta_keeps_a_budget_failure_for_the_complement(monkeypatch):
+    # F_3(C_7) needs more than one search node; its complement F_4(C_7)
+    # must raise from the cache instead of spending the budget again
+    solves = []
+    solve = verify.token_independence_number
+
+    def counted(h, j, budget=None):
+        solves.append((h, j))
+        return solve(h, j, budget)
+
+    monkeypatch.setattr(verify, "token_independence_number", counted)
+    beta = verify._cached_beta(Budget(node_limit=1))
+    c7 = cycle_graph(7)
+    for j in (3, 4, 3):
+        with pytest.raises(BudgetExceededError):
+            beta(c7, j)
+    assert solves == [(c7, 3)]
