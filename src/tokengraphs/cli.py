@@ -8,8 +8,9 @@ command that compares closed forms with the solvers runs through
 
 Graph specs: path:N | cycle:N | complete:N | kbip:M,N | star:N | match:M,S
 | file:PATH. Exit codes: 0 all rows pass or hold their bound, 1 any row
-fails, 2 usage error (a bad budget or graph spec, a verify or scan with no
-instance, or a scan above the desk-scale guard), 3 budget exceeded.
+fails, 2 usage error (a bad budget or graph spec, an output path that
+cannot be written, a verify or scan with no instance, or a scan above the
+desk-scale guard), 3 budget exceeded.
 """
 
 from __future__ import annotations
@@ -93,6 +94,14 @@ def _print_reports(reports: list[VerificationReport]) -> None:
     print(f"-- {good}/{len(reports)} rows pass or hold their bound")
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is a usage error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise GraphError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _finish_reports(
     reports: list[VerificationReport], args: argparse.Namespace, empty: str
 ) -> int:
@@ -103,9 +112,9 @@ def _finish_reports(
         return 2
     _print_reports(reports)
     if args.json:
-        Path(args.json).write_text(reports_to_json(reports))
+        _write(args.json, reports_to_json(reports))
     if args.csv:
-        Path(args.csv).write_text(reports_to_csv(reports))
+        _write(args.csv, reports_to_csv(reports))
     return exit_code_for(reports)
 
 
@@ -116,10 +125,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
         f"{t.graph.n} vertices, {t.graph.edge_count} edges"
     )
     if args.dot:
-        Path(args.dot).write_text(token_graph_to_dot(t))
+        _write(args.dot, token_graph_to_dot(t))
         print(f"wrote DOT to {args.dot}")
     if args.json:
-        Path(args.json).write_text(json.dumps(token_graph_to_json(t), indent=2) + "\n")
+        _write(args.json, json.dumps(token_graph_to_json(t), indent=2) + "\n")
         print(f"wrote JSON to {args.json}")
     return 0
 

@@ -17,10 +17,12 @@ a time by intersecting neighborhood masks, the partition first-fit would
 build at O(1) mask operations per vertex. On a triangle-free component,
 where each cover clique is a vertex or an edge, a node the cover cannot
 prune also tries the LP bound: |cand| minus half the matching number of the
-bipartite double cover, from the same matching engine. A stronger bound
-prunes only subtrees that cannot beat the best set so far, so the search
-returns the same set. The helpers are module functions, not closures, so a
-solve leaves no reference cycles behind. A brute-force enumerator backs the
+bipartite double cover, from the same matching engine. A node whose size
+alone shows that neither bound can prune calls neither, and the matching
+stops once it is large enough to prune. A stronger bound prunes only
+subtrees that cannot beat the best set so far, so the search returns the
+same set. The helpers are module functions, not closures, so a solve
+leaves no reference cycles behind. A brute-force enumerator backs the
 solver as an independent oracle.
 """
 
@@ -234,7 +236,10 @@ def _branch(cand: int, best_mask: int, masks: tuple[int, ...], clock: _BudgetClo
     ``cand`` is triangle-free, which every node then is. There each cover
     clique is a vertex or an edge, so the LP bound is never weaker; it
     prunes only nodes that cannot beat ``best_mask``, so the search returns
-    the same set either way."""
+    the same set either way. As nu <= |cand| and cover cliques have at most
+    2 vertices, both bounds are at least cur_size + |cand| // 2 there: a
+    node where that beats ``best_size`` calls neither, and the matching is
+    asked only to reach the size that prunes."""
     best_size = best_mask.bit_count()
     n = len(masks)
     left = (1 << n) - 1
@@ -271,12 +276,15 @@ def _branch(cand: int, best_mask: int, masks: tuple[int, ...], clock: _BudgetClo
             if cur_size > best_size:
                 best_mask, best_size = cur_mask, cur_size
             continue
-        if cur_size + _clique_cover_bound(cand, masks) <= best_size:
-            continue
-        if double is not None:
-            nu, _ = _bipartite_matching_size(cand | cand << n, double, left)
-            if cur_size + cand.bit_count() - (nu + 1) // 2 <= best_size:
+        if double is None or cur_size + cand.bit_count() // 2 <= best_size:
+            if cur_size + _clique_cover_bound(cand, masks) <= best_size:
                 continue
+            if double is not None:
+                # prunes iff (nu + 1) // 2 >= cur_size + |cand| - best_size
+                target = 2 * (cur_size + cand.bit_count() - best_size) - 1
+                nu, _ = _bipartite_matching_size(cand | cand << n, double, left, target)
+                if nu >= target:
+                    continue
         stack.append((cand & ~pick, cur_mask, cur_size))
         inside = cand & ~(masks[pick.bit_length() - 1] | pick)
         stack.append((inside, cur_mask | pick, cur_size + 1))

@@ -241,24 +241,34 @@ def _neighborhood(mask: int, masks: tuple[int, ...]) -> int:
     return out
 
 
-def _hopcroft_karp(cand: int, masks: tuple[int, ...], left_mask: int) -> tuple[int, int]:
+def _hopcroft_karp(
+    cand: int, masks: tuple[int, ...], left_mask: int, target: int | None = None
+) -> tuple[int, int | None]:
     """Maximum matching size of the bipartite subgraph induced on ``cand``,
     left side ``cand & left_mask`` (Hopcroft-Karp), and ``reach``, the mask
     of left vertices that alternating paths reach from unmatched ones.
     ``reach`` is the part of the side that some maximum matching misses, so
-    it does not depend on which maximum matching was found."""
+    it does not depend on which maximum matching was found.
+
+    The greedy start matches each left vertex to its lowest free neighbor
+    from the masks; adjacency lists are built only for a BFS phase. Given a
+    ``target``, the search stops once the matching reaches it, so the size
+    is between ``min(target, nu)`` and nu, and ``reach`` is None."""
     left = _bit_list(cand & left_mask)
-    if not left:
-        return 0, 0
-    adj = {u: _bit_list(masks[u] & cand) for u in left}
+    free = cand & ~left_mask
     pair: dict[int, int] = {}
     for u in left:
-        for w in adj[u]:
-            if w not in pair:
-                pair[u] = w
-                pair[w] = u
-                break
-    size = sum(1 for u in left if u in pair)
+        m = masks[u] & free
+        if m:
+            wbit = m & (-m)
+            free ^= wbit
+            w = wbit.bit_length() - 1
+            pair[u] = w
+            pair[w] = u
+    size = len(pair) // 2
+    if target is not None and size >= target:
+        return size, None
+    adj = {u: _bit_list(masks[u] & cand) for u in left}
 
     while True:
         dist = {u: 0 for u in left if u not in pair}
@@ -274,11 +284,13 @@ def _hopcroft_karp(cand: int, masks: tuple[int, ...], left_mask: int) -> tuple[i
                     dist[x] = dist[u] + 1
                     queue.append(x)
         if not free_reachable:
-            return size, sum(1 << u for u in dist)
+            return size, (sum(1 << u for u in dist) if target is None else None)
 
         for u in [u for u in left if u not in pair]:
             if u in dist and _augment(u, adj, pair, dist):
                 size += 1
+                if target is not None and size >= target:
+                    return size, None
 
 
 def _augment(

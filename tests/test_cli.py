@@ -76,6 +76,23 @@ def test_cli_build_over_the_size_cap_is_usage_error(capsys):
     assert "cap" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "cycle:5", "-k", "2", "--dot"],
+        ["verify", "thm3", "--json"],
+        ["scan", "conjecture", "--max-order", "5", "--csv"],
+    ],
+    ids=["build", "verify", "scan"],
+)
+def test_cli_unwritable_output_path_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out"
+    assert main(argv + [str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: No such file or directory\n"
+    assert not out.parent.exists()
+
+
 def test_cli_verify_pass_and_report_files(tmp_path, capsys):
     js = tmp_path / "report.json"
     csv_path = tmp_path / "report.csv"

@@ -501,6 +501,53 @@ def test_lp_bound_is_never_tried_on_graphs_with_triangles(monkeypatch):
     assert max_independent_set(token_graph(complete_graph(8), 4).graph).size == 14
 
 
+@pytest.mark.parametrize(
+    "n, k, nodes, lp_calls",
+    [(9, 3, 35, 13), (9, 4, 103, 46), (11, 3, 227, 86)],
+    ids=["F_3(C_9)", "F_4(C_9)", "F_3(C_11)"],
+)
+def test_lp_bound_runs_only_where_it_can_prune(monkeypatch, n, k, nodes, lp_calls):
+    # at the paper's labels. Calling the LP bound at every node the cover
+    # cannot prune, each matching run to the end, takes the same 35, 103
+    # and 227 nodes but 28, 89 and 195 matchings
+    targets = []
+    engine = independence._bipartite_matching_size
+
+    def counted(*args):
+        targets.append(args[3])
+        return engine(*args)
+
+    monkeypatch.setattr(independence, "_bipartite_matching_size", counted)
+    g = token_graph(cycle_graph(n), k).graph
+    max_independent_set(g, Budget(node_limit=nodes))
+    assert len(targets) == lp_calls and all(t > 0 for t in targets)
+    with pytest.raises(BudgetExceededError, match=f"after {nodes} nodes"):
+        max_independent_set(g, Budget(node_limit=nodes - 1))
+
+
+@pytest.mark.parametrize("n, k, beta", [(9, 3, 38), (9, 4, 56), (11, 3, 75)])
+def test_solver_agrees_with_a_milp_oracle(n, k, beta):
+    # scipy's MILP (HiGHS) on the edge formulation x_u + x_v <= 1, an
+    # oracle independent of networkx and of this package's bounds
+    pytest.importorskip("scipy")
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import csr_array
+
+    g = token_graph(cycle_graph(n), k).graph
+    edges = np.array(g.edges)
+    rows = np.repeat(np.arange(len(edges)), 2)
+    incidence = csr_array((np.ones(rows.size), (rows, edges.ravel())), shape=(len(edges), g.n))
+    result = milp(
+        -np.ones(g.n),
+        constraints=LinearConstraint(incidence, -np.inf, 1),
+        integrality=np.ones(g.n),
+        bounds=Bounds(0, 1),
+    )
+    assert result.status == 0
+    assert round(-result.fun) == max_independent_set(g).size == beta
+
+
 def test_complement_isomorphism_oracle_f3_f8_c11():
     # F_k(G) and F_{n-k}(G) are isomorphic through complementing token sets
     assert token_independence_number(cycle_graph(11), 3) == 75

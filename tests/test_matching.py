@@ -36,6 +36,7 @@ from tokengraphs.matching import (
     max_matching,
     saturates,
 )
+from tokengraphs.independence import _double_cover
 from tokengraphs.tokens import token_bipartition, token_graph
 from conftest import relabelled
 
@@ -415,6 +416,70 @@ def test_hall_queries_follow_a_4000_vertex_augmenting_path():
     assert saturates(g, part, "b")
     assert hall_witness(g, part, "b") is None
     assert sys.getrecursionlimit() == limit
+
+
+def _missed_side(g, side_mask, nu):
+    """Side vertices that some maximum matching of ``g`` leaves unmatched."""
+    return sum(
+        1 << v for v in range(g.n)
+        if side_mask >> v & 1 and max_matching(delete_vertices(g, (v,))[0]).size == nu
+    )
+
+
+def _assert_engine_targets(cand, masks, left_mask, nu, reach=None):
+    """Without a target the engine returns (nu, reach); with target e it
+    returns a size s with min(e, nu) <= s <= nu, and None for reach."""
+    found, found_reach = _hopcroft_karp(cand, masks, left_mask)
+    assert found == nu
+    if reach is not None:
+        assert found_reach == reach
+    for target in range(nu + 3):
+        size, no_reach = _hopcroft_karp(cand, masks, left_mask, target)
+        assert min(target, nu) <= size <= nu and no_reach is None, target
+
+
+def test_hopcroft_karp_stops_at_its_target_on_random_bipartite_graphs():
+    rng = random.Random(23)
+    for trial in range(60):
+        m, n, p = rng.randint(0, 7), rng.randint(0, 7), rng.choice((0.15, 0.3, 0.5))
+        g = relabelled(_random_bipartite(m, n, p, trial), trial)
+        masks = g.adjacency_masks()
+        left_mask = sum(1 << v for v in bipartition_of(g).part_b)
+        nu = max_matching(g).size
+        _assert_engine_targets(
+            (1 << g.n) - 1, masks, left_mask, nu, _missed_side(g, left_mask, nu)
+        )
+
+
+def test_hopcroft_karp_stops_at_its_target_on_token_graph_double_covers():
+    # the LP bound's graph, on random subsets of the token graph; nu comes
+    # from blossom on the same double cover built as a Graph
+    rng = random.Random(29)
+    for n, k in [(5, 2), (7, 2), (7, 3), (9, 3), (9, 4)]:
+        g = token_graph(cycle_graph(n), k).graph
+        double = _double_cover(g.adjacency_masks())
+        cover = Graph(2 * g.n, [(u, w + g.n) for u in range(g.n) for w in g.adj[u]])
+        for _ in range(4):
+            cand = sum(1 << v for v in range(g.n) if rng.random() < 0.7)
+            sub, _ = delete_vertices(
+                cover, [v for v in range(2 * g.n) if not (cand | cand << g.n) >> v & 1]
+            )
+            _assert_engine_targets(
+                cand | cand << g.n, double, (1 << g.n) - 1, max_matching(sub).size
+            )
+
+
+def test_hopcroft_karp_target_cuts_the_augmenting_phases():
+    # the ladder below leaves u_0 free after the greedy start: target m - 1
+    # stops there, short of nu = m, and target m runs the augmenting path
+    m = 40
+    u = [m - 1] + list(range(m - 1))
+    edges = [(u[i], m + i) for i in range(m)] + [(u[i], m + i - 1) for i in range(1, m)]
+    masks = Graph(2 * m, edges).adjacency_masks()
+    full, left_mask = (1 << 2 * m) - 1, (1 << m) - 1
+    assert _hopcroft_karp(full, masks, left_mask) == (m, 0)
+    assert _hopcroft_karp(full, masks, left_mask, m - 1) == (m - 1, None)
+    assert _hopcroft_karp(full, masks, left_mask, m) == (m, None)
 
 
 def test_bipartite_engine_agrees_with_networkx_on_token_graphs():
