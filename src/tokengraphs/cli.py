@@ -10,12 +10,14 @@ Graph specs: path:N | cycle:N | complete:N | kbip:M,N | star:N | match:M,S
 | file:PATH. Exit codes: 0 all rows pass or hold their bound, 1 any row
 fails, 2 usage error (a bad budget or graph spec, an output path that
 cannot be written, a verify or scan with no instance, or a scan above the
-desk-scale guard), 3 budget exceeded.
+desk-scale guard), 3 budget exceeded. Output paths are checked before
+anything is solved or written.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -92,6 +94,22 @@ def _print_reports(reports: list[VerificationReport]) -> None:
         )
     good = sum(1 for r in reports if r.status in ("pass", "bound-holds"))
     print(f"-- {good}/{len(reports)} rows pass or hold their bound")
+
+
+def _check_writable(*paths: str | None) -> None:
+    """Refuse an output path that cannot be written, as a usage error, before
+    anything is solved or written: it costs no solve and leaves no file."""
+    for path in filter(None, paths):
+        target = Path(path)
+        if target.is_dir():
+            reason = errno.EISDIR
+        elif not target.parent.is_dir():
+            reason = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+        elif not os.access(target if target.exists() else target.parent, os.W_OK):
+            reason = errno.EACCES
+        else:
+            continue
+        raise GraphError(f"cannot write {path}: {os.strerror(reason)}")
 
 
 def _write(path: str, text: str) -> None:
@@ -267,6 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         except argparse.ArgumentTypeError as exc:
             parser.error(f"${BUDGET_ENV}: {exc}")
     try:
+        _check_writable(*(getattr(args, name, None) for name in ("dot", "json", "csv")))
         return args.func(args)
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)

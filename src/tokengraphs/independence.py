@@ -1,13 +1,15 @@
 """Exact maximum independent sets and the recursive token-graph bounds.
 
 Connected components are solved independently, each from a greedy seed
-(least remaining degree first), kept in degree buckets so that it costs
-O(n + m) mask operations. On a tree component the seed is maximum and
-is returned as it is. Any other 2-colorable component is closed by König's
-theorem: the bipartite matching engine of :mod:`.matching` gives its
-matching number nu, so beta = |V| - nu, and the complement of the König
-cover is a maximum independent set; the seed or the larger color class is
-returned when it already has that size. Every other component goes to a
+(least remaining degree first) that runs on the sorted neighbour tuples
+with one min-heap of ids per remaining degree: O((n + m) log n) list and
+heap operations, no bitmask work per edge. On a tree component the seed
+is maximum and is returned as it is. Any other 2-colorable component is
+closed by König's theorem: the bipartite matching engine of
+:mod:`.matching`, reading the same neighbour tuples, gives its matching
+number nu, so beta = |V| - nu, and the complement of the König cover is a
+maximum independent set; the seed or the larger color class is returned
+when it already has that size. Every other component goes to a
 bitmask branch-and-bound on an explicit stack, so no recursion limit
 bounds its depth: degree-0/degree-1 vertices are taken greedily (exact
 reductions, found in the same scan that picks the branching vertex),
@@ -29,11 +31,12 @@ solver as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable
 
 from .budget import Budget, BudgetExceededError, _BudgetClock  # noqa: F401 (the error is re-exported)
 from .graphs import Bipartition, Graph, GraphError, delete_vertices
-from .matching import _bit_list, _neighborhood, saturates
+from .matching import Rows, _bit_list, _neighborhood, saturates
 from .matching import _hopcroft_karp as _bipartite_matching_size  # traced by bench/layers.py
 from .tokens import TokenGraph, token_graph
 
@@ -107,53 +110,56 @@ def _two_color(comp: int, masks: tuple[int, ...]) -> int | None:
     return color0
 
 
-def _greedy_seed(comp: int, masks: tuple[int, ...]) -> tuple[int, int]:
+def _greedy_seed(comp: int, adj: Rows, deg: list[int] | None = None) -> tuple[int, int]:
     """Deterministic maximal independent set: repeatedly take the vertex of
-    least remaining degree (ties to the lowest id). Returns the set and the
-    degree sum of ``comp``, which the bucket pass counts on the way.
+    least remaining degree (ties to the lowest id). ``comp`` must be closed
+    under adjacency. Returns the set and the degree sum of ``comp``.
 
-    Degree buckets keep the choice cheap: ``buckets[d]`` is the mask of live
-    vertices with d live neighbors and ``low`` the least nonempty d, so the
-    pick is the lowest bit of ``buckets[low]``. Taking it removes it and its
-    neighbors, and each live neighbor of a removed vertex moves one bucket
-    down. Every edge moves at most one endpoint once, so the whole greedy is
-    O(n + m) mask operations instead of a popcount scan of the candidates
-    per pick.
+    ``heaps[d]`` is a min-heap of ids pushed when their live degree became
+    d; ``deg[v]`` is that degree, -1 once v is removed, so an entry is stale
+    unless ``deg`` still matches its heap, and stale entries are dropped as
+    they surface. Each edge pushes at most one entry: O((n + m) log n) on
+    ``adj``, no bitmask work per edge. ``deg`` is scratch of ``len(adj)``
+    entries touched only at ``comp``, allocated once per solve.
     """
-    deg: dict[int, int] = {}
-    buckets = [0] * comp.bit_count()
+    if deg is None:
+        deg = [-1] * len(adj)
+    verts = _bit_list(comp)
+    heaps: list[list[int]] = [[] for _ in verts]
     degree_sum = 0
-    for v in _bit_list(comp):
-        d = (masks[v] & comp).bit_count()
+    for v in verts:  # ids ascend, so each list is already a heap
+        d = len(adj[v])
         deg[v] = d
         degree_sum += d
-        buckets[d] |= 1 << v
-    cand = comp
+        heaps[d].append(v)
     chosen = 0
     low = 0
-    while cand:
-        while not buckets[low]:
+    live = len(verts)
+    while live:
+        heap = heaps[low]
+        if not heap:
             low += 1
-        vbit = buckets[low] & (-buckets[low])
-        chosen |= vbit
-        gone = (masks[vbit.bit_length() - 1] & cand) | vbit
-        cand &= ~gone
-        while gone:
-            ubit = gone & (-gone)
-            gone ^= ubit
-            u = ubit.bit_length() - 1
-            buckets[deg[u]] ^= ubit
-            m = masks[u] & cand
-            while m:
-                xbit = m & (-m)
-                m ^= xbit
-                x = xbit.bit_length() - 1
+            continue
+        v = heappop(heap)
+        if deg[v] != low:
+            continue
+        chosen |= 1 << v
+        deg[v] = -1
+        gone = []
+        for u in adj[v]:
+            if deg[u] >= 0:
+                deg[u] = -1
+                gone.append(u)
+        live -= len(gone) + 1
+        for u in gone:
+            for x in adj[u]:
                 d = deg[x]
-                deg[x] = d - 1
-                buckets[d] ^= xbit
-                buckets[d - 1] |= xbit
-                if d - 1 < low:
-                    low = d - 1
+                if d > 0:
+                    d -= 1
+                    deg[x] = d
+                    heappush(heaps[d], x)
+                    if d < low:
+                        low = d
     return chosen, degree_sum
 
 
@@ -180,10 +186,12 @@ def _clique_cover_bound(cand: int, masks: tuple[int, ...]) -> int:
     return count
 
 
-def _solve_component(comp: int, masks: tuple[int, ...], clock: _BudgetClock) -> int:
+def _solve_component(
+    comp: int, adj: Rows, masks: tuple[int, ...], deg: list[int], clock: _BudgetClock
+) -> int:
     if comp & (comp - 1) == 0:
         return comp
-    best_mask, degree_sum = _greedy_seed(comp, masks)
+    best_mask, degree_sum = _greedy_seed(comp, adj, deg)
     if degree_sum == 2 * (comp.bit_count() - 1):
         # a tree: a leaf lies in some maximum independent set and what
         # remains is a forest, so the least-degree greedy is maximum
@@ -200,7 +208,7 @@ def _solve_component(comp: int, masks: tuple[int, ...], clock: _BudgetClock) -> 
     cls = one if one.bit_count() >= two.bit_count() else two
     if cls.bit_count() > best_mask.bit_count():
         best_mask = cls
-    nu, reach = _bipartite_matching_size(comp, masks, left_mask)
+    nu, reach = _bipartite_matching_size(comp, masks, left_mask, rows=adj)
     if best_mask.bit_count() == comp.bit_count() - nu:
         return best_mask
     return reach | (two & ~_neighborhood(reach, masks))
@@ -302,9 +310,10 @@ def max_independent_set(g: Graph, budget: Budget | None = None) -> IndependentSe
         return IndependentSet(frozenset())
     masks = g.adjacency_masks()
     clock = _BudgetClock(budget)
+    deg = [-1] * g.n
     chosen = 0
     for comp in _component_masks(g.n, masks):
-        chosen |= _solve_component(comp, masks, clock)
+        chosen |= _solve_component(comp, g.adj, masks, deg, clock)
     result = IndependentSet(frozenset(_bit_list(chosen)))
     result.validate(g)
     return result

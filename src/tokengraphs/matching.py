@@ -20,6 +20,9 @@ from typing import Iterable
 from .budget import Budget, _BudgetClock
 from .graphs import Bipartition, Graph, GraphError
 
+#: Sorted neighbour tuples, one per vertex: ``Graph.adj``.
+Rows = tuple[tuple[int, ...], ...]
+
 
 class MatchingError(ValueError):
     """Raised when a matching fails validation against its host graph."""
@@ -242,7 +245,11 @@ def _neighborhood(mask: int, masks: tuple[int, ...]) -> int:
 
 
 def _hopcroft_karp(
-    cand: int, masks: tuple[int, ...], left_mask: int, target: int | None = None
+    cand: int,
+    masks: tuple[int, ...],
+    left_mask: int,
+    target: int | None = None,
+    rows: Rows | None = None,
 ) -> tuple[int, int | None]:
     """Maximum matching size of the bipartite subgraph induced on ``cand``,
     left side ``cand & left_mask`` (Hopcroft-Karp), and ``reach``, the mask
@@ -251,9 +258,12 @@ def _hopcroft_karp(
     it does not depend on which maximum matching was found.
 
     The greedy start matches each left vertex to its lowest free neighbor
-    from the masks; adjacency lists are built only for a BFS phase. Given a
-    ``target``, the search stops once the matching reaches it, so the size
-    is between ``min(target, nu)`` and nu, and ``reach`` is None."""
+    from the masks. The BFS phases read sorted neighbour lists: a caller
+    whose ``cand`` is closed under adjacency passes the graph's own ``adj``
+    as ``rows``; otherwise the lists are decoded from the masks, and only
+    once a BFS phase follows. Given a ``target``, the search stops once the
+    matching reaches it, so the size is between ``min(target, nu)`` and nu,
+    and ``reach`` is None."""
     left = _bit_list(cand & left_mask)
     free = cand & ~left_mask
     pair: dict[int, int] = {}
@@ -268,7 +278,7 @@ def _hopcroft_karp(
     size = len(pair) // 2
     if target is not None and size >= target:
         return size, None
-    adj = {u: _bit_list(masks[u] & cand) for u in left}
+    adj = rows if rows is not None else {u: _bit_list(masks[u] & cand) for u in left}
 
     while True:
         dist = {u: 0 for u in left if u not in pair}
@@ -294,7 +304,7 @@ def _hopcroft_karp(
 
 
 def _augment(
-    root: int, adj: dict[int, list[int]], pair: dict[int, int], dist: dict[int, int]
+    root: int, adj: Rows | dict[int, list[int]], pair: dict[int, int], dist: dict[int, int]
 ) -> bool:
     """One augmenting path from ``root`` along the BFS layers, by depth-first
     search on an explicit stack, so no recursion limit bounds its length.
@@ -338,7 +348,7 @@ def hall_witness(g: Graph, part: Bipartition, side: str) -> frozenset[int] | Non
     part.validate(g)
     masks = g.adjacency_masks()
     side_mask = sum(1 << v for v in part.side(side))
-    _, reach = _hopcroft_karp((1 << g.n) - 1, masks, side_mask)
+    _, reach = _hopcroft_karp((1 << g.n) - 1, masks, side_mask, rows=g.adj)
     if not reach:
         return None
     assert _neighborhood(reach, masks).bit_count() < reach.bit_count()

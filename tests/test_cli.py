@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from tokengraphs import cli
 from tokengraphs.cli import main, parse_graph_spec
 from tokengraphs.graphs import GraphError, complete_bipartite_graph, cycle_graph
 
@@ -91,6 +92,34 @@ def test_cli_unwritable_output_path_is_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err == f"error: cannot write {out}: No such file or directory\n"
     assert not out.parent.exists()
+
+
+def test_cli_unwritable_report_path_fails_before_any_solve(tmp_path, capsys, monkeypatch):
+    # verify eq2 --max-n 11 solves 36 rows, about 9 s, when nothing stops it
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_check", refuse)
+    out = tmp_path / "missing" / "r.json"
+    assert main(["verify", "eq2", "--max-n", "11", "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+
+
+def test_cli_build_with_one_unwritable_path_writes_nothing(tmp_path, capsys):
+    dot = tmp_path / "ok.dot"
+    bad = tmp_path / "missing" / "x.json"
+    assert main(["build", "cycle:5", "-k", "2", "--dot", str(dot), "--json", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {bad}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_output_path_that_is_a_directory_is_usage_error(tmp_path, capsys):
+    assert main(["verify", "fig1", "--csv", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
 
 
 def test_cli_verify_pass_and_report_files(tmp_path, capsys):

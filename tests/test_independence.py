@@ -1,6 +1,7 @@
 import gc
 import random
 import sys
+import time
 from math import comb
 
 import pytest
@@ -42,7 +43,7 @@ from tokengraphs.independence import (
     token_independence_number,
     vertex_transitive_bound,
 )
-from tokengraphs.matching import max_matching
+from tokengraphs.matching import _bit_list, max_matching
 from tokengraphs.tokens import token_bipartition, token_graph
 from conftest import relabelled
 
@@ -119,7 +120,7 @@ def test_koenig_cover_closes_a_component_the_seed_misses():
     comp = max(_component_masks(g.n, masks), key=int.bit_count)
     left = _two_color(comp, masks)
     assert comp.bit_count() == 22
-    assert _greedy_seed(comp, masks)[0].bit_count() == 11
+    assert _greedy_seed(comp, g.adj)[0].bit_count() == 11
     assert (comp & left).bit_count() == (comp & ~left).bit_count() == 11
     outside = [v for v in range(g.n) if not (comp >> v) & 1]
     assert brute_force_mis(delete_vertices(g, outside)[0]) == 12
@@ -172,7 +173,7 @@ def test_tree_components_keep_the_seed_without_the_matching_engine(monkeypatch):
         masks = g.adjacency_masks()
         seeds = 0
         for comp in _component_masks(g.n, masks):
-            seed_mask, degree_sum = _greedy_seed(comp, masks)
+            seed_mask, degree_sum = _greedy_seed(comp, g.adj)
             assert degree_sum == 2 * (comp.bit_count() - 1)
             # König's size, which the engine would have certified
             nu, _ = engine(comp, masks, _two_color(comp, masks))
@@ -182,6 +183,67 @@ def test_tree_components_keep_the_seed_without_the_matching_engine(monkeypatch):
         if g.n <= 26:
             assert found.size == brute_force_mis(g), seed
     assert calls == []
+
+
+def _bipartite_components(seed):
+    """A relabelled disjoint union of 2 to 5 random bipartite graphs with up
+    to 8 vertices a side, isolated vertices included."""
+    rng = random.Random(seed)
+    edges, n = [], 0
+    for _ in range(rng.randint(2, 5)):
+        a, b = rng.randint(1, 8), rng.randint(1, 8)
+        p = rng.choice((0.2, 0.4, 0.7))
+        edges += [(n + i, n + a + j) for i in range(a) for j in range(b) if rng.random() < p]
+        n += a + b
+    return relabelled(Graph(n, edges), seed)
+
+
+def _solve_ticks(monkeypatch, g):
+    """The solve's set and how many times it ticked its budget clock."""
+    clocks = []
+
+    class Recorded(_BudgetClock):
+        __slots__ = ()
+
+        def __init__(self, budget):
+            super().__init__(budget)
+            clocks.append(self)
+
+    monkeypatch.setattr(independence, "_BudgetClock", Recorded)
+    found = max_independent_set(g)
+    found.validate(g)
+    (clock,) = clocks
+    return found, clock.nodes
+
+
+def test_a_solve_ticks_once_per_bipartite_component(monkeypatch):
+    # every component of two or more vertices ticks once, whether the seed,
+    # a color class or the König cover closes it; the totals are those of
+    # the solver that ran the seed and the König matching on bitmasks
+    totals = []
+    for make in (_bipartite_components, _random_forest):
+        total = 0
+        for seed in range(40):
+            g = make(seed)
+            found, nodes = _solve_ticks(monkeypatch, g)
+            masks = g.adjacency_masks()
+            assert nodes == sum(c & (c - 1) != 0 for c in _component_masks(g.n, masks))
+            if g.n <= 26:
+                assert found.size == brute_force_mis(g)
+            total += nodes
+        totals.append(total)
+    assert totals == [143, 91]
+
+
+def test_branching_solves_tick_as_before(monkeypatch):
+    # odd cycles and J(6,3), relabelled; the counts are those of the solver
+    # that ran the seed on bitmasks
+    cases = [(cycle_graph(7), 2), (cycle_graph(9), 3), (cycle_graph(7), 3), (complete_graph(6), 3)]
+    ticks = [
+        _solve_ticks(monkeypatch, relabelled(token_graph(base, k).graph, 10 * base.n + k))[1]
+        for base, k in cases
+    ]
+    assert ticks == [1, 27, 9, 39]
 
 
 def test_perfect_matching_bipartite_bases_odd_k():
@@ -263,7 +325,7 @@ def _assert_seed_matches_reference(g):
     masks = g.adjacency_masks()
     comps = _component_masks(g.n, masks)
     for comp in comps:
-        assert _greedy_seed(comp, masks)[0] == _quadratic_greedy_seed(comp, masks)
+        assert _greedy_seed(comp, g.adj)[0] == _quadratic_greedy_seed(comp, masks)
     return len(comps)
 
 
@@ -286,6 +348,87 @@ def test_greedy_seed_matches_reference_on_relabelled_token_graphs():
             checked += _assert_seed_matches_reference(t)
             checked += _assert_seed_matches_reference(relabelled(t, i * 100 + k))
     assert checked > 300
+
+
+def _mask_bucket_greedy_seed(comp, masks):
+    """Reference seed: the greedy as it ran on bitmasks, ``buckets[d]`` the
+    mask of live vertices with d live neighbours, returning the set and the
+    degree sum of ``comp``."""
+    deg = {}
+    buckets = [0] * comp.bit_count()
+    degree_sum = 0
+    for v in _bit_list(comp):
+        d = (masks[v] & comp).bit_count()
+        deg[v] = d
+        degree_sum += d
+        buckets[d] |= 1 << v
+    cand = comp
+    chosen = 0
+    low = 0
+    while cand:
+        while not buckets[low]:
+            low += 1
+        vbit = buckets[low] & (-buckets[low])
+        chosen |= vbit
+        gone = (masks[vbit.bit_length() - 1] & cand) | vbit
+        cand &= ~gone
+        while gone:
+            ubit = gone & (-gone)
+            gone ^= ubit
+            u = ubit.bit_length() - 1
+            buckets[deg[u]] ^= ubit
+            m = masks[u] & cand
+            while m:
+                xbit = m & (-m)
+                m ^= xbit
+                x = xbit.bit_length() - 1
+                d = deg[x]
+                deg[x] = d - 1
+                buckets[d] ^= xbit
+                buckets[d - 1] |= xbit
+                if d - 1 < low:
+                    low = d - 1
+    return chosen, degree_sum
+
+
+def _disjoint_union(graphs):
+    edges, n = [], 0
+    for h in graphs:
+        edges += [(n + u, n + v) for u, v in h.edges]
+        n += h.n
+    return Graph(n, edges)
+
+
+def test_greedy_seed_matches_the_mask_bucket_seed():
+    # the bench graphs and the largest LP-bound instance, relabelled, and a
+    # graph of 200 small components that share one scratch list, as in a solve
+    many = [token_graph(cycle_graph(5), 2).graph, path_graph(3), Graph(1), complete_graph(4)]
+    graphs = [
+        relabelled(token_graph(cycle_graph(14), 7).graph, 7),
+        relabelled(token_graph(complete_bipartite_graph(7, 7), 7).graph, 7),
+        relabelled(token_graph(cycle_graph(11), 4).graph, 11),
+        relabelled(_disjoint_union(many * 50), 3),
+    ]
+    for g in graphs:
+        masks = g.adjacency_masks()
+        deg = [-1] * g.n
+        comps = _component_masks(g.n, masks)
+        for comp in comps:
+            expected = _mask_bucket_greedy_seed(comp, masks)
+            assert _greedy_seed(comp, g.adj) == expected
+            assert _greedy_seed(comp, g.adj, deg) == expected
+        assert deg == [-1] * g.n
+    assert len(comps) == 200
+
+
+def test_a_solve_is_linear_in_its_component_count():
+    # 10,000 two-vertex components: about 0.3 s; scratch lists allocated
+    # per component instead of per solve take about 7 s
+    g = Graph(20_000, [(2 * i, 2 * i + 1) for i in range(10_000)])
+    start = time.perf_counter()
+    found = max_independent_set(g)
+    assert time.perf_counter() - start < 3
+    assert found.vertices == frozenset(range(0, 20_000, 2))
 
 
 # -- clique-cover bound ----------------------------------------------------
@@ -422,7 +565,7 @@ def _assert_branch_matches_cover_only(g, from_empty=True):
     a node. Returns the node counts of both."""
     masks = g.adjacency_masks()
     total = [0, 0]
-    starts = [(comp, _greedy_seed(comp, masks)[0]) for comp in _component_masks(g.n, masks)]
+    starts = [(comp, _greedy_seed(comp, g.adj)[0]) for comp in _component_masks(g.n, masks)]
     if from_empty:
         starts.append(((1 << g.n) - 1, 0))
     for cand, seed in starts:
