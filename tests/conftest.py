@@ -63,3 +63,16 @@ def relabelled(g: Graph, seed: int) -> Graph:
 @pytest.fixture(scope="session")
 def small_named():
     return named_graphs(8)
+
+
+def bipartite_components(seed: int) -> Graph:
+    """A relabelled disjoint union of 2 to 5 random bipartite graphs with up
+    to 8 vertices a side, isolated vertices included."""
+    rng = random.Random(seed)
+    edges, n = [], 0
+    for _ in range(rng.randint(2, 5)):
+        a, b = rng.randint(1, 8), rng.randint(1, 8)
+        p = rng.choice((0.2, 0.4, 0.7))
+        edges += [(n + i, n + a + j) for i in range(a) for j in range(b) if rng.random() < p]
+        n += a + b
+    return relabelled(Graph(n, edges), seed)

@@ -45,7 +45,7 @@ from tokengraphs.independence import (
 )
 from tokengraphs.matching import _bit_list, max_matching
 from tokengraphs.tokens import token_bipartition, token_graph
-from conftest import relabelled
+from conftest import bipartite_components, relabelled
 
 
 # -- solver vs oracle -------------------------------------------------------
@@ -185,19 +185,6 @@ def test_tree_components_keep_the_seed_without_the_matching_engine(monkeypatch):
     assert calls == []
 
 
-def _bipartite_components(seed):
-    """A relabelled disjoint union of 2 to 5 random bipartite graphs with up
-    to 8 vertices a side, isolated vertices included."""
-    rng = random.Random(seed)
-    edges, n = [], 0
-    for _ in range(rng.randint(2, 5)):
-        a, b = rng.randint(1, 8), rng.randint(1, 8)
-        p = rng.choice((0.2, 0.4, 0.7))
-        edges += [(n + i, n + a + j) for i in range(a) for j in range(b) if rng.random() < p]
-        n += a + b
-    return relabelled(Graph(n, edges), seed)
-
-
 def _solve_ticks(monkeypatch, g):
     """The solve's set and how many times it ticked its budget clock."""
     clocks = []
@@ -221,7 +208,7 @@ def test_a_solve_ticks_once_per_bipartite_component(monkeypatch):
     # a color class or the König cover closes it; the totals are those of
     # the solver that ran the seed and the König matching on bitmasks
     totals = []
-    for make in (_bipartite_components, _random_forest):
+    for make in (bipartite_components, _random_forest):
         total = 0
         for seed in range(40):
             g = make(seed)

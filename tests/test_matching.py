@@ -38,7 +38,7 @@ from tokengraphs.matching import (
 )
 from tokengraphs.independence import _double_cover
 from tokengraphs.tokens import token_bipartition, token_graph
-from conftest import relabelled
+from conftest import bipartite_components, relabelled
 
 PETERSEN = make_graph(
     10,
@@ -532,26 +532,13 @@ def test_fraction_bound_rejects_bad_k():
         matching_fraction_bound(5, 5)
 
 
-def _bipartite_components(seed):
-    """A relabelled disjoint union of 2 to 5 random bipartite graphs with up
-    to 8 vertices a side, isolated vertices included."""
-    rng = random.Random(seed)
-    edges, n = [], 0
-    for _ in range(rng.randint(2, 5)):
-        a, b = rng.randint(1, 8), rng.randint(1, 8)
-        p = rng.choice((0.2, 0.4, 0.7))
-        edges += [(n + i, n + a + j) for i in range(a) for j in range(b) if rng.random() < p]
-        n += a + b
-    return relabelled(Graph(n, edges), seed)
-
-
 def test_hopcroft_karp_on_the_graph_rows_matches_the_decoded_lists():
     # rows=g.adj holds for any cand closed under adjacency: the whole graph
     # and each of its components, on either side
     from tokengraphs.independence import _component_masks
 
     for seed in range(80):
-        g = _bipartite_components(seed)
+        g = bipartite_components(seed)
         masks = g.adjacency_masks()
         part = bipartition_of(g)
         for side in ("b", "r"):
