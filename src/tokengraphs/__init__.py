@@ -9,7 +9,6 @@ from .constructions import (
     cycle_layer,
     f2_matching_construction,
     isolated_tokens,
-    layers_linked,
     lemma_times_combine,
     theorem1_matching,
     witness_graph_large_s,
@@ -24,7 +23,6 @@ from .formulas import (
     class_order_predicate,
     nu_token_formula,
     r_value,
-    s_threshold,
 )
 from .graphs import (
     Bipartition,
@@ -57,23 +55,16 @@ from .independence import (
     vertex_transitive_bound,
 )
 from .matching import (
-    FractionBound,
     Matching,
     MatchingError,
     brute_force_nu,
     hall_witness,
-    is_almost_perfect,
-    is_perfect,
-    matching_fraction_bound,
     max_matching,
-    saturates,
 )
 from .reports import VerificationReport, reports_to_csv, reports_to_json
 from .tokens import (
-    ComplementMap,
     SubsetCodec,
     TokenGraph,
-    complement_map,
     subset_label,
     token_bipartition,
     token_graph,

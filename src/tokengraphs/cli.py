@@ -29,7 +29,9 @@ from .graphs import Graph, GraphError, family, parse_edge_list_text
 from .independence import max_independent_set
 from .matching import max_matching
 from .reports import (
+    STATUS_BOUND,
     STATUS_FAIL,
+    STATUS_PASS,
     VerificationReport,
     exit_code_for,
     reports_to_csv,
@@ -92,7 +94,7 @@ def _print_reports(reports: list[VerificationReport]) -> None:
             f"{r.status:>15}  {r.check_id}: {r.instance}  "
             f"formula={r.formula_value} solver={r.solver_value} ({r.seconds:.2f}s)"
         )
-    good = sum(1 for r in reports if r.status in ("pass", "bound-holds"))
+    good = sum(1 for r in reports if r.status in (STATUS_PASS, STATUS_BOUND))
     print(f"-- {good}/{len(reports)} rows pass or hold their bound")
 
 

@@ -137,7 +137,7 @@ def _theorem1_recurse(g: Graph, base_matching: Matching, k: int) -> Matching:
     if k == 1:
         return base_matching  # the colex rank of {u} is u
     if 2 * k > n:
-        # complementing reverses colex rank (see tokens.complement_map)
+        # complementing reverses colex rank (see complement_image in tests/conftest.py)
         last, mirrored = comb(n, k) - 1, _theorem1_recurse(g, base_matching, n - k)
         return Matching.of((last - a, last - b) for a, b in mirrored.edges)
     if k == 2:
@@ -219,20 +219,6 @@ def cycle_layer(p: int, i: int) -> LayerSet:
     return LayerSet(p=p, index=i, pairs=pairs)
 
 
-def layers_linked(p: int, i: int, j: int, t: TokenGraph | None = None) -> bool:
-    """Whether any 2-token edge of the cycle joins layer i to layer j
-    (i == j asks for an edge inside the layer). Decided by direct search."""
-    if t is None:
-        from .graphs import cycle_graph
-
-        t = token_graph(cycle_graph(p), 2)
-    elif t.base.n != p or t.k != 2:
-        raise GraphError("token graph does not match the requested cycle")
-    ranks_i = cycle_layer(p, i).ranks(t)
-    ranks_j = cycle_layer(p, j).ranks(t)
-    return any(t.graph.neighbors(r) & ranks_j for r in ranks_i)
-
-
 def cycle_independent_set(p: int) -> IndependentSet:
     """The alternating-layer independent set of the 2-token graph of an odd
     cycle, of size floor(p * floor(p/2) / 2)."""
@@ -273,8 +259,6 @@ class InjectionPhi:
     domain_size: int
     entries: tuple[tuple[object, object], ...]
 
-    def as_dict(self) -> dict:
-        return dict(self.entries)
 
 
 def _colex_pairs(s: int) -> list[tuple[int, int]]:

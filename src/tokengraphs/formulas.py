@@ -102,21 +102,6 @@ def beta_balanced_family(p: int, k: int) -> int:
     return class_bound(p // 2, (p + 1) // 2, k)
 
 
-def s_threshold(m: int) -> int:
-    """Least surplus s for which the same-side token class is no smaller
-    than the mixed class, i.e. least s with C(s,2) >= m.
-
-    The underlying real threshold is (1 + sqrt(1+8m))/2; its ceiling is
-    returned because only integer comparisons are ever needed.
-    """
-    if m < 1:
-        raise GraphError("part size must be positive")
-    s = 0
-    while comb(s, 2) < m:
-        s += 1
-    return s
-
-
 def class_order_predicate(m: int, n: int) -> bool:
     """For parts m <= n and token count 2: whether the same-side class is at
     least as large as the mixed class. Exact integer test C(n-m, 2) >= m."""

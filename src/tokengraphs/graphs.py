@@ -132,18 +132,10 @@ class Graph:
 
 @dataclass(frozen=True)
 class Bipartition:
-    """A 2-coloring of a graph's vertex set into classes ``part_b`` and ``part_r``.
-
-    The convention that ``|part_b| <= |part_r|`` is recorded by
-    :attr:`follows_convention`, never enforced.
-    """
+    """A 2-coloring of a graph's vertex set into classes ``part_b`` and ``part_r``."""
 
     part_b: frozenset[int]
     part_r: frozenset[int]
-
-    @property
-    def follows_convention(self) -> bool:
-        return len(self.part_b) <= len(self.part_r)
 
     def side(self, name: str) -> frozenset[int]:
         if name == "b":
@@ -151,12 +143,6 @@ class Bipartition:
         if name == "r":
             return self.part_r
         raise ValueError(f"unknown side {name!r}; expected 'b' or 'r'")
-
-    @staticmethod
-    def other_side(name: str) -> str:
-        if name not in ("b", "r"):
-            raise ValueError(f"unknown side {name!r}; expected 'b' or 'r'")
-        return "r" if name == "b" else "b"
 
     def validate(self, g: Graph) -> None:
         """Raise GraphError unless this is a valid bipartition of ``g``."""

@@ -36,7 +36,7 @@ from typing import Callable
 
 from .budget import Budget, BudgetExceededError, _BudgetClock  # noqa: F401 (the error is re-exported)
 from .graphs import Bipartition, Graph, GraphError, delete_vertices
-from .matching import Rows, _bit_list, _neighborhood, saturates
+from .matching import Rows, _bit_list, _neighborhood, hall_witness
 from .matching import _hopcroft_karp as _bipartite_matching_size  # traced by bench/layers.py
 from .tokens import TokenGraph, token_graph
 
@@ -73,8 +73,6 @@ class BoundsPair:
         if self.lower > self.upper:
             raise ValueError(f"bounds crossed: {self.lower} > {self.upper}")
 
-    def contains(self, value: int) -> bool:
-        return self.lower <= value <= self.upper
 
 
 def _component_masks(n: int, masks: tuple[int, ...]) -> list[int]:
@@ -110,7 +108,7 @@ def _two_color(comp: int, masks: tuple[int, ...]) -> int | None:
     return color0
 
 
-def _greedy_seed(comp: int, adj: Rows, deg: list[int] | None = None) -> tuple[int, int]:
+def _greedy_seed(comp: int, adj: Rows, deg: list[int]) -> tuple[int, int]:
     """Deterministic maximal independent set: repeatedly take the vertex of
     least remaining degree (ties to the lowest id). ``comp`` must be closed
     under adjacency. Returns the set and the degree sum of ``comp``.
@@ -122,8 +120,6 @@ def _greedy_seed(comp: int, adj: Rows, deg: list[int] | None = None) -> tuple[in
     ``adj``, no bitmask work per edge. ``deg`` is scratch of ``len(adj)``
     entries touched only at ``comp``, allocated once per solve.
     """
-    if deg is None:
-        deg = [-1] * len(adj)
     verts = _bit_list(comp)
     heaps: list[list[int]] = [[] for _ in verts]
     degree_sum = 0
@@ -353,8 +349,8 @@ def beta_via_saturation(t: TokenGraph, classes: Bipartition) -> int | None:
     """
     classes.validate(t.graph)
     small = "b" if len(classes.part_b) <= len(classes.part_r) else "r"
-    if saturates(t.graph, classes, small):
-        return len(classes.side(Bipartition.other_side(small)))
+    if hall_witness(t.graph, classes, small) is None:
+        return max(len(classes.part_b), len(classes.part_r))
     return None
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
@@ -213,18 +212,6 @@ def brute_force_nu(g: Graph) -> int:
     return best((1 << g.n) - 1)
 
 
-def is_perfect(m: Matching, g: Graph) -> bool:
-    """True iff the matching covers every vertex."""
-    m.validate(g)
-    return 2 * m.size == g.n
-
-
-def is_almost_perfect(m: Matching, g: Graph) -> bool:
-    """True iff the matching covers all vertices but one."""
-    m.validate(g)
-    return 2 * m.size == g.n - 1
-
-
 def _bit_list(mask: int) -> list[int]:
     out = []
     while mask:
@@ -333,12 +320,6 @@ def _augment(
     return False
 
 
-def saturates(g: Graph, part: Bipartition, side: str) -> bool:
-    """Whether some matching covers every vertex of the chosen side: Hall's
-    condition for that side, decided without enumerating subsets."""
-    return hall_witness(g, part, side) is None
-
-
 def hall_witness(g: Graph, part: Bipartition, side: str) -> frozenset[int] | None:
     """A set S within ``side`` with |N(S)| < |S|, or None when the side saturates.
 
@@ -354,25 +335,3 @@ def hall_witness(g: Graph, part: Bipartition, side: str) -> frozenset[int] | Non
     assert _neighborhood(reach, masks).bit_count() < reach.bit_count()
     return frozenset(_bit_list(reach))
 
-
-@dataclass(frozen=True)
-class FractionBound:
-    """A rational lower bound on (matching size) / (half the vertex count)."""
-
-    value: Fraction
-    kind: str  # "exact" | "lower-bound" | "vacuous"
-
-
-def matching_fraction_bound(n: int, k: int) -> FractionBound:
-    """Lower bound on nu(F_k(G)) / C(n,k) for bases with nu(G) = floor(n/2).
-
-    Even n with odd k is the exact case (ratio 1/2); even n with even k uses
-    exponent k/2; odd n uses exponent floor(k/2), which is vacuous at k = 1.
-    """
-    if not 1 <= k <= n - 1:
-        raise GraphError(f"k={k} out of range for n={n}")
-    if n % 2 == 0 and k % 2 == 1:
-        return FractionBound(Fraction(1, 2), "exact")
-    value = (1 - Fraction(k, n) ** (k // 2)) / 2
-    kind = "vacuous" if value == 0 else "lower-bound"
-    return FractionBound(value, kind)

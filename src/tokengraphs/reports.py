@@ -80,10 +80,6 @@ def reports_to_csv(reports: list[VerificationReport]) -> str:
     return buffer.getvalue()
 
 
-def all_good(reports: list[VerificationReport]) -> bool:
-    return all(r.status in (STATUS_PASS, STATUS_BOUND) for r in reports)
-
-
 def exit_code_for(reports: list[VerificationReport]) -> int:
     """1 when any row fails; otherwise 3 when any row ran out of budget;
     0 when every row passes or holds its bound."""

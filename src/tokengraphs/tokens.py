@@ -128,34 +128,6 @@ def token_graph(g: Graph, k: int) -> TokenGraph:
     return TokenGraph(base=g, k=k, graph=derived, codec=codec)
 
 
-@dataclass(frozen=True)
-class ComplementMap:
-    """Rank-to-rank bijection ``A -> V \\ A`` between k- and (n-k)-token graphs,
-    certified edge-preserving in both directions."""
-
-    source: TokenGraph
-    target: TokenGraph
-    table: tuple[int, ...]
-
-
-def complement_map(t: TokenGraph) -> ComplementMap:
-    """The set-complement isomorphism from ``t`` onto the (n-k)-token graph.
-
-    Complementing reverses colex order: A, B and their complements differ at
-    the same elements, the largest of which is in B just when not in B's
-    complement. So rank r maps to C(n, k) - 1 - r, onto ``t`` if k == n-k.
-    """
-    n = t.base.n
-    target = token_graph(t.base, n - t.k) if t.k != n - t.k else t
-    table = tuple(range(t.codec.size - 1, -1, -1))
-    for a, b in t.graph.edges:
-        if not target.graph.adjacent(table[a], table[b]):
-            raise AssertionError("complement map failed to preserve an edge")
-    if t.graph.edge_count != target.graph.edge_count:
-        raise AssertionError("complement map is not onto the target edge set")
-    return ComplementMap(source=t, target=target, table=table)
-
-
 def token_bipartition(t: TokenGraph, base: Bipartition) -> Bipartition:
     """Parity classes of a token graph over a bipartite base.
 

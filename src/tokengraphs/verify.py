@@ -6,10 +6,12 @@ cor3, cor4, star, prop3, eq1, eq2, eq3, fig1, fig2, fig34, j73.
 
 Each check is a generator of ``(instance, compute)`` pairs in report order;
 :func:`run_rows` times every ``compute`` call as one row, and a row that
-runs out of budget is reported as such. Most rows are built by :func:`_beta`
-or :func:`_nu`. The two scans, :func:`conjecture_rows` and
-:func:`fig3_rows`, are row generators of the same kind outside
-:data:`CHECKS`; the CLI runs them through :func:`run_rows` as well.
+runs out of budget is reported as such. A :class:`GraphError` of a row, such
+as a size cap, is raised again with its check and instance prefixed. Most
+rows are built by :func:`_beta` or :func:`_nu`. The two scans,
+:func:`conjecture_rows` and :func:`fig3_rows`, are row generators of the
+same kind outside :data:`CHECKS`; the CLI runs them through :func:`run_rows`
+as well.
 ``fig3_rows`` and the ``fig34`` check draw their graphs from
 :func:`spanning_subgraphs_2x5`. Every cross-check of a closed form against
 the exact solvers lives here, :func:`oeis_check` included; ``formulas``
@@ -97,6 +99,8 @@ def _row(check_id: str, instance: str, compute: Compute) -> VerificationReport |
         result = compute()
     except BudgetExceededError:
         result = None, None, None, STATUS_BUDGET
+    except GraphError as exc:  # such as a size cap: name the row that hit it
+        raise GraphError(f"{check_id}: {instance}: {exc}") from None
     if result is None:
         return None
     return VerificationReport(check_id, instance, *result, time.perf_counter() - start)

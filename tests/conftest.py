@@ -18,6 +18,7 @@ from tokengraphs.graphs import (
     path_graph,
     star_graph,
 )
+from tokengraphs.tokens import TokenGraph, token_graph
 
 
 def named_graphs(max_order: int) -> list[tuple[str, Graph]]:
@@ -76,3 +77,19 @@ def bipartite_components(seed: int) -> Graph:
         edges += [(n + i, n + a + j) for i in range(a) for j in range(b) if rng.random() < p]
         n += a + b
     return relabelled(Graph(n, edges), seed)
+
+
+def complement_image(t: TokenGraph) -> TokenGraph:
+    """The (n-k)-token graph of ``t``'s base, ``t`` itself when 2k = n, after
+    asserting that rank reversal r -> C(n,k) - 1 - r maps the edges of ``t``
+    onto all of its edges. The reversal is the set complement: A, B and
+    their complements differ at the same elements, the largest of which is
+    in B just when not in B's complement. ``constructions._theorem1_recurse``
+    and ``verify._cached_beta`` rely on this."""
+    n, k = t.base.n, t.k
+    target = t if 2 * k == n else token_graph(t.base, n - k)
+    last = t.codec.size - 1
+    for a, b in t.graph.edges:
+        assert target.graph.adjacent(last - a, last - b), (n, k, a, b)
+    assert t.graph.edge_count == target.graph.edge_count, (n, k)
+    return target

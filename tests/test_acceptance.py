@@ -13,11 +13,11 @@ from tokengraphs.formulas import r_value
 from tokengraphs.graphs import bipartition_of, erdos_renyi
 from tokengraphs.independence import brute_force_mis, max_independent_set
 from tokengraphs.matching import brute_force_nu, max_matching
-from tokengraphs.reports import all_good
-from tokengraphs.tokens import complement_map, token_bipartition, token_graph
+from tokengraphs.reports import exit_code_for
+from tokengraphs.tokens import token_bipartition, token_graph
 from tokengraphs.verify import conjecture_rows, run_check, run_rows
 
-from conftest import conjecture_mnk, named_graphs, random_graphs
+from conftest import complement_image, conjecture_mnk, named_graphs, random_graphs
 
 
 def _finish(number: int, label: str, start: float, limit: float, ok: bool) -> None:
@@ -39,14 +39,14 @@ def _bad_rows(reports):
 def test_acceptance_01_exact_perfect_matchings_odd_k():
     start = time.perf_counter()
     reports = [r for r in run_check("thm1") if r.instance.startswith("exact:")]
-    ok = all_good(reports) and len(reports) == 3 + 3 + 3 + 4
+    ok = exit_code_for(reports) == 0 and len(reports) == 3 + 3 + 3 + 4
     _finish(1, "construction and solver agree on C(n,k)/2 for odd k", start, 10, ok)
 
 
 def test_acceptance_02_tightness_and_isolated_tokens():
     start = time.perf_counter()
     reports = [r for r in run_check("thm1", max_n=10) if r.instance.startswith("tight:")]
-    ok = all_good(reports) and not _bad_rows(reports)
+    ok = exit_code_for(reports) == 0 and not _bad_rows(reports)
     _finish(2, "matching bases: bound met exactly, isolated count exact", start, 60, ok)
 
 
@@ -54,7 +54,7 @@ def test_acceptance_03_complete_bipartite_f2():
     start = time.perf_counter()
     reports = run_check("thm2", max_n=10)
     expected_pairs = sum(1 for m in range(2, 6) for n in range(m, 11 - m))
-    ok = all_good(reports) and len(reports) == expected_pairs
+    ok = exit_code_for(reports) == 0 and len(reports) == expected_pairs
     _finish(3, "beta(F2(K_{m,n})) equals the larger class, m+n <= 10", start, 120, ok)
 
 
@@ -62,35 +62,35 @@ def test_acceptance_04_cycles_f2():
     start = time.perf_counter()
     reports = run_check("thm3", max_n=11)
     constructions = [r for r in reports if "layer construction" in r.instance]
-    ok = all_good(reports) and len(constructions) == 4
+    ok = exit_code_for(reports) == 0 and len(constructions) == 4
     _finish(4, "beta(F2(C_p)) floor formula and layer construction, p <= 11", start, 120, ok)
 
 
 def test_acceptance_05_star_and_path_figures():
     start = time.perf_counter()
     reports = run_check("fig1") + run_check("fig2")
-    ok = all_good(reports)
+    ok = exit_code_for(reports) == 0
     _finish(5, "F3(K_{1,5}) has a perfect matching; F3(P5) stops at 4", start, 1, ok)
 
 
 def test_acceptance_06_counterexample_scan():
     start = time.perf_counter()
     reports = run_check("fig34")
-    ok = all_good(reports)
+    ok = exit_code_for(reports) == 0
     _finish(6, "parts-2/5 scan finds beta 12 > 11 with a Hall violator", start, 300, ok)
 
 
 def test_acceptance_07_johnson_refutation():
     start = time.perf_counter()
     reports = run_check("j73")
-    ok = all_good(reports) and reports[0].solver_value == 7
+    ok = exit_code_for(reports) == 0 and reports[0].solver_value == 7
     _finish(7, "beta(J(7,3)) = 7, refuting the published 6", start, 5, ok)
 
 
 def test_acceptance_08_balanced_families_and_stars():
     start = time.perf_counter()
     reports = run_check("cor4") + run_check("star")
-    ok = all_good(reports) and not _bad_rows(reports)
+    ok = exit_code_for(reports) == 0 and not _bad_rows(reports)
     _finish(8, "class-size formula exact on paths, stars, near-balanced", start, 300, ok)
 
 
@@ -98,7 +98,7 @@ def test_acceptance_09_recursive_bounds_sandwich():
     start = time.perf_counter()
     reports = run_check("eq1", max_n=8) + run_check("eq2", max_n=8) + run_check("eq3", max_n=7)
     tight = [r for r in reports if "tight" in r.instance]
-    ok = all_good(reports) and len(tight) == 2 and all(r.status == "pass" for r in tight)
+    ok = exit_code_for(reports) == 0 and len(tight) == 2 and all(r.status == "pass" for r in tight)
     _finish(9, "deletion recursion brackets every beta; extremes are tight", start, 120, ok)
 
 
@@ -131,7 +131,7 @@ def test_acceptance_11_structural_invariants():
             t = token_graph(g, k)
             if t.graph.edge_count != g.edge_count * comb(g.n - 2, k - 1):
                 ok = False
-            complement_map(t)  # raises unless a certified isomorphism
+            complement_image(t)  # asserts that rank reversal maps the edges onto the edges
             if base is not None:
                 classes = token_bipartition(t, base)
                 classes.validate(t.graph)

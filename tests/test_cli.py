@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from tokengraphs import cli
+from tokengraphs import cli, tokens
 from tokengraphs.cli import main, parse_graph_spec
 from tokengraphs.graphs import GraphError, complete_bipartite_graph, cycle_graph
 
@@ -92,6 +92,19 @@ def test_cli_unwritable_output_path_is_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err == f"error: cannot write {out}: No such file or directory\n"
     assert not out.parent.exists()
+
+
+def test_cli_verify_row_over_the_size_cap_names_its_row(tmp_path, capsys, monkeypatch):
+    # C5, k=2 has 10 token vertices and 15 edges, the first thm3 row over 20
+    monkeypatch.setattr(tokens, "MAX_TOKEN_GRAPH_SIZE", 20)
+    out = tmp_path / "r.json"
+    assert main(["verify", "thm3", "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: thm3: C5, k=2: 25 token vertices and edges, over the cap of 20\n"
+    )
+    assert not out.exists()
 
 
 def test_cli_unwritable_report_path_fails_before_any_solve(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,6 @@ from tokengraphs.constructions import (
     cycle_layer,
     f2_matching_construction,
     isolated_tokens,
-    layers_linked,
     lemma_times_combine,
     theorem1_matching,
     witness_graph_large_s,
@@ -178,14 +177,6 @@ def test_layer_sizes():
             assert cycle_layer(p, i).size == i
 
 
-def test_layers_linked_examples():
-    t = token_graph(cycle_graph(7), 2)
-    assert layers_linked(7, 2, 6, t)
-    assert not layers_linked(7, 1, 4, t)
-    # the underlying edge for the i / p-i+1 link is [{1,i}, {i,p}]
-    assert t.graph.adjacent(t.codec.rank((0, 1)), t.codec.rank((1, 6)))
-
-
 def test_layers_linked_matches_rule_set():
     for p in (5, 7, 9, 11, 13):
         t = token_graph(cycle_graph(p), 2)
@@ -197,7 +188,12 @@ def test_layers_linked_matches_rule_set():
                     or (i != j and i + j == p + 1 and min(i, j) >= 2)
                     or (i == j == half + 1)
                 )
-                assert layers_linked(p, i, j, t) == expected, (p, i, j)
+                ranks_i, ranks_j = cycle_layer(p, i).ranks(t), cycle_layer(p, j).ranks(t)
+                linked = any(t.graph.neighbors(r) & ranks_j for r in ranks_i)
+                assert linked == expected, (p, i, j)
+    # the underlying edge for the 2 / 6 link of C7 is [{1,2}, {2,7}]
+    t = token_graph(cycle_graph(7), 2)
+    assert t.graph.adjacent(t.codec.rank((0, 1)), t.codec.rank((1, 6)))
 
 
 def test_layer_independent_unless_middle():
@@ -234,7 +230,7 @@ def test_witness_small_single_edge():
 
 def test_witness_small_with_spokes():
     g, classes, phi = witness_graph_small_s(3, 2)
-    assert phi.as_dict() == {(1, 2): 1}
+    assert dict(phi.entries) == {(1, 2): 1}
     assert g.adjacent(0, 6) and g.adjacent(0, 7)
     assert token_independence_number(g, 2) == 15 == 3 * 5
 
@@ -247,7 +243,7 @@ def test_witness_small_no_spokes_below_two_spare():
 
 def test_witness_large_phi_enumeration():
     g, classes, phi = witness_graph_large_s(3, 3)
-    assert phi.as_dict() == {1: (1, 2), 2: (1, 3), 3: (2, 3)}
+    assert dict(phi.entries) == {1: (1, 2), 2: (1, 3), 3: (2, 3)}
     assert token_independence_number(g, 2) == comb(9, 2) - 18 == 18
 
 

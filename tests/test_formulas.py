@@ -12,7 +12,6 @@ from tokengraphs.formulas import (
     class_order_predicate,
     nu_token_formula,
     r_value,
-    s_threshold,
 )
 from tokengraphs.graphs import (
     GraphError,
@@ -102,18 +101,16 @@ def test_beta_balanced_examples():
 
 
 def test_threshold_examples():
-    assert s_threshold(1) == 2
-    assert s_threshold(3) == 3
-    assert s_threshold(4) == 4
     assert class_order_predicate(3, 6)
     assert class_order_predicate(2, 5)
     assert not class_order_predicate(5, 6)
 
 
 def test_threshold_is_integer_version_of_the_root():
-    # smallest s with C(s,2) >= m must straddle the real root (1+sqrt(1+8m))/2
+    # the least surplus s = n - m at which the same-side class is no smaller,
+    # the least s with C(s,2) >= m, must straddle the real root (1+sqrt(1+8m))/2
     for m in range(1, 40):
-        s = s_threshold(m)
+        s = next(s for s in range(m + 2) if class_order_predicate(m, m + s))
         root = (1 + (1 + 8 * m) ** 0.5) / 2
         assert s - 1 < root <= s + 1e-9 or comb(s, 2) >= m > comb(s - 1, 2)
 

@@ -198,8 +198,6 @@ def test_side_selection():
     part = Bipartition(part_b=frozenset({0}), part_r=frozenset({1, 2}))
     assert part.side("b") == {0}
     assert part.side("r") == {1, 2}
-    assert Bipartition.other_side("b") == "r"
-    assert not part.follows_convention or len(part.part_b) <= len(part.part_r)
 
 
 def test_edge_list_roundtrip():

@@ -1,9 +1,7 @@
 import random
 import sys
 from collections import deque
-from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -30,11 +28,7 @@ from tokengraphs.matching import (
     _hopcroft_karp,
     brute_force_nu,
     hall_witness,
-    is_almost_perfect,
-    is_perfect,
-    matching_fraction_bound,
     max_matching,
-    saturates,
 )
 from tokengraphs.independence import _double_cover
 from tokengraphs.tokens import token_bipartition, token_graph
@@ -105,7 +99,8 @@ def test_matching_examples_from_token_graphs():
     assert max_matching(token_graph(matching_graph(2, 0), 2).graph).size == 2
     t = token_graph(star_graph(5), 3)
     m = max_matching(t.graph)
-    assert m.size == 10 and is_perfect(m, t.graph)
+    m.validate(t.graph)
+    assert m.size == 10 == t.graph.n // 2
     t2 = token_graph(path_graph(5), 3)
     assert max_matching(t2.graph).size == 4
 
@@ -264,7 +259,8 @@ def test_blossom_reaches_the_frontier_matching_numbers():
     assert nu == 6400
     t = token_graph(complete_bipartite_graph(7, 7), 7)
     m = max_matching(t.graph)
-    assert m.size == 1716 and is_perfect(m, t.graph)
+    m.validate(t.graph)
+    assert m.size == 1716 == t.graph.n // 2
 
 
 # -- Matching type ----------------------------------------------------------
@@ -281,17 +277,6 @@ def test_matching_validate_rejects_shared_vertex():
         Matching.of([(0, 1), (1, 2)]).validate(g)
 
 
-def test_perfect_and_almost_perfect():
-    c6 = cycle_graph(6)
-    assert is_perfect(max_matching(c6), c6)
-    c5 = cycle_graph(5)
-    m5 = max_matching(c5)
-    assert is_almost_perfect(m5, c5) and not is_perfect(m5, c5)
-    k13 = star_graph(3)
-    m = max_matching(k13)
-    assert not is_perfect(m, k13) and not is_almost_perfect(m, k13)
-
-
 # -- saturation and Hall witnesses -----------------------------------------
 
 
@@ -299,8 +284,9 @@ def test_saturates_star_leaves_fail():
     g = star_graph(3)
     part = bipartition_of(g)
     leaves_side = "r" if len(part.part_r) == 3 else "b"
-    assert not saturates(g, part, leaves_side)
-    assert saturates(g, part, Bipartition.other_side(leaves_side))
+    centre_side = "b" if leaves_side == "r" else "r"
+    assert hall_witness(g, part, leaves_side) is not None
+    assert hall_witness(g, part, centre_side) is None
 
 
 def test_saturates_star_token_classes():
@@ -308,13 +294,13 @@ def test_saturates_star_token_classes():
     classes = token_bipartition(t, bipartition_of(t.base))
     small = "r" if len(classes.part_r) <= len(classes.part_b) else "b"
     assert len(classes.side(small)) == 4
-    assert saturates(t.graph, classes, small)
+    assert hall_witness(t.graph, classes, small) is None
 
 
 def test_saturates_matching_graph_both_sides():
     g = matching_graph(3, 0)
     part = bipartition_of(g)
-    assert saturates(g, part, "b") and saturates(g, part, "r")
+    assert hall_witness(g, part, "b") is None and hall_witness(g, part, "r") is None
 
 
 def _hall_min_slack(g, part, side):
@@ -347,7 +333,7 @@ def test_saturates_agrees_with_exhaustive_hall():
         for side in ("b", "r"):
             exhaustive = _hall_min_slack(g, part, side)
             exhaustive_ok = exhaustive is None or exhaustive >= 0
-            assert saturates(g, part, side) == exhaustive_ok, (trial, side)
+            assert (hall_witness(g, part, side) is None) == exhaustive_ok, (trial, side)
 
 
 def test_hall_witness_star():
@@ -379,7 +365,7 @@ def test_hall_witness_is_violating_set_on_random_bipartite():
         part = Bipartition(part_b=frozenset(range(m)), part_r=frozenset(range(m, m + n)))
         for side in ("b", "r"):
             witness = hall_witness(g, part, side)
-            assert (witness is None) == saturates(g, part, side)
+            assert (witness is None) == (max_matching(g).size == len(part.side(side)))
             if witness is not None:
                 nbrs = set()
                 for v in witness:
@@ -413,7 +399,6 @@ def test_hall_queries_follow_a_4000_vertex_augmenting_path():
     g = Graph(2 * m, edges)
     part = Bipartition(part_b=frozenset(range(m)), part_r=frozenset(range(m, 2 * m)))
     limit = sys.getrecursionlimit()
-    assert saturates(g, part, "b")
     assert hall_witness(g, part, "b") is None
     assert sys.getrecursionlimit() == limit
 
@@ -498,38 +483,6 @@ def test_bipartite_engine_agrees_with_networkx_on_token_graphs():
         h.add_edges_from(t.graph.edges)
         theirs = nx.bipartite.hopcroft_karp_matching(h, top_nodes=classes.part_b)
         assert nu == len(theirs) // 2, (base, k)
-
-
-# -- the asymptotic ratio bound ---------------------------------------------
-
-
-def test_fraction_bound_examples():
-    assert matching_fraction_bound(10, 4).value == Fraction(21, 50)
-    assert matching_fraction_bound(9, 3).value == Fraction(1, 3)
-    exact = matching_fraction_bound(8, 1)
-    assert exact.value == Fraction(1, 2) and exact.kind == "exact"
-
-
-def test_fraction_bound_vacuous_at_k1_odd_order():
-    bound = matching_fraction_bound(9, 1)
-    assert bound.value == 0 and bound.kind == "vacuous"
-
-
-def test_fraction_bound_range_and_validity():
-    for n in range(2, 11):
-        for k in range(1, n):
-            b = matching_fraction_bound(n, k)
-            assert 0 <= b.value <= Fraction(1, 2)
-            if 0 < k < n:
-                # the bound must hold for the extremal base
-                g = matching_graph(n // 2, n % 2)
-                nu = max_matching(token_graph(g, k).graph).size
-                assert Fraction(nu, comb(n, k)) >= b.value
-
-
-def test_fraction_bound_rejects_bad_k():
-    with pytest.raises(Exception):
-        matching_fraction_bound(5, 5)
 
 
 def test_hopcroft_karp_on_the_graph_rows_matches_the_decoded_lists():
