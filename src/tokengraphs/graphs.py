@@ -37,9 +37,10 @@ class Graph:
     ``u < v``; the ``neighbors`` frozensets; and ``adjacency_masks``. The
     solvers read ``adj`` directly, so a token graph that is only matched
     never builds the others. Instances are safe to share across threads;
-    a cache filled twice holds equal values. ``_freeze`` sorts, dedupes and
-    stores neighbour lists, the one normalisation step: ``__init__`` runs it
-    after checking its edges, and ``tokens.token_graph`` on the lists it fills.
+    a cache filled twice holds equal values. ``_freeze`` sorts and stores
+    neighbour lists: ``__init__`` runs it after checking its edges and
+    collapsing duplicates, and ``tokens.token_graph`` on the lists it fills,
+    which hold none.
     """
 
     __slots__ = ("n", "adj", "edge_count", "_edges", "_neighbors", "_masks")
@@ -55,20 +56,22 @@ class Graph:
                 raise GraphError(f"edge ({u}, {v}) out of range for order {n}")
             rows[u].append(v)
             rows[v].append(u)
+        for i, row in enumerate(rows):
+            if len(set(row)) != len(row):
+                rows[i] = list(set(row))
         self._freeze(rows)
 
     @classmethod
     def _from_rows(cls, rows: list[list[int]]) -> Graph:
-        """Unchecked: each edge must be in the lists of both of its ends."""
+        """Unchecked: each edge must be in the lists of both of its ends,
+        once."""
         g = cls.__new__(cls)
         g._freeze(rows)
         return g
 
     def _freeze(self, rows: list[list[int]]) -> None:
-        for i, row in enumerate(rows):
+        for row in rows:
             row.sort()
-            if len(set(row)) != len(row):
-                rows[i] = sorted(set(row))
         self.n = len(rows)
         self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, rows))
         self.edge_count: int = sum(map(len, self.adj)) // 2
@@ -145,14 +148,19 @@ class Bipartition:
         raise ValueError(f"unknown side {name!r}; expected 'b' or 'r'")
 
     def validate(self, g: Graph) -> None:
-        """Raise GraphError unless this is a valid bipartition of ``g``."""
+        """Raise GraphError unless this is a valid bipartition of ``g``.
+
+        Reads ``g.adj``, so no edge tuple is built; rows are scanned in id
+        order, so the edge named is the first in ``g.edges`` that fails."""
         if self.part_b & self.part_r:
             raise GraphError("bipartition classes overlap")
         if self.part_b | self.part_r != frozenset(range(g.n)):
             raise GraphError("bipartition does not cover the vertex set")
-        for u, v in g.edges:
-            if (u in self.part_b) == (v in self.part_b):
-                raise GraphError(f"edge ({u}, {v}) does not cross the bipartition")
+        for u, row in enumerate(g.adj):
+            in_b = u in self.part_b
+            for v in row:
+                if (v in self.part_b) == in_b:
+                    raise GraphError(f"edge ({u}, {v}) does not cross the bipartition")
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

@@ -1,16 +1,18 @@
 """Exact maximum independent sets and the recursive token-graph bounds.
 
-Connected components are solved independently, each from a greedy seed
-(least remaining degree first) that runs on the sorted neighbour tuples
-with one min-heap of ids per remaining degree: O((n + m) log n) list and
-heap operations, no bitmask work per edge. On a tree component the seed
-is maximum and is returned as it is. Any other 2-colorable component is
-closed by König's theorem: the bipartite matching engine of
-:mod:`.matching`, reading the same neighbour tuples, gives its matching
-number nu, so beta = |V| - nu, and the complement of the König cover is a
-maximum independent set; the seed or the larger color class is returned
-when it already has that size. Every other component goes to a
-bitmask branch-and-bound on an explicit stack, so no recursion limit
+One breadth-first search over the sorted neighbour tuples finds the
+connected components and 2-colours them. Components are solved
+independently, each from a greedy seed (least remaining degree first) that
+runs on the same tuples with one min-heap of ids per remaining degree:
+O((n + m) log n) list and heap operations, no bitmask work per edge. On a tree
+component the seed is maximum and is returned as it is. Any other
+2-colorable component is closed by König's theorem: the bipartite matching
+engine of :mod:`.matching`, run between its two classes on the same tuples,
+gives its matching number nu, so beta = |V| - nu, and the complement of the
+König cover is a maximum independent set; the seed or the larger color
+class is returned when it already has that size. So a bipartite solve
+builds no bitmask. Every other component goes to a bitmask branch-and-bound
+on the graph's adjacency masks, on an explicit stack, so no recursion limit
 bounds its depth: degree-0/degree-1 vertices are taken greedily (exact
 reductions, found in the same scan that picks the branching vertex),
 branching picks the busiest candidate vertex with the include branch first,
@@ -19,12 +21,13 @@ a time by intersecting neighborhood masks, the partition first-fit would
 build at O(1) mask operations per vertex. On a triangle-free component,
 where each cover clique is a vertex or an edge, a node the cover cannot
 prune also tries the LP bound: |cand| minus half the matching number of the
-bipartite double cover, from the same matching engine. A node whose size
-alone shows that neither bound can prune calls neither, and the matching
-stops once it is large enough to prune. A stronger bound prunes only
-subtrees that cannot beat the best set so far, so the search returns the
-same set. The helpers are module functions, not closures, so a solve
-leaves no reference cycles behind. A brute-force enumerator backs the
+bipartite double cover of cand, the LP vertex-cover optimum (Nemhauser &
+Trotter, 1975), from the same matching engine with cand on both sides. A
+node whose size alone shows that neither bound can prune calls neither, and
+the matching stops once it is large enough to prune. A stronger bound
+prunes only subtrees that cannot beat the best set so far, so the search
+returns the same set. The helpers are module functions, not closures, so a
+solve leaves no reference cycles behind. A brute-force enumerator backs the
 solver as an independent oracle.
 """
 
@@ -32,11 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import compress
 from typing import Callable
 
 from .budget import Budget, BudgetExceededError, _BudgetClock  # noqa: F401 (the error is re-exported)
 from .graphs import Bipartition, Graph, GraphError, delete_vertices
-from .matching import Rows, _bit_list, _neighborhood, hall_witness
+from .matching import Rows, hall_witness
 from .matching import _hopcroft_karp as _bipartite_matching_size  # traced by bench/layers.py
 from .tokens import TokenGraph, token_graph
 
@@ -75,43 +79,58 @@ class BoundsPair:
 
 
 
-def _component_masks(n: int, masks: tuple[int, ...]) -> list[int]:
-    remaining = (1 << n) - 1
+#: Binary digits to the bytes 0 and 1, to select ids with.
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_list(mask: int) -> list[int]:
+    """The ids of the set bits of ``mask``, ascending."""
+    digits = bin(mask)[:1:-1].encode().translate(_DIGITS)
+    return list(compress(range(len(digits)), digits))
+
+
+def _component_masks(adj: Rows) -> tuple[list[tuple[list[int], bool]], list[int]]:
+    """Components and 2-colouring from one BFS over ``adj``: each component
+    in order of its lowest vertex, as its vertex list in BFS order from that
+    vertex with a flag set when some edge joins two vertices of one BFS
+    parity (an odd cycle), and ``side``, the BFS depth parity of every
+    vertex, 0 at each component's lowest vertex."""
+    side = [-1] * len(adj)
     comps = []
-    while remaining:
-        comp = remaining & (-remaining)
-        frontier = comp
-        while frontier:
-            frontier = _neighborhood(frontier, masks) & remaining & ~comp
-            comp |= frontier
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
+    for root in range(len(adj)):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        comp = [root]
+        odd = False
+        for u in comp:
+            s = side[u] ^ 1
+            for w in adj[u]:
+                t = side[w]
+                if t < 0:
+                    side[w] = s
+                    comp.append(w)
+                elif t != s:
+                    odd = True
+        comps.append((comp, odd))
+    return comps, side
 
 
-def _two_color(comp: int, masks: tuple[int, ...]) -> int | None:
-    """Color mask of one class of a connected subgraph, or None if odd cycle."""
-    root = comp & (-comp)
-    color0, color1 = root, 0
-    frontier, colored, side = root, root, 0
-    while frontier:
-        nxt = _neighborhood(frontier, masks) & comp & ~colored
-        if side == 0:
-            color1 |= nxt
-        else:
-            color0 |= nxt
-        colored |= nxt
-        frontier = nxt
-        side ^= 1
-    if _neighborhood(color0, masks) & color0 or _neighborhood(color1, masks) & color1:
+def _two_color(
+    comp: list[int], odd: bool, side: list[int]
+) -> tuple[list[int], list[int]] | None:
+    """The two color classes of a component, the class of its lowest vertex
+    first, or None if it has an odd cycle."""
+    if odd:
         return None
-    return color0
+    return [v for v in comp if not side[v]], [v for v in comp if side[v]]
 
 
-def _greedy_seed(comp: int, adj: Rows, deg: list[int]) -> tuple[int, int]:
+def _greedy_seed(comp: list[int], adj: Rows, deg: list[int]) -> tuple[list[int], int]:
     """Deterministic maximal independent set: repeatedly take the vertex of
     least remaining degree (ties to the lowest id). ``comp`` must be closed
-    under adjacency. Returns the set and the degree sum of ``comp``.
+    under adjacency. Returns the set, in the order taken, and the degree
+    sum of ``comp``.
 
     ``heaps[d]`` is a min-heap of ids pushed when their live degree became
     d; ``deg[v]`` is that degree, -1 once v is removed, so an entry is stale
@@ -120,7 +139,7 @@ def _greedy_seed(comp: int, adj: Rows, deg: list[int]) -> tuple[int, int]:
     ``adj``, no bitmask work per edge. ``deg`` is scratch of ``len(adj)``
     entries touched only at ``comp``, allocated once per solve.
     """
-    verts = _bit_list(comp)
+    verts = sorted(comp)
     heaps: list[list[int]] = [[] for _ in verts]
     degree_sum = 0
     for v in verts:  # ids ascend, so each list is already a heap
@@ -128,7 +147,7 @@ def _greedy_seed(comp: int, adj: Rows, deg: list[int]) -> tuple[int, int]:
         deg[v] = d
         degree_sum += d
         heaps[d].append(v)
-    chosen = 0
+    chosen = []
     low = 0
     live = len(verts)
     while live:
@@ -139,7 +158,7 @@ def _greedy_seed(comp: int, adj: Rows, deg: list[int]) -> tuple[int, int]:
         v = heappop(heap)
         if deg[v] != low:
             continue
-        chosen |= 1 << v
+        chosen.append(v)
         deg[v] = -1
         gone = []
         for u in adj[v]:
@@ -183,31 +202,35 @@ def _clique_cover_bound(cand: int, masks: tuple[int, ...]) -> int:
 
 
 def _solve_component(
-    comp: int, adj: Rows, masks: tuple[int, ...], deg: list[int], clock: _BudgetClock
-) -> int:
-    if comp & (comp - 1) == 0:
+    comp: list[int], odd: bool, side: list[int], g: Graph, deg: list[int], clock: _BudgetClock
+) -> list[int]:
+    if len(comp) == 1:
         return comp
-    best_mask, degree_sum = _greedy_seed(comp, adj, deg)
-    if degree_sum == 2 * (comp.bit_count() - 1):
+    adj = g.adj
+    best, degree_sum = _greedy_seed(comp, adj, deg)
+    if degree_sum == 2 * (len(comp) - 1):
         # a tree: a leaf lies in some maximum independent set and what
         # remains is a forest, so the least-degree greedy is maximum
         clock.tick()
-        return best_mask
-    left_mask = _two_color(comp, masks)
-    if left_mask is None:
-        return _branch(comp, best_mask, masks, clock)
+        return best
+    classes = _two_color(comp, odd, side)
+    if classes is None:
+        masks = g.adjacency_masks()
+        bits = _branch(sum(1 << v for v in comp), sum(1 << v for v in best), masks, adj, clock)
+        return _bit_list(bits)
     # König: beta = |comp| - nu. When neither the seed nor the larger class
     # has that size, the complement of the König cover does: the reached
     # left vertices and the right vertices none of them sees
     clock.tick()
-    one, two = comp & left_mask, comp & ~left_mask
-    cls = one if one.bit_count() >= two.bit_count() else two
-    if cls.bit_count() > best_mask.bit_count():
-        best_mask = cls
-    nu, reach = _bipartite_matching_size(comp, masks, left_mask, rows=adj)
-    if best_mask.bit_count() == comp.bit_count() - nu:
-        return best_mask
-    return reach | (two & ~_neighborhood(reach, masks))
+    one, two = classes
+    cls = one if len(one) >= len(two) else two
+    if len(cls) > len(best):
+        best = cls
+    nu, reach = _bipartite_matching_size(one, two, adj)
+    if len(best) == len(comp) - nu:
+        return best
+    seen = set().union(*(adj[u] for u in reach))
+    return reach + [w for w in two if w not in seen]
 
 
 def _triangle_free(comp: int, masks: tuple[int, ...]) -> bool:
@@ -221,16 +244,9 @@ def _triangle_free(comp: int, masks: tuple[int, ...]) -> bool:
     return True
 
 
-def _double_cover(masks: tuple[int, ...]) -> tuple[int, ...]:
-    """Masks of the bipartite double cover: left vertex v is v, right vertex
-    v is v + n, and each edge uw gives the edges u-(w + n) and w-(u + n).
-    Half its matching number on ``cand | cand << n`` is the LP vertex-cover
-    optimum of ``cand`` (Nemhauser & Trotter, 1975)."""
-    n = len(masks)
-    return tuple(m << n for m in masks) + masks
-
-
-def _branch(cand: int, best_mask: int, masks: tuple[int, ...], clock: _BudgetClock) -> int:
+def _branch(
+    cand: int, best_mask: int, masks: tuple[int, ...], adj: Rows, clock: _BudgetClock
+) -> int:
     """The best of ``best_mask`` and every independent set inside ``cand``.
 
     Depth-first on an explicit stack of ``(cand, cur_mask, cur_size)``
@@ -245,9 +261,7 @@ def _branch(cand: int, best_mask: int, masks: tuple[int, ...], clock: _BudgetClo
     node where that beats ``best_size`` calls neither, and the matching is
     asked only to reach the size that prunes."""
     best_size = best_mask.bit_count()
-    n = len(masks)
-    left = (1 << n) - 1
-    double = _double_cover(masks) if _triangle_free(cand, masks) else None
+    free = _triangle_free(cand, masks)
     stack = [(cand, 0, 0)]
     while stack:
         cand, cur_mask, cur_size = stack.pop()
@@ -280,13 +294,14 @@ def _branch(cand: int, best_mask: int, masks: tuple[int, ...], clock: _BudgetClo
             if cur_size > best_size:
                 best_mask, best_size = cur_mask, cur_size
             continue
-        if double is None or cur_size + cand.bit_count() // 2 <= best_size:
+        if not free or cur_size + cand.bit_count() // 2 <= best_size:
             if cur_size + _clique_cover_bound(cand, masks) <= best_size:
                 continue
-            if double is not None:
+            if free:
                 # prunes iff (nu + 1) // 2 >= cur_size + |cand| - best_size
                 target = 2 * (cur_size + cand.bit_count() - best_size) - 1
-                nu, _ = _bipartite_matching_size(cand | cand << n, double, left, target)
+                live = _bit_list(cand)
+                nu, _ = _bipartite_matching_size(live, live, adj, target)
                 if nu >= target:
                     continue
         stack.append((cand & ~pick, cur_mask, cur_size))
@@ -304,13 +319,13 @@ def max_independent_set(g: Graph, budget: Budget | None = None) -> IndependentSe
     """
     if g.n == 0:
         return IndependentSet(frozenset())
-    masks = g.adjacency_masks()
     clock = _BudgetClock(budget)
     deg = [-1] * g.n
-    chosen = 0
-    for comp in _component_masks(g.n, masks):
-        chosen |= _solve_component(comp, g.adj, masks, deg, clock)
-    result = IndependentSet(frozenset(_bit_list(chosen)))
+    comps, side = _component_masks(g.adj)
+    chosen: list[int] = []
+    for comp, odd in comps:
+        chosen += _solve_component(comp, odd, side, g, deg, clock)
+    result = IndependentSet(frozenset(chosen))
     result.validate(g)
     return result
 
@@ -347,7 +362,6 @@ def beta_via_saturation(t: TokenGraph, classes: Bipartition) -> int | None:
     If the smaller parity class saturates into the larger one, the larger
     class size is the exact answer; otherwise no conclusion (None).
     """
-    classes.validate(t.graph)
     small = "b" if len(classes.part_b) <= len(classes.part_r) else "r"
     if hall_witness(t.graph, classes, small) is None:
         return max(len(classes.part_b), len(classes.part_r))

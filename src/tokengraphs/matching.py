@@ -2,16 +2,17 @@
 
 General graphs go through breadth-first augmenting-path search with blossom
 contraction (O(V^3)) and Edmonds' Hungarian-tree deletion: every later
-search skips the vertices of a search that failed. Bipartite graphs, as
-bitmasks with one side marked, go through Hopcroft-Karp (SIAM J. Comput.
-1973), whose last search also yields the side's vertices reached by
+search skips the vertices of a search that failed. Bipartite graphs go
+through Hopcroft-Karp (SIAM J. Comput. 1973) on the sorted neighbour tuples,
+with one side given as a list of ids and the matching kept in lists indexed
+by vertex. Its last search also yields the side's vertices reached by
 alternating paths from its unmatched ones: the Hall deficiency set, and the
-König cover of the independence solver.
+König cover of the independence solver. The same engine, with both sides
+the same candidate set, gives the LP bound of the independence solver.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -212,112 +213,90 @@ def brute_force_nu(g: Graph) -> int:
     return best((1 << g.n) - 1)
 
 
-def _bit_list(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & (-mask)
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _neighborhood(mask: int, masks: tuple[int, ...]) -> int:
-    """The union of the neighborhoods of the vertices in ``mask``."""
-    out = 0
-    while mask:
-        low = mask & (-mask)
-        mask ^= low
-        out |= masks[low.bit_length() - 1]
-    return out
-
-
 def _hopcroft_karp(
-    cand: int,
-    masks: tuple[int, ...],
-    left_mask: int,
-    target: int | None = None,
-    rows: Rows | None = None,
-) -> tuple[int, int | None]:
-    """Maximum matching size of the bipartite subgraph induced on ``cand``,
-    left side ``cand & left_mask`` (Hopcroft-Karp), and ``reach``, the mask
-    of left vertices that alternating paths reach from unmatched ones.
-    ``reach`` is the part of the side that some maximum matching misses, so
-    it does not depend on which maximum matching was found.
+    left: list[int], right: Iterable[int], rows: Rows, target: int | None = None
+) -> tuple[int, list[int] | None]:
+    """Maximum matching size between ``left`` and ``right`` along ``rows``
+    (Hopcroft-Karp), and ``reach``, the left vertices that alternating
+    paths reach from unmatched ones. ``reach`` is the part of the side that
+    some maximum matching misses, so it does not depend on which maximum
+    matching was found.
 
-    The greedy start matches each left vertex to its lowest free neighbor
-    from the masks. The BFS phases read sorted neighbour lists: a caller
-    whose ``cand`` is closed under adjacency passes the graph's own ``adj``
-    as ``rows``; otherwise the lists are decoded from the masks, and only
-    once a BFS phase follows. Given a ``target``, the search stops once the
-    matching reaches it, so the size is between ``min(target, nu)`` and nu,
-    and ``reach`` is None."""
-    left = _bit_list(cand & left_mask)
-    free = cand & ~left_mask
-    pair: dict[int, int] = {}
+    ``rows`` is ``Graph.adj``, and a row may name vertices off the right
+    side: ``mate_r[w]`` is -2 for those, -1 for a free right vertex and
+    otherwise its left mate, so no dict is looked up. The two sides may
+    share ids, as in the bipartite double cover, since left mates live in
+    ``mate_l``. The greedy start matches each left vertex, in ``left``
+    order, to its lowest free neighbour. Given a ``target``, the search
+    stops once the matching reaches it, so the size is between
+    ``min(target, nu)`` and nu, and ``reach`` is None."""
+    n = len(rows)
+    mate_r = [-2] * n
+    for w in right:
+        mate_r[w] = -1
+    mate_l = [-1] * n
+    size = 0
     for u in left:
-        m = masks[u] & free
-        if m:
-            wbit = m & (-m)
-            free ^= wbit
-            w = wbit.bit_length() - 1
-            pair[u] = w
-            pair[w] = u
-    size = len(pair) // 2
+        for w in rows[u]:
+            if mate_r[w] == -1:
+                mate_r[w] = u
+                mate_l[u] = w
+                size += 1
+                break
     if target is not None and size >= target:
         return size, None
-    adj = rows if rows is not None else {u: _bit_list(masks[u] & cand) for u in left}
 
     while True:
-        dist = {u: 0 for u in left if u not in pair}
-        queue = deque(dist)
+        roots = [u for u in left if mate_l[u] == -1]
+        dist = [-1] * n
+        for u in roots:
+            dist[u] = 0
+        queue = roots[:]
         free_reachable = False
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                x = pair.get(w)
-                if x is None:
+        for u in queue:
+            d = dist[u] + 1
+            for w in rows[u]:
+                x = mate_r[w]
+                if x == -1:
                     free_reachable = True
-                elif x not in dist:
-                    dist[x] = dist[u] + 1
+                elif x >= 0 and dist[x] < 0:
+                    dist[x] = d
                     queue.append(x)
         if not free_reachable:
-            return size, (sum(1 << u for u in dist) if target is None else None)
+            return size, (queue if target is None else None)
 
-        for u in [u for u in left if u not in pair]:
-            if u in dist and _augment(u, adj, pair, dist):
+        # one augmenting path per root along the BFS layers, by depth-first
+        # search on an explicit stack, so no recursion limit bounds its
+        # length. ``via`` holds the right vertex taken out of each stacked
+        # left vertex but the last; a left vertex with no way on leaves the
+        # layers for the phase
+        for root in roots:
+            if dist[root]:
+                continue
+            stack, via = [(root, iter(rows[root]))], []
+            while stack:
+                u, scan = stack[-1]
+                for w in scan:
+                    x = mate_r[w]
+                    if x == -1 or (x >= 0 and dist[x] == dist[u] + 1):
+                        via.append(w)
+                        break
+                else:
+                    dist[u] = -1
+                    stack.pop()
+                    if via:
+                        via.pop()
+                    continue
+                if x >= 0:
+                    stack.append((x, iter(rows[x])))
+                    continue
+                for (a, _), b in zip(stack, via):
+                    mate_l[a] = b
+                    mate_r[b] = a
                 size += 1
                 if target is not None and size >= target:
                     return size, None
-
-
-def _augment(
-    root: int, adj: Rows | dict[int, list[int]], pair: dict[int, int], dist: dict[int, int]
-) -> bool:
-    """One augmenting path from ``root`` along the BFS layers, by depth-first
-    search on an explicit stack, so no recursion limit bounds its length.
-    ``via`` holds the right vertex taken out of each stacked left vertex but
-    the last; a left vertex with no way on leaves ``dist`` for the phase."""
-    stack, via = [(root, iter(adj[root]))], []
-    while stack:
-        u, scan = stack[-1]
-        for w in scan:
-            x = pair.get(w)
-            if x is None:
-                via.append(w)
-                for (a, _), b in zip(stack, via):
-                    pair[a] = b
-                    pair[b] = a
-                return True
-            if dist.get(x) == dist[u] + 1:
-                via.append(w)
-                stack.append((x, iter(adj[x])))
                 break
-        else:
-            del dist[u]
-            stack.pop()
-            if via:
-                via.pop()
-    return False
 
 
 def hall_witness(g: Graph, part: Bipartition, side: str) -> frozenset[int] | None:
@@ -327,11 +306,10 @@ def hall_witness(g: Graph, part: Bipartition, side: str) -> frozenset[int] | Non
     by alternating paths from the unmatched ones under a maximum matching.
     """
     part.validate(g)
-    masks = g.adjacency_masks()
-    side_mask = sum(1 << v for v in part.side(side))
-    _, reach = _hopcroft_karp((1 << g.n) - 1, masks, side_mask, rows=g.adj)
+    other = part.side("r" if side == "b" else "b")
+    _, reach = _hopcroft_karp(sorted(part.side(side)), other, g.adj)
     if not reach:
         return None
-    assert _neighborhood(reach, masks).bit_count() < reach.bit_count()
-    return frozenset(_bit_list(reach))
+    assert len(set().union(*(g.adj[u] for u in reach))) < len(reach)
+    return frozenset(reach)
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -192,6 +193,23 @@ def test_bipartition_validate_rejects_non_crossing():
     bad = Bipartition(part_b=frozenset({0, 1}), part_r=frozenset({2}))
     with pytest.raises(GraphError):
         bad.validate(g)
+
+
+def test_bipartition_validate_names_the_first_edge_that_does_not_cross():
+    # the edge-order scan it replaced, on random splits of random graphs
+    from tokengraphs.graphs import erdos_renyi
+
+    rng = random.Random(3)
+    for seed in range(60):
+        g = erdos_renyi(2 + seed % 9, 0.4, seed)
+        part_b = frozenset(v for v in range(g.n) if rng.random() < 0.5)
+        bad = [(u, v) for u, v in g.edges if (u in part_b) == (v in part_b)]
+        part = Bipartition(part_b=part_b, part_r=frozenset(range(g.n)) - part_b)
+        if not bad:
+            part.validate(g)
+            continue
+        with pytest.raises(GraphError, match=re.escape(f"edge {bad[0]} does not cross")):
+            part.validate(g)
 
 
 def test_side_selection():

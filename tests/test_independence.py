@@ -25,10 +25,10 @@ import tokengraphs.independence as independence
 from tokengraphs.budget import _BudgetClock
 from tokengraphs.independence import (
     _branch,
+    _bit_list,
     _brute_force_rec,
     _clique_cover_bound,
     _component_masks,
-    _double_cover,
     _greedy_seed,
     _triangle_free,
     _two_color,
@@ -43,9 +43,18 @@ from tokengraphs.independence import (
     token_independence_number,
     vertex_transitive_bound,
 )
-from tokengraphs.matching import _bit_list, max_matching
+from tokengraphs.matching import max_matching
 from tokengraphs.tokens import token_bipartition, token_graph
 from conftest import bipartite_components, relabelled
+
+
+def _mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+def _components(g):
+    """The vertex lists of the components of ``g``, lowest vertex first."""
+    return [comp for comp, _ in _component_masks(g.adj)[0]]
 
 
 # -- solver vs oracle -------------------------------------------------------
@@ -116,13 +125,13 @@ KOENIG_FALLBACK = Graph(24, [
 
 def test_koenig_cover_closes_a_component_the_seed_misses():
     g = KOENIG_FALLBACK
-    masks = g.adjacency_masks()
-    comp = max(_component_masks(g.n, masks), key=int.bit_count)
-    left = _two_color(comp, masks)
-    assert comp.bit_count() == 22
-    assert _greedy_seed(comp, g.adj, [-1] * g.n)[0].bit_count() == 11
-    assert (comp & left).bit_count() == (comp & ~left).bit_count() == 11
-    outside = [v for v in range(g.n) if not (comp >> v) & 1]
+    comps, side = _component_masks(g.adj)
+    comp, odd = max(comps, key=lambda c: len(c[0]))
+    one, two = _two_color(comp, odd, side)
+    assert len(comp) == 22
+    assert len(_greedy_seed(comp, g.adj, [-1] * g.n)[0]) == 11
+    assert len(one) == len(two) == 11
+    outside = [v for v in range(g.n) if v not in comp]
     assert brute_force_mis(delete_vertices(g, outside)[0]) == 12
     found = max_independent_set(g)
     found.validate(g)
@@ -170,16 +179,16 @@ def test_tree_components_keep_the_seed_without_the_matching_engine(monkeypatch):
         g = _random_forest(seed)
         found = max_independent_set(g)
         found.validate(g)
-        masks = g.adjacency_masks()
-        seeds = 0
-        for comp in _component_masks(g.n, masks):
-            seed_mask, degree_sum = _greedy_seed(comp, g.adj, [-1] * g.n)
-            assert degree_sum == 2 * (comp.bit_count() - 1)
+        comps, side = _component_masks(g.adj)
+        seeds = set()
+        for comp, odd in comps:
+            chosen, degree_sum = _greedy_seed(comp, g.adj, [-1] * g.n)
+            assert degree_sum == 2 * (len(comp) - 1)
             # König's size, which the engine would have certified
-            nu, _ = engine(comp, masks, _two_color(comp, masks))
-            assert seed_mask.bit_count() == comp.bit_count() - nu
-            seeds |= seed_mask
-        assert found.vertices == frozenset(v for v in range(g.n) if seeds >> v & 1)
+            nu, _ = engine(*_two_color(comp, odd, side), g.adj)
+            assert len(chosen) == len(comp) - nu
+            seeds.update(chosen)
+        assert found.vertices == seeds
         if g.n <= 26:
             assert found.size == brute_force_mis(g), seed
     assert calls == []
@@ -213,8 +222,7 @@ def test_a_solve_ticks_once_per_bipartite_component(monkeypatch):
         for seed in range(40):
             g = make(seed)
             found, nodes = _solve_ticks(monkeypatch, g)
-            masks = g.adjacency_masks()
-            assert nodes == sum(c & (c - 1) != 0 for c in _component_masks(g.n, masks))
+            assert nodes == sum(len(c) > 1 for c in _components(g))
             if g.n <= 26:
                 assert found.size == brute_force_mis(g)
             total += nodes
@@ -310,9 +318,10 @@ def _quadratic_greedy_seed(comp, masks):
 
 def _assert_seed_matches_reference(g):
     masks = g.adjacency_masks()
-    comps = _component_masks(g.n, masks)
+    comps = _components(g)
     for comp in comps:
-        assert _greedy_seed(comp, g.adj, [-1] * g.n)[0] == _quadratic_greedy_seed(comp, masks)
+        chosen = _greedy_seed(comp, g.adj, [-1] * g.n)[0]
+        assert _mask(chosen) == _quadratic_greedy_seed(_mask(comp), masks)
     return len(comps)
 
 
@@ -399,11 +408,12 @@ def test_greedy_seed_matches_the_mask_bucket_seed():
     for g in graphs:
         masks = g.adjacency_masks()
         deg = [-1] * g.n
-        comps = _component_masks(g.n, masks)
+        comps = _components(g)
         for comp in comps:
-            expected = _mask_bucket_greedy_seed(comp, masks)
-            assert _greedy_seed(comp, g.adj, [-1] * g.n) == expected
-            assert _greedy_seed(comp, g.adj, deg) == expected
+            expected = _mask_bucket_greedy_seed(_mask(comp), masks)
+            for scratch in ([-1] * g.n, deg):
+                chosen, degree_sum = _greedy_seed(comp, g.adj, scratch)
+                assert (_mask(chosen), degree_sum) == expected
         assert deg == [-1] * g.n
     assert len(comps) == 200
 
@@ -541,9 +551,9 @@ def _random_triangle_free(n, p, seed):
     return Graph(n, edges)
 
 
-def _search_nodes(search, cand, best_mask, masks):
+def _search_nodes(search, *args):
     clock = _BudgetClock(None)
-    return search(cand, best_mask, masks, clock), clock.nodes
+    return search(*args, clock), clock.nodes
 
 
 def _assert_branch_matches_cover_only(g, from_empty=True):
@@ -553,11 +563,11 @@ def _assert_branch_matches_cover_only(g, from_empty=True):
     masks = g.adjacency_masks()
     total = [0, 0]
     deg = [-1] * g.n
-    starts = [(comp, _greedy_seed(comp, g.adj, deg)[0]) for comp in _component_masks(g.n, masks)]
+    starts = [(_mask(comp), _mask(_greedy_seed(comp, g.adj, deg)[0])) for comp in _components(g)]
     if from_empty:
         starts.append(((1 << g.n) - 1, 0))
     for cand, seed in starts:
-        found, nodes = _search_nodes(_branch, cand, seed, masks)
+        found, nodes = _search_nodes(_branch, cand, seed, masks, g.adj)
         reference, reference_nodes = _search_nodes(_cover_only_branch, cand, seed, masks)
         assert found == reference
         assert nodes <= reference_nodes
@@ -588,12 +598,12 @@ def test_branch_matches_cover_only_on_relabelled_odd_cycle_token_graphs():
     assert 5 * nodes < reference_nodes
 
 
-def _lp_bound(cand, double):
+def _lp_bound(cand, adj):
     """|cand| minus half the matching number of its double cover, rounded
     up: the bound ``_branch`` prunes with."""
-    n = len(double) // 2
-    nu, _ = independence._bipartite_matching_size(cand | cand << n, double, (1 << n) - 1)
-    return cand.bit_count() - (nu + 1) // 2
+    live = _bit_list(cand)
+    nu, _ = independence._bipartite_matching_size(live, live, adj)
+    return len(live) - (nu + 1) // 2
 
 
 def _brute_triangle_free(g):
@@ -615,11 +625,10 @@ def test_lp_bound_is_an_upper_bound_on_triangle_free_graphs(n, p, seed, free):
     assert _triangle_free((1 << n) - 1, masks) == _brute_triangle_free(g)
     if not free:
         return
-    double = _double_cover(masks)
-    assert _lp_bound((1 << n) - 1, double) >= brute_force_mis(g)
+    assert _lp_bound((1 << n) - 1, g.adj) >= brute_force_mis(g)
     for cand in _random_subsets(n, seed, 6):
         # on a triangle-free graph the LP bound is never weaker than the cover
-        bound = _lp_bound(cand, double)
+        bound = _lp_bound(cand, g.adj)
         assert _brute_force_rec(cand, masks) <= bound <= _clique_cover_bound(cand, masks)
 
 
@@ -656,6 +665,27 @@ def test_lp_bound_runs_only_where_it_can_prune(monkeypatch, n, k, nodes, lp_call
         max_independent_set(g, Budget(node_limit=nodes - 1))
 
 
+@pytest.mark.parametrize(
+    "n, k, beta, nodes, lp_calls",
+    [(11, 4, 150, 3_831, 1_865), (13, 3, 132, 1_813, 805)],
+    ids=["F_4(C_11)", "F_3(C_13)"],
+)
+def test_the_search_tree_is_pinned_past_the_catalog(monkeypatch, n, k, beta, nodes, lp_calls):
+    # at the paper's labels; scipy's MILP gives the same beta on both. Any
+    # change to the seed, the reductions, the branching order or the prune
+    # decisions moves these counts
+    calls = []
+    engine = independence._bipartite_matching_size
+
+    def counted(*args):
+        calls.append(args[3])
+        return engine(*args)
+
+    monkeypatch.setattr(independence, "_bipartite_matching_size", counted)
+    found, ticks = _solve_ticks(monkeypatch, token_graph(cycle_graph(n), k).graph)
+    assert (found.size, ticks, len(calls)) == (beta, nodes, lp_calls)
+
+
 @pytest.mark.parametrize("n, k, beta", [(9, 3, 38), (9, 4, 56), (11, 3, 75)])
 def test_solver_agrees_with_a_milp_oracle(n, k, beta):
     # scipy's MILP (HiGHS) on the edge formulation x_u + x_v <= 1, an
@@ -683,6 +713,18 @@ def test_complement_isomorphism_oracle_f3_f8_c11():
     # F_k(G) and F_{n-k}(G) are isomorphic through complementing token sets
     assert token_independence_number(cycle_graph(11), 3) == 75
     assert token_independence_number(cycle_graph(11), 8) == 75
+
+
+def test_solving_bipartite_graphs_builds_no_masks():
+    # the König path, and the König cover's complement on a fresh copy of
+    # KOENIG_FALLBACK, read only the neighbour tuples
+    cases = [(token_graph(complete_bipartite_graph(4, 4), 3).graph, 28), (Graph(24, KOENIG_FALLBACK.edges), 14)]
+    for g, beta in cases:
+        assert max_independent_set(g).size == beta
+        assert g._masks is None
+    g = token_graph(cycle_graph(14), 7).graph
+    assert max_independent_set(g).size == comb(14, 7) // 2
+    assert g._edges is None and g._neighbors is None and g._masks is None
 
 
 def test_solve_leaves_no_cyclic_garbage():
@@ -732,10 +774,10 @@ def _least_working_limit():
 
 
 def test_branching_depth_is_not_bounded_by_the_recursion_limit():
-    # F_3(C_9) is not bipartite, so its solve branches. The solve goes four
+    # F_3(C_9) is not bipartite, so its solve branches. The solve goes three
     # calls deeper than the probe, through the LP bound's matching engine; a
-    # search that recursed once per include level would go eight deeper,
-    # past the five allowed here
+    # search that recursed once per include level would go past the five
+    # allowed here
     g = token_graph(cycle_graph(9), 3).graph
     g.adjacency_masks()
     limit = sys.getrecursionlimit()

@@ -30,7 +30,6 @@ from tokengraphs.matching import (
     hall_witness,
     max_matching,
 )
-from tokengraphs.independence import _double_cover
 from tokengraphs.tokens import token_bipartition, token_graph
 from conftest import bipartite_components, relabelled
 
@@ -254,8 +253,7 @@ def test_blossom_reaches_the_frontier_matching_numbers():
     m.validate(t.graph)
     assert m.size == 6400
     classes = token_bipartition(t, bipartition_of(t.base))
-    side_mask = sum(1 << v for v in classes.part_b)
-    nu, _ = _hopcroft_karp((1 << t.graph.n) - 1, t.graph.adjacency_masks(), side_mask)
+    nu, _ = _hopcroft_karp(sorted(classes.part_b), classes.part_r, t.graph.adj)
     assert nu == 6400
     t = token_graph(complete_bipartite_graph(7, 7), 7)
     m = max_matching(t.graph)
@@ -403,23 +401,20 @@ def test_hall_queries_follow_a_4000_vertex_augmenting_path():
     assert sys.getrecursionlimit() == limit
 
 
-def _missed_side(g, side_mask, nu):
+def _missed_side(g, side, nu):
     """Side vertices that some maximum matching of ``g`` leaves unmatched."""
-    return sum(
-        1 << v for v in range(g.n)
-        if side_mask >> v & 1 and max_matching(delete_vertices(g, (v,))[0]).size == nu
-    )
+    return {v for v in side if max_matching(delete_vertices(g, (v,))[0]).size == nu}
 
 
-def _assert_engine_targets(cand, masks, left_mask, nu, reach=None):
+def _assert_engine_targets(left, right, rows, nu, reach=None):
     """Without a target the engine returns (nu, reach); with target e it
     returns a size s with min(e, nu) <= s <= nu, and None for reach."""
-    found, found_reach = _hopcroft_karp(cand, masks, left_mask)
+    found, found_reach = _hopcroft_karp(left, right, rows)
     assert found == nu
     if reach is not None:
-        assert found_reach == reach
+        assert len(found_reach) == len(reach) and set(found_reach) == reach
     for target in range(nu + 3):
-        size, no_reach = _hopcroft_karp(cand, masks, left_mask, target)
+        size, no_reach = _hopcroft_karp(left, right, rows, target)
         assert min(target, nu) <= size <= nu and no_reach is None, target
 
 
@@ -428,30 +423,24 @@ def test_hopcroft_karp_stops_at_its_target_on_random_bipartite_graphs():
     for trial in range(60):
         m, n, p = rng.randint(0, 7), rng.randint(0, 7), rng.choice((0.15, 0.3, 0.5))
         g = relabelled(_random_bipartite(m, n, p, trial), trial)
-        masks = g.adjacency_masks()
-        left_mask = sum(1 << v for v in bipartition_of(g).part_b)
+        part = bipartition_of(g)
+        left = sorted(part.part_b)
         nu = max_matching(g).size
-        _assert_engine_targets(
-            (1 << g.n) - 1, masks, left_mask, nu, _missed_side(g, left_mask, nu)
-        )
+        _assert_engine_targets(left, part.part_r, g.adj, nu, _missed_side(g, left, nu))
 
 
 def test_hopcroft_karp_stops_at_its_target_on_token_graph_double_covers():
-    # the LP bound's graph, on random subsets of the token graph; nu comes
-    # from blossom on the same double cover built as a Graph
+    # the LP bound's graph, both sides one random subset of the token graph;
+    # nu comes from blossom on the same double cover built as a Graph
     rng = random.Random(29)
     for n, k in [(5, 2), (7, 2), (7, 3), (9, 3), (9, 4)]:
         g = token_graph(cycle_graph(n), k).graph
-        double = _double_cover(g.adjacency_masks())
         cover = Graph(2 * g.n, [(u, w + g.n) for u in range(g.n) for w in g.adj[u]])
         for _ in range(4):
-            cand = sum(1 << v for v in range(g.n) if rng.random() < 0.7)
-            sub, _ = delete_vertices(
-                cover, [v for v in range(2 * g.n) if not (cand | cand << g.n) >> v & 1]
-            )
-            _assert_engine_targets(
-                cand | cand << g.n, double, (1 << g.n) - 1, max_matching(sub).size
-            )
+            live = [v for v in range(g.n) if rng.random() < 0.7]
+            kept = set(live) | {v + g.n for v in live}
+            sub, _ = delete_vertices(cover, [v for v in range(2 * g.n) if v not in kept])
+            _assert_engine_targets(live, live, g.adj, max_matching(sub).size)
 
 
 def test_hopcroft_karp_target_cuts_the_augmenting_phases():
@@ -460,11 +449,11 @@ def test_hopcroft_karp_target_cuts_the_augmenting_phases():
     m = 40
     u = [m - 1] + list(range(m - 1))
     edges = [(u[i], m + i) for i in range(m)] + [(u[i], m + i - 1) for i in range(1, m)]
-    masks = Graph(2 * m, edges).adjacency_masks()
-    full, left_mask = (1 << 2 * m) - 1, (1 << m) - 1
-    assert _hopcroft_karp(full, masks, left_mask) == (m, 0)
-    assert _hopcroft_karp(full, masks, left_mask, m - 1) == (m - 1, None)
-    assert _hopcroft_karp(full, masks, left_mask, m) == (m, None)
+    adj = Graph(2 * m, edges).adj
+    left, right = range(m), range(m, 2 * m)
+    assert _hopcroft_karp(left, right, adj) == (m, [])
+    assert _hopcroft_karp(left, right, adj, m - 1) == (m - 1, None)
+    assert _hopcroft_karp(left, right, adj, m) == (m, None)
 
 
 def test_bipartite_engine_agrees_with_networkx_on_token_graphs():
@@ -476,8 +465,7 @@ def test_bipartite_engine_agrees_with_networkx_on_token_graphs():
     for base, k in bases:
         t = token_graph(base, k)
         classes = token_bipartition(t, bipartition_of(base))
-        side_mask = sum(1 << v for v in classes.part_b)
-        nu, _ = _hopcroft_karp((1 << t.graph.n) - 1, t.graph.adjacency_masks(), side_mask)
+        nu, _ = _hopcroft_karp(sorted(classes.part_b), classes.part_r, t.graph.adj)
         h = nx.Graph()
         h.add_nodes_from(range(t.graph.n))
         h.add_edges_from(t.graph.edges)
@@ -485,20 +473,23 @@ def test_bipartite_engine_agrees_with_networkx_on_token_graphs():
         assert nu == len(theirs) // 2, (base, k)
 
 
-def test_hopcroft_karp_on_the_graph_rows_matches_the_decoded_lists():
-    # rows=g.adj holds for any cand closed under adjacency: the whole graph
-    # and each of its components, on either side
+def test_hopcroft_karp_on_the_whole_graph_matches_its_components():
+    # the engine on the whole graph and on each component, either side:
+    # the sizes add up, the reached sets partition, and the whole graph's
+    # reached set is the Hall witness
     from tokengraphs.independence import _component_masks
 
     for seed in range(80):
         g = bipartite_components(seed)
-        masks = g.adjacency_masks()
         part = bipartition_of(g)
+        comps, _ = _component_masks(g.adj)
         for side in ("b", "r"):
-            side_mask = sum(1 << v for v in part.side(side))
-            for cand in [(1 << g.n) - 1] + _component_masks(g.n, masks):
-                expected = _hopcroft_karp(cand, masks, side_mask)
-                assert _hopcroft_karp(cand, masks, side_mask, rows=g.adj) == expected, seed
-            _, reach = _hopcroft_karp((1 << g.n) - 1, masks, side_mask)
-            witness = hall_witness(g, part, side)
-            assert witness == (frozenset(v for v in range(g.n) if reach >> v & 1) or None)
+            left, right = part.side(side), part.side("r" if side == "b" else "b")
+            nu, reach = _hopcroft_karp(sorted(left), right, g.adj)
+            total, reached = 0, []
+            for comp, _ in comps:
+                size, found = _hopcroft_karp([v for v in comp if v in left], right, g.adj)
+                total += size
+                reached += found
+            assert (total, sorted(reached)) == (nu, sorted(reach)), seed
+            assert hall_witness(g, part, side) == (frozenset(reach) or None)
