@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[report_files], help="replay a named verification check"
     )
     p_verify.add_argument("check", choices=sorted(CHECKS))
-    p_verify.add_argument("--max-n", type=int, default=None, help="cap the instance size")
+    p_verify.add_argument("--max-n", type=int, default=None, help="largest base order to run")
     p_verify.set_defaults(func=_cmd_verify)
 
     scans = sub.add_parser("scan", help="run a bulk scanner").add_subparsers(

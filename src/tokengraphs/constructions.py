@@ -248,15 +248,11 @@ def cycle_independent_set(p: int) -> IndependentSet:
 @dataclass(frozen=True)
 class InjectionPhi:
     """An explicit injection, fixed to the colexicographic enumeration so
-    witness graphs are reproducible.
-
-    ``direction`` is "pairs_to_indices" (2-subsets of [s] into [m]) or
-    "indices_to_pairs" ([m] into ordered pairs over [s]); entries are
-    1-based.
+    witness graphs are reproducible: 2-subsets of [s] into [m] for the
+    small-s witness, [m] into ordered pairs over [s] for the large-s one.
+    Entries are 1-based.
     """
 
-    direction: str
-    domain_size: int
     entries: tuple[tuple[object, object], ...]
 
 
@@ -288,7 +284,7 @@ def witness_graph_small_s(m: int, s: int) -> tuple[Graph, Bipartition, Injection
         part_b=frozenset(range(m)), part_r=frozenset(range(m, 2 * m + s))
     )
     bip.validate(g)
-    phi = InjectionPhi("pairs_to_indices", comb(s, 2), tuple(entries))
+    phi = InjectionPhi(tuple(entries))
     return g, bip, phi
 
 
@@ -317,5 +313,5 @@ def witness_graph_large_s(m: int, s: int) -> tuple[Graph, Bipartition, Injection
         part_b=frozenset(range(m)), part_r=frozenset(range(m, 2 * m + s))
     )
     bip.validate(g)
-    phi = InjectionPhi("indices_to_pairs", m, tuple(entries))
+    phi = InjectionPhi(tuple(entries))
     return g, bip, phi

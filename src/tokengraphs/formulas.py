@@ -10,7 +10,6 @@ no floating point enters any verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .graphs import GraphError
@@ -21,7 +20,7 @@ class FormulaValue:
     """A closed-form value together with how it binds: exactly, or as a
     one-sided bound (optionally tight for a named family)."""
 
-    value: int | Fraction
+    value: int
     kind: str  # "exact" | "lower-bound" | "upper-bound"
     tight_for: str | None = None
 

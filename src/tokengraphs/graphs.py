@@ -1,7 +1,7 @@
 """Simple undirected graphs with dense 0-based vertex ids, plus the standard families.
 
 A graph stores one adjacency, a sorted neighbour tuple per vertex; its edge
-tuple, neighbour frozensets and bitmasks are derived when first asked for.
+tuple and bitmasks are derived when first asked for.
 Vertex ids are 0-based everywhere in the API; the text interchange format
 (edge lists, DOT labels) is 1-based.
 """
@@ -34,16 +34,15 @@ class Graph:
     The one stored adjacency is ``adj``: for each vertex, the sorted tuple of
     its neighbours, duplicate edges collapsed. Everything else is derived on
     first use and cached: ``edges``, the sorted ``(u, v)`` pairs with
-    ``u < v``; the ``neighbors`` frozensets; and ``adjacency_masks``. The
-    solvers read ``adj`` directly, so a token graph that is only matched
-    never builds the others. Instances are safe to share across threads;
-    a cache filled twice holds equal values. ``_freeze`` sorts and stores
-    neighbour lists: ``__init__`` runs it after checking its edges and
-    collapsing duplicates, and ``tokens.token_graph`` on the lists it fills,
-    which hold none.
+    ``u < v``, and ``adjacency_masks``. The solvers read ``adj`` directly, so
+    a token graph that is only matched never builds the others. Instances
+    are safe to share across threads; a cache filled twice holds equal
+    values. ``_freeze`` sorts and stores neighbour lists: ``__init__`` runs
+    it after checking its edges and collapsing duplicates, and
+    ``tokens.token_graph`` on the lists it fills, which hold none.
     """
 
-    __slots__ = ("n", "adj", "edge_count", "_edges", "_neighbors", "_masks")
+    __slots__ = ("n", "adj", "edge_count", "_edges", "_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -76,7 +75,6 @@ class Graph:
         self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, rows))
         self.edge_count: int = sum(map(len, self.adj)) // 2
         self._edges: tuple[tuple[int, int], ...] | None = None
-        self._neighbors: tuple[frozenset[int], ...] | None = None
         self._masks: tuple[int, ...] | None = None
 
     @property
@@ -87,11 +85,6 @@ class Graph:
                 (u, v) for u, row in enumerate(self.adj) for v in row[bisect_right(row, u):]
             )
         return self._edges
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        if self._neighbors is None:
-            self._neighbors = tuple(map(frozenset, self.adj))
-        return self._neighbors[v]
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

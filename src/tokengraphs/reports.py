@@ -7,7 +7,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -37,8 +36,6 @@ class VerificationReport:
 
 
 def _plain(value: object) -> object:
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, frozenset):
         return sorted(value)
     if isinstance(value, (set, tuple)):

@@ -1,21 +1,20 @@
 """The verification catalog: each named check replays one result of the
-catalog on its full desk-scale domain and emits one report row per instance.
+catalog and emits one report row per instance.
 
 Check ids (see :data:`CHECKS`): thm1, thm2, thm3, lemma3, lemma5, lemma6,
 cor3, cor4, star, prop3, eq1, eq2, eq3, fig1, fig2, fig34, j73.
 
-Each check is a generator of ``(instance, compute)`` pairs in report order;
-:func:`run_rows` times every ``compute`` call as one row, and a row that
-runs out of budget is reported as such. A :class:`GraphError` of a row, such
-as a size cap, is raised again with its check and instance prefixed. Most
-rows are built by :func:`_beta` or :func:`_nu`. The two scans,
-:func:`conjecture_rows` and :func:`fig3_rows`, are row generators of the
-same kind outside :data:`CHECKS`; the CLI runs them through :func:`run_rows`
-as well.
-``fig3_rows`` and the ``fig34`` check draw their graphs from
-:func:`spanning_subgraphs_2x5`. Every cross-check of a closed form against
-the exact solvers lives here, :func:`oeis_check` included; ``formulas``
-holds only the closed forms.
+One table, ``_CATALOG``, lists the checks in catalog order, each with a
+default cap. A run has one cap, ``max_n`` or else that default, and every
+row comes from a base graph with at most cap vertices. A closed form holds
+lazy cases and a row kind, :func:`_beta` or :func:`_nu`, and one builder
+makes its rows; every other check yields its own ``(instance, compute)``
+pairs. :func:`run_rows` times each ``compute`` call as one row, a row out of
+budget is reported as such, and a row's :class:`GraphError`, such as a size
+cap, is raised again with its check and instance prefixed. The scans
+:func:`conjecture_rows` and :func:`fig3_rows` run through :func:`run_rows`
+too, outside :data:`CHECKS`. Every cross-check of a closed form against the
+exact solvers lives here, :func:`oeis_check` included.
 """
 
 from __future__ import annotations
@@ -163,37 +162,34 @@ def _nu(
     return compute
 
 
-def _matching_sweep_pairs(max_order: int) -> list[tuple[int, int]]:
+def _matching_sweep_pairs(max_order: int, min_order: int = 2) -> list[tuple[int, int]]:
     return [
         (m, s)
         for m in range(1, max_order // 2 + 1)
         for s in (0, 1)
-        if 2 <= 2 * m + s <= max_order
+        if min_order <= 2 * m + s <= max_order
     ]
 
 
-# ---------------------------------------------------------------------------
-# matching-number checks
-
-
-def _thm1(max_n: int | None, budget: Budget | None) -> Rows:
-    """Exact case: odd token counts over perfect-matching bases, where both
-    the recursive construction and the solver give a perfect matching.
-    Tightness: disjoint-matching bases meet the bound exactly and carry
-    exactly the predicted number of isolated tokens, for every token count."""
-    exact_bases = [
+def _thm1_exact(cap: int) -> Iterator[tuple]:
+    """Odd token counts over perfect-matching bases, where both the
+    recursive construction and the solver give a perfect matching."""
+    for name, g in (
         ("C6", cycle_graph(6)),
         ("K_{3,3}", complete_bipartite_graph(3, 3)),
         ("match(3,0)", matching_graph(3, 0)),
         ("match(4,0)", matching_graph(4, 0)),
-    ]
-    for name, g in exact_bases:
+    ):
         base_matching = max_matching(g)
         for k in range(1, g.n, 2):
             build = partial(theorem1_matching, g, base_matching, k)
-            yield f"exact: {name}, k={k}", _nu(g, k, nu_token_formula(g.n, k).value, budget, build)
+            yield f"exact: {name}", g, k, nu_token_formula(g.n, k).value, build
 
-    for m, s in _matching_sweep_pairs(10 if max_n is None else max_n):
+
+def _thm1_tight(cap: int, budget: Budget | None) -> Rows:
+    """Disjoint-matching bases meet the bound exactly and carry exactly the
+    predicted number of isolated tokens, for every token count."""
+    for m, s in _matching_sweep_pairs(cap):
         g = matching_graph(m, s)
         base_matching = Matching.of(g.edges)
         for k in range(1, g.n):
@@ -212,46 +208,10 @@ def _thm1(max_n: int | None, budget: Budget | None) -> Rows:
             yield f"tight: match({m},{s}), k={k}", compute
 
 
-def _lemma3(max_n: int | None, budget: Budget | None) -> Rows:
-    """The two-family pair construction is a maximum matching of the 2-token
-    graph of every disjoint (almost) perfect matching base."""
-    for m, s in _matching_sweep_pairs(10 if max_n is None else max_n):
-        if 2 * m + s >= 3:
-            build = partial(f2_matching_construction, m, s)
-            target = nu_token_formula(2 * m + s, 2).value
-            yield f"match({m},{s}), k=2", _nu(matching_graph(m, s), 2, target, budget, build)
-
-
-def _fig1(max_n: int | None, budget: Budget | None) -> Rows:
-    """The 3-token graph of the 5-leaf star has a perfect matching even
-    though the star itself has none."""
-    yield "K_{1,5}, k=3", _nu(star_graph(5), 3, 10, budget)
-
-
-def _fig2(max_n: int | None, budget: Budget | None) -> Rows:
-    """The 3-token graph of the 5-path has no perfect matching: its matching
-    number is 4, not 5."""
-    yield "P5, k=3", _nu(path_graph(5), 3, 4, budget)
-
-
-# ---------------------------------------------------------------------------
-# independence-number checks
-
-
-def _thm2(max_n: int | None, budget: Budget | None) -> Rows:
-    """2-token independence of complete bipartite graphs equals the larger
-    parity class."""
-    limit = 10 if max_n is None else max_n
-    for m in range(2, limit // 2 + 1):
-        for n in range(m, limit - m + 1):
-            g = complete_bipartite_graph(m, n)
-            yield f"K_{{{m},{n}}}, k=2", _beta(g, 2, beta_kmn_f2(m, n), budget)
-
-
-def _thm3(max_n: int | None, budget: Budget | None) -> Rows:
+def _thm3(cap: int, budget: Budget | None) -> Rows:
     """2-token independence of cycles matches the floor formula, and the
     layer construction achieves it for odd lengths."""
-    for p in range(3, (11 if max_n is None else max_n) + 1):
+    for p in range(3, cap + 1):
         target = beta_cycle_f2(p)
         yield f"C{p}, k=2", _beta(cycle_graph(p), 2, target, budget)
         if p % 2 == 1 and p >= 5:
@@ -265,53 +225,11 @@ def _thm3(max_n: int | None, budget: Budget | None) -> Rows:
             yield f"C{p}, k=2, layer construction", compute
 
 
-def _star(max_n: int | None, budget: Budget | None) -> Rows:
-    """Star token graphs: the saturating side flips at half the order."""
-    for n in range(2, (7 if max_n is None else max_n) + 1):
-        for k in range(1, n + 1):
-            yield f"K_{{1,{n}}}, k={k}", _beta(star_graph(n), k, beta_star(n, k), budget)
-
-
-def _cor3(max_n: int | None, budget: Budget | None) -> Rows:
-    """Perfect-matching bipartite bases with odd token count: independence is
-    exactly half the token count."""
-    for order in range(4, (8 if max_n is None else max_n) + 1, 2):
-        half = order // 2
-        bases = [
-            (f"P{order}", path_graph(order)),
-            (f"C{order}", cycle_graph(order)),
-            (f"K_{{{half},{half}}}", complete_bipartite_graph(half, half)),
-        ]
-        for name, g in bases:
-            for k in range(1, order, 2):
-                yield f"{name}, k={k}", _beta(g, k, comb(order, k) // 2, budget)
-
-
-def _cor4(max_n: int | None, budget: Budget | None) -> Rows:
-    """Paths and (near-)balanced complete bipartite graphs: independence of
-    every token graph equals the larger parity class."""
-    for p in range(2, (8 if max_n is None else max_n) + 1):
-        for k in range(1, p):
-            yield f"P{p}, k={k}", _beta(path_graph(p), k, beta_balanced_family(p, k), budget)
-    bip_limit = 9 if max_n is None else max_n
-    parts = []
-    for half in range(1, bip_limit // 2 + 1):
-        parts.append((half, half))
-        if 2 * half + 1 <= bip_limit:
-            parts.append((half, half + 1))
-    for m, n in sorted(parts):
-        g = complete_bipartite_graph(m, n)
-        for k in range(1, m + n):
-            target = beta_balanced_family(m + n, k)
-            yield f"K_{{{m},{n}}}, k={k}", _beta(g, k, target, budget)
-
-
-def _prop3(max_n: int | None, budget: Budget | None) -> Rows:
+def _prop3(cap: int, budget: Budget | None) -> Rows:
     """The integer threshold test for which parity class dominates agrees
     with direct counting on every complete bipartite base."""
-    limit = 9 if max_n is None else max_n
-    for m in range(1, limit // 2 + 1):
-        for n in range(m, limit - m + 1):
+    for m in range(1, cap // 2 + 1):
+        for n in range(m, cap - m + 1):
             if m + n < 3:
                 continue
             def compute(m=m, n=n):
@@ -327,13 +245,12 @@ def _prop3(max_n: int | None, budget: Budget | None) -> Rows:
             yield f"K_{{{m},{n}}}, k=2", compute
 
 
-def _witness_family(small: bool, max_n: int | None, budget: Budget | None) -> Rows:
+def _witness_family(small: bool, cap: int, budget: Budget | None) -> Rows:
     """Extremal bipartite witnesses with parts m and m+s: for m > C(s,2)
     (``small``, lemma5) independence of the 2-token graph equals the mixed
     class size, otherwise (lemma6) the same-side class size."""
-    limit = 9 if max_n is None else max_n
-    for m in range(1, limit // 2 + 1):
-        for s in range(0, limit - 2 * m + 1):
+    for m in range(1, cap // 2 + 1):
+        for s in range(0, cap - 2 * m + 1):
             if (comb(s, 2) < m) != small:
                 continue
             def compute(m=m, s=s):
@@ -347,13 +264,14 @@ def _witness_family(small: bool, max_n: int | None, budget: Budget | None) -> Ro
             yield f"witness_{'small' if small else 'large'}(m={m}, s={s})", compute
 
 
-def _j73(max_n: int | None, budget: Budget | None) -> Rows:
+def _j73(cap: int, budget: Budget | None) -> Rows:
     """The Johnson graph on 3-subsets of 7 elements has independence number
     7; the previously published closed form predicting 6 is refuted."""
-    yield "J(7,3) = F_3(K7); the refuted closed form gives 6", _beta(
-        complete_graph(7), 3, 7, budget,
-        lambda found: {"independent_set": found, "refuted_formula_value": 6},
-    )
+    if cap >= 7:
+        yield "J(7,3) = F_3(K7); the refuted closed form gives 6", _beta(
+            complete_graph(7), 3, 7, budget,
+            lambda found: {"independent_set": found, "refuted_formula_value": 6},
+        )
 
 
 def _hall_violator(t: TokenGraph) -> frozenset[int] | None:
@@ -364,7 +282,7 @@ def _hall_violator(t: TokenGraph) -> frozenset[int] | None:
     return hall_witness(t.graph, classes, small)
 
 
-def _fig34(max_n: int | None, budget: Budget | None) -> Rows:
+def _fig34(cap: int, budget: Budget | None) -> Rows:
     """Parts of sizes 2 and 5 admit bipartite graphs whose 2-token
     independence number (12) beats the parity-class bound (11), and Hall's
     condition fails on their token classes."""
@@ -392,7 +310,8 @@ def _fig34(max_n: int | None, budget: Budget | None) -> Rows:
         }
         return 12, beta, witness, STATUS_PASS if ok else STATUS_FAIL
 
-    yield "bipartite scan, parts 2/5", compute
+    if cap >= 7:
+        yield "bipartite scan, parts 2/5", compute
 
 
 # ---------------------------------------------------------------------------
@@ -419,32 +338,29 @@ def _cached_beta(budget: Budget | None) -> Callable[[Graph, int], int]:
     return beta
 
 
-def _eq1_corpus(limit: int) -> list[tuple[str, Graph]]:
+def _eq1_corpus(cap: int) -> list[tuple[str, Graph]]:
     corpus: list[tuple[str, Graph]] = []
-    corpus.extend((f"P{p}", path_graph(p)) for p in range(3, limit + 1))
-    corpus.extend((f"C{p}", cycle_graph(p)) for p in range(3, limit + 1))
-    corpus.extend((f"K{p}", complete_graph(p)) for p in range(3, min(6, limit) + 1))
-    corpus.extend((f"K_{{1,{n}}}", star_graph(n)) for n in range(2, limit))
-    for m in range(2, limit // 2 + 1):
-        for n in range(m, limit - m + 1):
+    corpus.extend((f"P{p}", path_graph(p)) for p in range(3, cap + 1))
+    corpus.extend((f"C{p}", cycle_graph(p)) for p in range(3, cap + 1))
+    corpus.extend((f"K{p}", complete_graph(p)) for p in range(3, min(6, cap) + 1))
+    corpus.extend((f"K_{{1,{n}}}", star_graph(n)) for n in range(2, cap))
+    for m in range(2, cap // 2 + 1):
+        for n in range(m, cap - m + 1):
             corpus.append((f"K_{{{m},{n}}}", complete_bipartite_graph(m, n)))
-    for m in range(1, limit // 2 + 1):
-        for s in (0, 1):
-            if 3 <= 2 * m + s <= limit:
-                corpus.append((f"match({m},{s})", matching_graph(m, s)))
+    corpus.extend((f"match({m},{s})", matching_graph(m, s)) for m, s in _matching_sweep_pairs(cap, 3))
     for i in range(50):
         n = 4 + i % 5
-        if n <= limit:
+        if n <= cap:
             density = (0.2, 0.4, 0.6)[i % 3]
             corpus.append((f"random({n}, {density}, seed={i})", erdos_renyi(n, density, i)))
     return corpus
 
 
-def _eq1(max_n: int | None, budget: Budget | None) -> Rows:
+def _eq1(cap: int, budget: Budget | None) -> Rows:
     """The vertex-deletion recursion brackets the exact independence number
     on the whole small corpus, with equality at the two extremal instances."""
     beta = _cached_beta(budget)
-    for name, g in _eq1_corpus(8 if max_n is None else max_n):
+    for name, g in _eq1_corpus(cap):
         for k in range(2, g.n):
             def compute(g=g, k=k):
                 bounds = recursive_bounds(g, k, beta_oracle=beta)
@@ -462,10 +378,11 @@ def _eq1(max_n: int | None, budget: Budget | None) -> Rows:
             exact = beta(g, 2)
             return bound, exact, None, _eq_status(bound, exact)
 
-        yield instance, compute
+        if g.n <= cap:
+            yield instance, compute
 
 
-def _eq2(max_n: int | None, budget: Budget | None) -> Rows:
+def _eq2(cap: int, budget: Budget | None) -> Rows:
     """Cycle sandwich: path-token independence numbers bracket the cycle's,
     with the closed form supplying every path value."""
     beta = _cached_beta(budget)
@@ -474,7 +391,7 @@ def _eq2(max_n: int | None, budget: Budget | None) -> Rows:
         # every graph the deletion bounds of a cycle ask about is a path
         return beta_balanced_family(h.n, j)
 
-    for n in range(4, (8 if max_n is None else max_n) + 1):
+    for n in range(4, cap + 1):
         for k in range(2, n - 1):
             def compute(n=n, k=k):
                 g = cycle_graph(n)
@@ -485,11 +402,11 @@ def _eq2(max_n: int | None, budget: Budget | None) -> Rows:
             yield f"C{n}, k={k}", compute
 
 
-def _eq3(max_n: int | None, budget: Budget | None) -> Rows:
+def _eq3(cap: int, budget: Budget | None) -> Rows:
     """Johnson-graph sandwich: one-smaller Johnson independence numbers
     bracket the next one."""
     beta = _cached_beta(budget)
-    for n in range(4, (7 if max_n is None else max_n) + 1):
+    for n in range(4, cap + 1):
         for k in range(2, min(3, n - 2) + 1):
             def compute(n=n, k=k):
                 g = complete_graph(n)
@@ -500,25 +417,95 @@ def _eq3(max_n: int | None, budget: Budget | None) -> Rows:
             yield f"J({n},{k}), k={k}", compute
 
 
-#: Check id -> generator of its rows, in catalog order.
+# ---------------------------------------------------------------------------
+# the catalog
+
+
+#: Every check in catalog order, as (check id, default cap, cases, row kind);
+#: a check with two entries runs them in turn. For a closed form, ``cases(cap)``
+#: yields (base name, base graph, k, closed-form value[, construction]) and
+#: the row kind is :func:`_beta` or :func:`_nu`; any other entry has no row
+#: kind, and ``cases(cap, budget)`` yields its rows.
+_CATALOG: tuple[tuple[str, int, Callable[..., Iterable], Callable[..., Compute] | None], ...] = (
+    ("thm1", 8, _thm1_exact, _nu),
+    ("thm1", 10, _thm1_tight, None),
+    # 2-token independence of K_{m,n} equals the larger parity class
+    ("thm2", 10, lambda cap: (
+        (f"K_{{{m},{n}}}", complete_bipartite_graph(m, n), 2, beta_kmn_f2(m, n))
+        for m in range(2, cap // 2 + 1)
+        for n in range(m, cap - m + 1)
+    ), _beta),
+    ("thm3", 11, _thm3, None),
+    # the two-family pair construction is a maximum matching of the 2-token
+    # graph of every disjoint (almost) perfect matching base
+    ("lemma3", 10, lambda cap: (
+        (f"match({m},{s})", matching_graph(m, s), 2, nu_token_formula(2 * m + s, 2).value,
+         partial(f2_matching_construction, m, s))
+        for m, s in _matching_sweep_pairs(cap, 3)
+    ), _nu),
+    ("lemma5", 9, partial(_witness_family, True), None),
+    ("lemma6", 9, partial(_witness_family, False), None),
+    # perfect-matching bipartite bases, odd k: independence is half of C(n,k)
+    ("cor3", 8, lambda cap: (
+        (name, g, k, comb(order, k) // 2)
+        for order in range(4, cap + 1, 2)
+        for name, g in (
+            (f"P{order}", path_graph(order)),
+            (f"C{order}", cycle_graph(order)),
+            (f"K_{{{order // 2},{order // 2}}}", complete_bipartite_graph(order // 2, order // 2)),
+        )
+        for k in range(1, order, 2)
+    ), _beta),
+    # paths, K_{h,h} and K_{h,h+1}: independence of every token graph equals
+    # the larger parity class
+    ("cor4", 8, lambda cap: (
+        (f"P{p}", path_graph(p), k, beta_balanced_family(p, k))
+        for p in range(2, cap + 1)
+        for k in range(1, p)
+    ), _beta),
+    ("cor4", 9, lambda cap: (
+        (f"K_{{{m},{n}}}", complete_bipartite_graph(m, n), k, beta_balanced_family(m + n, k))
+        for m in range(1, cap // 2 + 1)
+        for n in (m, m + 1)
+        for k in range(1, m + n)
+    ), _beta),
+    # star token graphs: the saturating side flips at half the order
+    ("star", 8, lambda cap: (
+        (f"K_{{1,{n}}}", star_graph(n), k, beta_star(n, k))
+        for n in range(2, cap)
+        for k in range(1, n + 1)
+    ), _beta),
+    ("prop3", 9, _prop3, None),
+    ("eq1", 8, _eq1, None),
+    ("eq2", 8, _eq2, None),
+    ("eq3", 7, _eq3, None),
+    # F_3(K_{1,5}) has a perfect matching though K_{1,5} has none
+    ("fig1", 6, lambda cap: [("K_{1,5}", star_graph(5), 3, 10)], _nu),
+    # F_3(P5) has no perfect matching: its matching number is 4, not 5
+    ("fig2", 5, lambda cap: [("P5", path_graph(5), 3, 4)], _nu),
+    ("fig34", 7, _fig34, None),
+    ("j73", 7, _j73, None),
+)
+
+
+def _check_rows(check_id: str, max_order: int | None, budget: Budget | None) -> Rows:
+    """The rows of each entry of ``check_id`` in turn, every one from a base
+    of order at most ``max_order``, or else at most the entry's default cap."""
+    for entry_id, default, cases, row in _CATALOG:
+        if entry_id != check_id:
+            continue
+        cap = default if max_order is None else max_order
+        if row is None:
+            yield from cases(cap, budget)
+            continue
+        for name, g, k, value, *build in cases(cap):
+            if g.n <= cap:
+                yield f"{name}, k={k}", row(g, k, value, budget, *build)
+
+
+#: Check id -> its rows for ``(max_n, budget)``, in catalog order.
 CHECKS: dict[str, Callable[[int | None, Budget | None], Rows]] = {
-    "thm1": _thm1,
-    "thm2": _thm2,
-    "thm3": _thm3,
-    "lemma3": _lemma3,
-    "lemma5": partial(_witness_family, True),
-    "lemma6": partial(_witness_family, False),
-    "cor3": _cor3,
-    "cor4": _cor4,
-    "star": _star,
-    "prop3": _prop3,
-    "eq1": _eq1,
-    "eq2": _eq2,
-    "eq3": _eq3,
-    "fig1": _fig1,
-    "fig2": _fig2,
-    "fig34": _fig34,
-    "j73": _j73,
+    entry[0]: partial(_check_rows, entry[0]) for entry in _CATALOG
 }
 
 
@@ -533,7 +520,8 @@ def run_rows(check_id: str, rows: Rows) -> list[VerificationReport]:
 def run_check(
     check_id: str, max_n: int | None = None, budget: Budget | None = None
 ) -> list[VerificationReport]:
-    """Replay one check: one timed report row per instance, in report order."""
+    """Replay one check: one timed report row per instance, in report order.
+    ``max_n`` is the largest base order to run; each entry has a default."""
     if check_id not in CHECKS:
         raise KeyError(f"unknown check id {check_id!r}; known: {', '.join(sorted(CHECKS))}")
     return run_rows(check_id, CHECKS[check_id](max_n, budget))
@@ -618,24 +606,14 @@ class OeisCheck:
     solver_agrees: bool
 
 
-def _a091044_terms(count: int) -> list[int]:
-    # half central-free odd binomials, read as a triangle row by row
-    out: list[int] = []
-    n = 1
-    while len(out) < count:
-        for m in range(n):
-            out.append(comb(2 * n, 2 * m + 1) // 2)
-            if len(out) == count:
-                break
-        n += 1
-    return out
-
-
 #: Sequence id -> (its first ``count`` terms, the solver cross-check cases
 #: ``(graph, k, expected β(F_k(graph)))``).
 _OEIS = {
+    # half central-free odd binomials, read as a triangle row by row
     "A091044": (
-        _a091044_terms,
+        lambda count: [
+            comb(2 * n, 2 * m + 1) // 2 for n in range(1, count + 1) for m in range(n)
+        ][:count],
         lambda: [
             (path_graph(2 * n), 2 * m + 1, comb(2 * n, 2 * m + 1) // 2)
             for n in (1, 2, 3)

@@ -290,7 +290,8 @@ def test_cli_budget_error_names_its_instance(capsys, command):
 
 
 def test_cli_verify_without_rows_is_usage_error(capsys):
-    for check_id, max_n in (("thm3", "2"), ("thm2", "0")):
+    # fig1's one instance, F_3(K_{1,5}), has a base of order 6
+    for check_id, max_n in (("thm3", "2"), ("thm2", "0"), ("fig1", "4")):
         assert main(["verify", check_id, "--max-n", max_n]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

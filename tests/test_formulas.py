@@ -165,7 +165,7 @@ def test_counterexample_hits_fail_hall():
         assert witness is not None
         nbrs = set()
         for v in witness:
-            nbrs |= t.graph.neighbors(v)
+            nbrs.update(t.graph.adj[v])
         assert len(nbrs) < len(witness)
 
 

@@ -724,7 +724,7 @@ def test_solving_bipartite_graphs_builds_no_masks():
         assert g._masks is None
     g = token_graph(cycle_graph(14), 7).graph
     assert max_independent_set(g).size == comb(14, 7) // 2
-    assert g._edges is None and g._neighbors is None and g._masks is None
+    assert g._edges is None and g._masks is None
 
 
 def test_solve_leaves_no_cyclic_garbage():

@@ -116,7 +116,7 @@ def _reference_max_matching(g: Graph) -> Matching:
     order, so identical inputs yield identical matchings.
     """
     n = g.n
-    adj = [sorted(g.neighbors(v)) for v in range(n)]
+    adj = [list(g.adj[v]) for v in range(n)]
     mate = [-1] * n
 
     for v in range(n):
@@ -308,7 +308,7 @@ def _hall_min_slack(g, part, side):
         for sub in combinations(side_list, size):
             nbrs = set()
             for v in sub:
-                nbrs |= g.neighbors(v)
+                nbrs.update(g.adj[v])
             slack = len(nbrs) - len(sub)
             worst = slack if worst is None else min(worst, slack)
     return worst
@@ -342,7 +342,7 @@ def test_hall_witness_star():
     assert witness == part.side(leaves_side)
     nbrs = set()
     for v in witness:
-        nbrs |= g.neighbors(v)
+        nbrs.update(g.adj[v])
     assert len(nbrs) < len(witness)
 
 
@@ -367,7 +367,7 @@ def test_hall_witness_is_violating_set_on_random_bipartite():
             if witness is not None:
                 nbrs = set()
                 for v in witness:
-                    nbrs |= g.neighbors(v)
+                    nbrs.update(g.adj[v])
                 assert len(nbrs) < len(witness)
 
 

@@ -49,6 +49,49 @@ def test_max_n_caps_the_sweep():
     assert len(small) < len(full)
 
 
+@pytest.mark.parametrize("cap", [4, 5])
+def test_max_n_bounds_the_base_order_in_every_check(monkeypatch, cap):
+    # every base a row builds a token graph of, or solves one over, has at
+    # most max_n vertices
+    orders = []
+    build, solve = verify.token_graph, verify.token_independence_number
+
+    def recorded_build(g, k):
+        orders.append(g.n)
+        return build(g, k)
+
+    def recorded_solve(h, j, budget=None):
+        orders.append(h.n)
+        return solve(h, j, budget)
+
+    monkeypatch.setattr(verify, "token_graph", recorded_build)
+    monkeypatch.setattr(verify, "token_independence_number", recorded_solve)
+    for check_id in CHECKS:
+        orders.clear()
+        run_check(check_id, max_n=cap)
+        assert max(orders, default=0) <= cap, (check_id, max(orders))
+
+
+def test_max_n_counts_the_star_centre():
+    instances = [r.instance for r in run_check("star", max_n=4)]
+    assert "K_{1,3}, k=3" in instances
+    assert not any(i.startswith("K_{1,4}") for i in instances)
+    assert [r.instance for r in run_check("star")][-1] == "K_{1,7}, k=7"
+
+
+def test_max_n_caps_the_thm1_exact_bases():
+    instances = [r.instance for r in run_check("thm1", max_n=7)]
+    assert "exact: match(3,0), k=5" in instances
+    assert not any(i.startswith("exact: match(4,0)") for i in instances)
+    assert any(i.startswith("exact: match(4,0)") for i in (r.instance for r in run_check("thm1")))
+
+
+@pytest.mark.parametrize("check_id, order", [("fig1", 6), ("fig2", 5), ("fig34", 7), ("j73", 7)])
+def test_a_single_instance_check_runs_only_up_from_its_order(check_id, order):
+    assert run_check(check_id, max_n=order - 1) == []
+    assert len(run_check(check_id, max_n=order)) == 1
+
+
 def test_max_n_caps_the_eq1_random_graphs():
     rows = run_check("eq1", max_n=5)
     orders = {r.instance.split(",")[0] for r in rows if r.instance.startswith("random(")}
