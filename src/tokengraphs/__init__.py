@@ -3,7 +3,6 @@ constructive witnesses, and closed-form verification at desk scale."""
 
 from .budget import Budget, BudgetExceededError
 from .constructions import (
-    InjectionPhi,
     LayerSet,
     cycle_independent_set,
     cycle_layer,
@@ -11,15 +10,12 @@ from .constructions import (
     isolated_tokens,
     lemma_times_combine,
     theorem1_matching,
-    witness_graph_large_s,
-    witness_graph_small_s,
+    witness_graph,
 )
 from .formulas import (
     FormulaValue,
     beta_balanced_family,
     beta_cycle_f2,
-    beta_kmn_f2,
-    beta_star,
     class_order_predicate,
     nu_token_formula,
     r_value,

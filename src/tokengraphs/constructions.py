@@ -1,5 +1,6 @@
 """Constructive witnesses: explicit matchings and independent sets that
-achieve the guaranteed sizes, plus the extremal bipartite witness graphs.
+achieve the guaranteed sizes, plus the extremal bipartite witness graphs of
+lemmas 5 and 6, from one builder for both.
 
 Every constructor validates its output against the host token graph and
 asserts the claimed size, so a successful return is itself a certificate.
@@ -12,7 +13,7 @@ from itertools import combinations
 from math import comb
 
 from .formulas import nu_token_formula
-from .graphs import Bipartition, Graph, GraphError, delete_vertices, make_graph, matching_graph
+from .graphs import Bipartition, Graph, GraphError, cycle_graph, delete_vertices, make_graph, matching_graph
 from .independence import IndependentSet
 from .matching import Matching
 from .tokens import SubsetCodec, TokenGraph, token_graph, validate_token_matching
@@ -224,8 +225,6 @@ def cycle_independent_set(p: int) -> IndependentSet:
     cycle, of size floor(p * floor(p/2) / 2)."""
     if p < 5 or p % 2 == 0:
         raise GraphError("construction needs an odd cycle of length >= 5")
-    from .graphs import cycle_graph
-
     t_half = p // 2
     if t_half % 2 == 1:
         indices = list(range(1, t_half + 1, 2)) + list(range(t_half + 3, p, 2))
@@ -245,73 +244,26 @@ def cycle_independent_set(p: int) -> IndependentSet:
 # extremal bipartite witness graphs
 
 
-@dataclass(frozen=True)
-class InjectionPhi:
-    """An explicit injection, fixed to the colexicographic enumeration so
-    witness graphs are reproducible: 2-subsets of [s] into [m] for the
-    small-s witness, [m] into ordered pairs over [s] for the large-s one.
-    Entries are 1-based.
-    """
+def witness_graph(m: int, s: int) -> tuple[Graph, Bipartition, tuple[tuple[object, object], ...]]:
+    """The extremal bipartite witness with parts m and m+s, and its
+    injection phi: a perfect matching on the first m pairs (rungs i, m+i)
+    plus, for each left vertex h < min(m, C(s,2)), spokes to the two
+    surplus vertices of the h-th 2-subset of [s] in colexicographic order.
 
-    entries: tuple[tuple[object, object], ...]
-
-
-
-def _colex_pairs(s: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(2, s + 1) for i in range(1, j)]
-
-
-def witness_graph_small_s(m: int, s: int) -> tuple[Graph, Bipartition, InjectionPhi]:
-    """Bipartite witness with parts m and m+s, for m > C(s,2): a perfect
-    matching on the first m pairs plus two spokes per 2-subset of the
-    surplus, injected into distinct left vertices.
-
-    Its 2-token independence number equals the mixed-class size m(m+s).
+    Lemma 5 (m > C(s,2)) injects every 2-subset of [s] into [m], entries
+    ``((i, j), h)``; lemma 6 (m <= C(s,2)) injects [m] into the 2-subsets,
+    entries ``(h, (i, j))``. Entries are 1-based. Either way the 2-token
+    independence number is the larger parity class, ``class_bound(m, m+s, 2)``.
     """
     if m < 1 or s < 0:
         raise GraphError("part sizes must be positive")
-    if comb(s, 2) >= m:
-        raise GraphError(f"requires m > C(s,2); got m={m}, s={s}")
+    pairs = [(i, j) for j in range(2, s + 1) for i in range(1, j)][:m]
     edges = [(i, m + i) for i in range(m)]
-    entries: list[tuple[object, object]] = []
-    for idx, (i, j) in enumerate(_colex_pairs(s), start=1):
-        entries.append(((i, j), idx))
-        hub = idx - 1
-        edges.append((hub, 2 * m + i - 1))
-        edges.append((hub, 2 * m + j - 1))
+    for h, (i, j) in enumerate(pairs):
+        edges += [(h, 2 * m + i - 1), (h, 2 * m + j - 1)]
     g = make_graph(2 * m + s, edges)
-    bip = Bipartition(
-        part_b=frozenset(range(m)), part_r=frozenset(range(m, 2 * m + s))
-    )
+    bip = Bipartition(part_b=frozenset(range(m)), part_r=frozenset(range(m, 2 * m + s)))
     bip.validate(g)
-    phi = InjectionPhi(tuple(entries))
-    return g, bip, phi
-
-
-def witness_graph_large_s(m: int, s: int) -> tuple[Graph, Bipartition, InjectionPhi]:
-    """Bipartite witness with parts m and m+s, for m <= C(s,2): a perfect
-    matching on the first m pairs plus, per left vertex i, spokes to the two
-    surplus vertices of its injected pair.
-
-    Its 2-token independence number equals the same-side-class size
-    C(2m+s, 2) - m(m+s).
-    """
-    if m < 1 or s < 0:
-        raise GraphError("part sizes must be positive")
     if comb(s, 2) < m:
-        raise GraphError(f"requires m <= C(s,2); got m={m}, s={s}")
-    pairs = _colex_pairs(s)
-    edges = [(i, m + i) for i in range(m)]
-    entries: list[tuple[object, object]] = []
-    for i in range(1, m + 1):
-        i1, i2 = pairs[i - 1]
-        entries.append((i, (i1, i2)))
-        edges.append((i - 1, 2 * m + i1 - 1))
-        edges.append((i - 1, 2 * m + i2 - 1))
-    g = make_graph(2 * m + s, edges)
-    bip = Bipartition(
-        part_b=frozenset(range(m)), part_r=frozenset(range(m, 2 * m + s))
-    )
-    bip.validate(g)
-    phi = InjectionPhi(tuple(entries))
-    return g, bip, phi
+        return g, bip, tuple((pair, h) for h, pair in enumerate(pairs, 1))
+    return g, bip, tuple((h, pair) for h, pair in enumerate(pairs, 1))

@@ -46,28 +46,12 @@ def nu_token_formula(n: int, k: int) -> FormulaValue:
     return FormulaValue(value, "lower-bound", tight_for="disjoint almost perfect matching")
 
 
-def beta_kmn_f2(m: int, n: int) -> int:
-    """Independence number of the 2-token graph of the complete bipartite
-    graph with parts m and n: the larger of the two parity classes."""
-    if m < 1 or n < 1:
-        raise GraphError("parts must be nonempty")
-    return max(m * n, comb(m + n, 2) - m * n)
-
-
 def beta_cycle_f2(p: int) -> int:
     """Independence number of the 2-token graph of the p-cycle:
     floor(p * floor(p/2) / 2)."""
     if p < 3:
         raise GraphError("cycle length must be at least 3")
     return (p * (p // 2)) // 2
-
-
-def beta_star(n: int, k: int) -> int:
-    """Independence number of the k-token graph of the star with n leaves:
-    C(n,k) while 2k <= n+1, then C(n,k-1)."""
-    if not 1 <= k <= n:
-        raise GraphError(f"k={k} out of range for a star of order {n + 1}")
-    return comb(n, k) if 2 * k <= n + 1 else comb(n, k - 1)
 
 
 def r_value(m: int, n: int, k: int) -> int:
@@ -85,7 +69,8 @@ def r_value(m: int, n: int, k: int) -> int:
 
 def class_bound(m: int, n: int, k: int) -> int:
     """Size of the larger parity class of the k-token graph of a bipartite
-    base with parts m and n: max(r, C(m+n,k) - r) with r the odd class."""
+    base with parts m and n: max(r, C(m+n,k) - r) with r the odd class. It is
+    β wherever the smaller class saturates: thm2, star, lemma5/6 and cor4."""
     r = r_value(m, n, k)
     return max(r, comb(m + n, k) - r)
 

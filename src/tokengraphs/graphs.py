@@ -1,7 +1,9 @@
 """Simple undirected graphs with dense 0-based vertex ids, plus the standard families.
 
 A graph stores one adjacency, a sorted neighbour tuple per vertex; its edge
-tuple and bitmasks are derived when first asked for.
+tuple and bitmasks are derived when first asked for. The one breadth-first
+search that finds components and 2-colours them lives here: it gives
+:func:`bipartition_of`, and the independence solver reads its components.
 Vertex ids are 0-based everywhere in the API; the text interchange format
 (edge lists, DOT labels) is 1-based.
 """
@@ -10,9 +12,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Iterator, Sequence
 
 #: Order cap for base graphs built through :func:`make_graph` / :func:`family`.
@@ -22,6 +23,9 @@ MAX_BASE_ORDER = 64
 #: Cap on the vertex count plus the edge count of a token graph, checked
 #: before it is built. F_8(P_16), 64,350, is the largest the catalog uses.
 MAX_TOKEN_GRAPH_SIZE = 1 << 22
+
+#: Sorted neighbour tuples, one per vertex: ``Graph.adj``.
+Rows = tuple[tuple[int, ...], ...]
 
 
 class GraphError(ValueError):
@@ -133,13 +137,6 @@ class Bipartition:
     part_b: frozenset[int]
     part_r: frozenset[int]
 
-    def side(self, name: str) -> frozenset[int]:
-        if name == "b":
-            return self.part_b
-        if name == "r":
-            return self.part_r
-        raise ValueError(f"unknown side {name!r}; expected 'b' or 'r'")
-
     def validate(self, g: Graph) -> None:
         """Raise GraphError unless this is a valid bipartition of ``g``.
 
@@ -242,28 +239,45 @@ def delete_vertices(g: Graph, remove: Iterable[int]) -> tuple[Graph, tuple[int, 
     return Graph(len(kept), edges), kept
 
 
+def _component_masks(adj: Rows) -> tuple[list[tuple[list[int], bool]], list[int]]:
+    """Components and 2-colouring from one BFS over ``adj``: each component
+    in order of its lowest vertex, as its vertex list in BFS order from that
+    vertex with a flag set when some edge joins two vertices of one BFS
+    parity (an odd cycle), and ``side``, the BFS depth parity of every
+    vertex, 0 at each component's lowest vertex."""
+    side = [-1] * len(adj)
+    comps = []
+    for root in range(len(adj)):
+        if side[root] >= 0:
+            continue
+        side[root] = 0
+        comp = [root]
+        odd = False
+        for u in comp:
+            s = side[u] ^ 1
+            for w in adj[u]:
+                t = side[w]
+                if t < 0:
+                    side[w] = s
+                    comp.append(w)
+                elif t != s:
+                    odd = True
+        comps.append((comp, odd))
+    return comps, side
+
+
 def bipartition_of(g: Graph) -> Bipartition | None:
     """A 2-coloring if one exists, else None.
 
     Deterministic: the lowest-id vertex of each component goes to part_b.
     """
-    color = [-1] * g.n  # 0 -> b, 1 -> r
-    for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
-    part_b = frozenset(v for v in range(g.n) if color[v] == 0)
-    part_r = frozenset(v for v in range(g.n) if color[v] == 1)
-    return Bipartition(part_b=part_b, part_r=part_r)
+    comps, side = _component_masks(g.adj)
+    if any(odd for _, odd in comps):
+        return None
+    return Bipartition(
+        part_b=frozenset(v for v, s in enumerate(side) if not s),
+        part_r=frozenset(compress(range(g.n), side)),
+    )
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:

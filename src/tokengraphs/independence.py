@@ -1,7 +1,8 @@
 """Exact maximum independent sets and the recursive token-graph bounds.
 
-One breadth-first search over the sorted neighbour tuples finds the
-connected components and 2-colours them. Components are solved
+One breadth-first search over the sorted neighbour tuples, the one
+``graphs._component_masks`` that :func:`.graphs.bipartition_of` runs too,
+finds the connected components and 2-colours them. Components are solved
 independently, each from a greedy seed (least remaining degree first) that
 runs on the same tuples with one min-heap of ids per remaining degree:
 O((n + m) log n) list and heap operations, no bitmask work per edge. On a tree
@@ -39,8 +40,9 @@ from itertools import compress
 from typing import Callable
 
 from .budget import Budget, BudgetExceededError, _BudgetClock  # noqa: F401 (the error is re-exported)
-from .graphs import Bipartition, Graph, GraphError, delete_vertices
-from .matching import Rows, hall_witness
+from .graphs import Bipartition, Graph, GraphError, Rows, delete_vertices
+from .graphs import _component_masks  # traced by bench/layers.py
+from .matching import hall_witness
 from .matching import _hopcroft_karp as _bipartite_matching_size  # traced by bench/layers.py
 from .tokens import TokenGraph, token_graph
 
@@ -87,33 +89,6 @@ def _bit_list(mask: int) -> list[int]:
     """The ids of the set bits of ``mask``, ascending."""
     digits = bin(mask)[:1:-1].encode().translate(_DIGITS)
     return list(compress(range(len(digits)), digits))
-
-
-def _component_masks(adj: Rows) -> tuple[list[tuple[list[int], bool]], list[int]]:
-    """Components and 2-colouring from one BFS over ``adj``: each component
-    in order of its lowest vertex, as its vertex list in BFS order from that
-    vertex with a flag set when some edge joins two vertices of one BFS
-    parity (an odd cycle), and ``side``, the BFS depth parity of every
-    vertex, 0 at each component's lowest vertex."""
-    side = [-1] * len(adj)
-    comps = []
-    for root in range(len(adj)):
-        if side[root] >= 0:
-            continue
-        side[root] = 0
-        comp = [root]
-        odd = False
-        for u in comp:
-            s = side[u] ^ 1
-            for w in adj[u]:
-                t = side[w]
-                if t < 0:
-                    side[w] = s
-                    comp.append(w)
-                elif t != s:
-                    odd = True
-        comps.append((comp, odd))
-    return comps, side
 
 
 def _two_color(
@@ -362,8 +337,7 @@ def beta_via_saturation(t: TokenGraph, classes: Bipartition) -> int | None:
     If the smaller parity class saturates into the larger one, the larger
     class size is the exact answer; otherwise no conclusion (None).
     """
-    small = "b" if len(classes.part_b) <= len(classes.part_r) else "r"
-    if hall_witness(t.graph, classes, small) is None:
+    if hall_witness(t.graph, classes) is None:
         return max(len(classes.part_b), len(classes.part_r))
     return None
 

@@ -18,10 +18,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .budget import Budget, _BudgetClock
-from .graphs import Bipartition, Graph, GraphError
-
-#: Sorted neighbour tuples, one per vertex: ``Graph.adj``.
-Rows = tuple[tuple[int, ...], ...]
+from .graphs import Bipartition, Graph, GraphError, Rows
 
 
 class MatchingError(ValueError):
@@ -49,6 +46,9 @@ class Matching:
     def validate(self, host: Graph) -> None:
         seen: set[int] = set()
         for u, v in self.edges:
+            for x in (u, v):
+                if not 0 <= x < host.n:
+                    raise MatchingError(f"vertex {x} outside the host graph")
             if not host.adjacent(u, v):
                 raise MatchingError(f"edge ({u}, {v}) is not in the host graph")
             if u in seen or v in seen:
@@ -299,17 +299,20 @@ def _hopcroft_karp(
                 break
 
 
-def hall_witness(g: Graph, part: Bipartition, side: str) -> frozenset[int] | None:
-    """A set S within ``side`` with |N(S)| < |S|, or None when the side saturates.
+def hall_witness(g: Graph, part: Bipartition) -> frozenset[int] | None:
+    """A set S within the smaller class of ``part``, ``part_b`` on a tie,
+    with |N(S)| < |S|, or None when that class saturates into the other.
+    A strictly larger class never saturates, so this is the one Hall
+    question a 2-colouring asks; :func:`_hopcroft_karp` takes either side.
 
-    The witness is the canonical deficiency set: all side vertices reachable
-    by alternating paths from the unmatched ones under a maximum matching.
+    The witness is the canonical deficiency set: all vertices of the class
+    that alternating paths reach from its unmatched ones under a maximum
+    matching.
     """
     part.validate(g)
-    other = part.side("r" if side == "b" else "b")
-    _, reach = _hopcroft_karp(sorted(part.side(side)), other, g.adj)
+    small, big = sorted((part.part_b, part.part_r), key=len)  # stable: part_b on a tie
+    _, reach = _hopcroft_karp(sorted(small), big, g.adj)
     if not reach:
         return None
     assert len(set().union(*(g.adj[u] for u in reach))) < len(reach)
     return frozenset(reach)
-

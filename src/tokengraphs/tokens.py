@@ -15,7 +15,7 @@ from itertools import compress
 from math import comb
 from typing import Iterable, Sequence
 
-from .graphs import MAX_TOKEN_GRAPH_SIZE, Bipartition, Graph, GraphError
+from .graphs import MAX_TOKEN_GRAPH_SIZE, Bipartition, Graph, GraphError, to_dot
 
 
 class SubsetCodec:
@@ -181,7 +181,5 @@ def subset_label(subset: Sequence[int]) -> str:
 
 def token_graph_to_dot(t: TokenGraph, name: str = "F") -> str:
     """DOT export with subset labels on the derived vertices."""
-    from .graphs import to_dot
-
     labels = {r: subset_label(t.codec.unrank(r)) for r in range(t.codec.size)}
     return to_dot(t.graph, labels=labels, name=name)

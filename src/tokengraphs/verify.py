@@ -31,14 +31,11 @@ from .constructions import (
     f2_matching_construction,
     isolated_tokens,
     theorem1_matching,
-    witness_graph_large_s,
-    witness_graph_small_s,
+    witness_graph,
 )
 from .formulas import (
     beta_balanced_family,
     beta_cycle_f2,
-    beta_kmn_f2,
-    beta_star,
     class_bound,
     class_order_predicate,
     nu_token_formula,
@@ -246,19 +243,20 @@ def _prop3(cap: int, budget: Budget | None) -> Rows:
 
 
 def _witness_family(small: bool, cap: int, budget: Budget | None) -> Rows:
-    """Extremal bipartite witnesses with parts m and m+s: for m > C(s,2)
-    (``small``, lemma5) independence of the 2-token graph equals the mixed
-    class size, otherwise (lemma6) the same-side class size."""
+    """Extremal bipartite witnesses with parts m and m+s: independence of
+    the 2-token graph equals the larger parity class, the mixed class for
+    m > C(s,2) (``small``, lemma5) and otherwise (lemma6) the same-side
+    class."""
     for m in range(1, cap // 2 + 1):
         for s in range(0, cap - 2 * m + 1):
             if (comb(s, 2) < m) != small:
                 continue
             def compute(m=m, s=s):
-                g, _, phi = (witness_graph_small_s if small else witness_graph_large_s)(m, s)
-                target = m * (m + s) if small else comb(g.n, 2) - m * (m + s)
-                entries = list(phi.entries)
-                if g.n < 3:  # single-edge base: the 2-token graph is one vertex
-                    return target, 1, {"phi": entries}, _eq_status(target, 1)
+                g, _, phi = witness_graph(m, s)
+                entries = list(phi)
+                if g.n < 3:  # one edge: F_2 is one vertex, past class_bound's k < m + n
+                    return 1, 1, {"phi": entries}, STATUS_PASS
+                target = class_bound(m, m + s, 2)
                 return _beta(g, 2, target, budget, lambda w: {"phi": entries, "independent_set": w})()
 
             yield f"witness_{'small' if small else 'large'}(m={m}, s={s})", compute
@@ -277,9 +275,7 @@ def _j73(cap: int, budget: Budget | None) -> Rows:
 def _hall_violator(t: TokenGraph) -> frozenset[int] | None:
     """A Hall violator of the smaller parity class of the token graph ``t``
     of a bipartite base, if there is one."""
-    classes = token_bipartition(t, bipartition_of(t.base))
-    small = "b" if len(classes.part_b) <= len(classes.part_r) else "r"
-    return hall_witness(t.graph, classes, small)
+    return hall_witness(t.graph, token_bipartition(t, bipartition_of(t.base)))
 
 
 def _fig34(cap: int, budget: Budget | None) -> Rows:
@@ -431,7 +427,7 @@ _CATALOG: tuple[tuple[str, int, Callable[..., Iterable], Callable[..., Compute] 
     ("thm1", 10, _thm1_tight, None),
     # 2-token independence of K_{m,n} equals the larger parity class
     ("thm2", 10, lambda cap: (
-        (f"K_{{{m},{n}}}", complete_bipartite_graph(m, n), 2, beta_kmn_f2(m, n))
+        (f"K_{{{m},{n}}}", complete_bipartite_graph(m, n), 2, class_bound(m, n, 2))
         for m in range(2, cap // 2 + 1)
         for n in range(m, cap - m + 1)
     ), _beta),
@@ -471,7 +467,7 @@ _CATALOG: tuple[tuple[str, int, Callable[..., Iterable], Callable[..., Compute] 
     ), _beta),
     # star token graphs: the saturating side flips at half the order
     ("star", 8, lambda cap: (
-        (f"K_{{1,{n}}}", star_graph(n), k, beta_star(n, k))
+        (f"K_{{1,{n}}}", star_graph(n), k, class_bound(1, n, k))
         for n in range(2, cap)
         for k in range(1, n + 1)
     ), _beta),

@@ -9,10 +9,9 @@ from tokengraphs.constructions import (
     isolated_tokens,
     lemma_times_combine,
     theorem1_matching,
-    witness_graph_large_s,
-    witness_graph_small_s,
+    witness_graph,
 )
-from tokengraphs.formulas import beta_cycle_f2, class_order_predicate, nu_token_formula
+from tokengraphs.formulas import beta_cycle_f2, class_bound, class_order_predicate, nu_token_formula
 from tokengraphs.graphs import (
     GraphError,
     complete_bipartite_graph,
@@ -223,67 +222,84 @@ def test_cycle_independent_set_rejects_even_or_tiny():
 
 
 def test_witness_small_single_edge():
-    g, classes, phi = witness_graph_small_s(1, 0)
+    g, classes, phi = witness_graph(1, 0)
     assert g.n == 2 and g.edges == ((0, 1),)
-    assert phi.entries == ()
+    assert phi == ()
 
 
 def test_witness_small_with_spokes():
-    g, classes, phi = witness_graph_small_s(3, 2)
-    assert dict(phi.entries) == {(1, 2): 1}
+    g, classes, phi = witness_graph(3, 2)
+    assert phi == (((1, 2), 1),)
     assert g.adjacent(0, 6) and g.adjacent(0, 7)
     assert token_independence_number(g, 2) == 15 == 3 * 5
 
 
 def test_witness_small_no_spokes_below_two_spare():
-    g, classes, phi = witness_graph_small_s(2, 1)
-    assert g.edge_count == 2
+    g, classes, phi = witness_graph(2, 1)
+    assert g.edge_count == 2 and phi == ()
     assert token_independence_number(g, 2) == 6
 
 
 def test_witness_large_phi_enumeration():
-    g, classes, phi = witness_graph_large_s(3, 3)
-    assert dict(phi.entries) == {1: (1, 2), 2: (1, 3), 3: (2, 3)}
+    g, classes, phi = witness_graph(3, 3)
+    assert phi == ((1, (1, 2)), (2, (1, 3)), (3, (2, 3)))
     assert token_independence_number(g, 2) == comb(9, 2) - 18 == 18
 
 
 def test_witness_large_small_cases():
-    g, _, _ = witness_graph_large_s(1, 2)
+    g, _, phi = witness_graph(1, 2)
+    assert phi == ((1, (1, 2)),)
     assert token_independence_number(g, 2) == 3
-    g, _, _ = witness_graph_large_s(2, 3)
+    g, _, phi = witness_graph(2, 3)
+    assert phi == ((1, (1, 2)), (2, (1, 3)))
     assert token_independence_number(g, 2) == 11
 
 
 def test_witness_feasibility_guards():
+    # every m >= 1 and s >= 0 has a witness; only empty parts are refused
     with pytest.raises(GraphError):
-        witness_graph_small_s(3, 3)  # C(3,2) = 3 is not < 3
+        witness_graph(0, 3)
     with pytest.raises(GraphError):
-        witness_graph_large_s(2, 2)  # C(2,2) = 1 < 2
+        witness_graph(2, -1)
+
+
+def test_witness_edges_are_rungs_plus_two_spokes_per_injected_pair():
+    # lemma 5 maps 2-subsets of the surplus to left vertices, lemma 6 the
+    # reverse; either way left vertex h has spokes to the pair phi names
+    for m in range(1, 6):
+        for s in range(0, 7):
+            g, classes, phi = witness_graph(m, s)
+            spokes = min(m, comb(s, 2))
+            assert g.edge_count == m + 2 * spokes, (m, s)
+            assert len(phi) == spokes
+            assert all(g.adjacent(i, m + i) for i in range(m))
+            for entry in phi:
+                pair, h = entry if comb(s, 2) < m else entry[::-1]
+                assert all(g.adjacent(h - 1, 2 * m + x - 1) for x in pair), (m, s, entry)
+            classes.validate(g)
+            assert (len(classes.part_b), len(classes.part_r)) == (m, m + s)
 
 
 def test_witness_class_sizes_and_threshold_agree():
     for m in range(1, 4):
         for s in range(0, 8 - 2 * m + 1):
-            small_side = comb(s, 2) < m
-            builder = witness_graph_small_s if small_side else witness_graph_large_s
-            g, classes, _ = builder(m, s)
+            g, classes, _ = witness_graph(m, s)
             mixed = m * (m + s)
             same = comb(g.n, 2) - mixed
-            expect = mixed if small_side else same
             if g.n >= 3:
-                assert token_independence_number(g, 2) == expect, (m, s)
+                assert token_independence_number(g, 2) == class_bound(m, m + s, 2), (m, s)
+                # lemmas 5 and 6: the mixed class wins exactly when m > C(s,2)
+                assert class_bound(m, m + s, 2) == (mixed if comb(s, 2) < m else same)
             assert class_order_predicate(m, m + s) == (same >= mixed)
 
 
 def test_supergraph_edges_never_change_the_answer():
     # adding any one missing cross edge keeps the class-size answer
     for m, s in [(1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (1, 2), (1, 3), (1, 4), (2, 3)]:
-        small_side = comb(s, 2) < m
-        builder = witness_graph_small_s if small_side else witness_graph_large_s
-        g, classes, _ = builder(m, s)
+        g, classes, _ = witness_graph(m, s)
         if g.n < 3:
             continue
-        answer = max(m * (m + s), comb(g.n, 2) - m * (m + s))
+        answer = class_bound(m, m + s, 2)
         present = set(g.edges)
         for b in sorted(classes.part_b):
             for r in sorted(classes.part_r):

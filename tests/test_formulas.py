@@ -6,8 +6,6 @@ import pytest
 from tokengraphs.formulas import (
     beta_balanced_family,
     beta_cycle_f2,
-    beta_kmn_f2,
-    beta_star,
     class_bound,
     class_order_predicate,
     nu_token_formula,
@@ -58,10 +56,30 @@ def test_nu_formula_rejects_bad_k():
 # -- independence formulas ----------------------------------------------------
 
 
+# The paper's statements, kept as the oracles that ``class_bound`` must match.
+
+
+def _theorem2(m, n):
+    """β(F_2(K_{m,n})): the larger of the mixed and the same-side class."""
+    return max(m * n, comb(m, 2) + comb(n, 2))
+
+
+def _star(n, k):
+    """β(F_k(K_{1,n})): C(n,k) while 2k <= n + 1, then C(n,k-1)."""
+    return comb(n, k) if 2 * k <= n + 1 else comb(n, k - 1)
+
+
+def _lemmas_5_and_6(m, s):
+    """β(F_2) of the witness graph with parts m and m+s."""
+    return m * (m + s) if m > comb(s, 2) else comb(2 * m + s, 2) - m * (m + s)
+
+
 def test_beta_kmn_examples():
-    assert beta_kmn_f2(3, 3) == 9
-    assert beta_kmn_f2(2, 5) == 11
-    assert beta_kmn_f2(1, 1) == 1
+    assert class_bound(3, 3, 2) == 9
+    assert class_bound(2, 5, 2) == 11
+    # K_{1,1} has one 2-token: outside class_bound's range of k
+    with pytest.raises(GraphError):
+        class_bound(1, 1, 2)
 
 
 def test_beta_cycle_examples():
@@ -72,9 +90,29 @@ def test_beta_cycle_examples():
 
 
 def test_beta_star_examples():
-    assert beta_star(4, 2) == 6
-    assert beta_star(5, 4) == 10
-    assert beta_star(6, 1) == 6
+    assert class_bound(1, 4, 2) == 6
+    assert class_bound(1, 5, 4) == 10
+    assert class_bound(1, 6, 1) == 6
+
+
+def test_class_bound_is_theorem_2_on_every_complete_bipartite_base():
+    for m in range(1, 16):
+        for n in range(1, 16):
+            if m + n >= 3:
+                assert class_bound(m, n, 2) == _theorem2(m, n), (m, n)
+
+
+def test_class_bound_is_the_star_formula():
+    for n in range(1, 25):
+        for k in range(1, n + 1):
+            assert class_bound(1, n, k) == _star(n, k), (n, k)
+
+
+def test_class_bound_is_lemmas_5_and_6():
+    for m in range(1, 16):
+        for s in range(0, 16):
+            if 2 * m + s >= 3:
+                assert class_bound(m, m + s, 2) == _lemmas_5_and_6(m, s), (m, s)
 
 
 def test_r_value_examples():
@@ -160,9 +198,8 @@ def test_counterexample_hits_fail_hall():
     for g, _ in _covered_hits_2x5()[:5]:
         t = token_graph(g, 2)
         classes = token_bipartition(t, bipartition_of(g))
-        small = "b" if len(classes.part_b) <= len(classes.part_r) else "r"
-        witness = hall_witness(t.graph, classes, small)
-        assert witness is not None
+        witness = hall_witness(t.graph, classes)
+        assert witness is not None and witness <= min(classes.part_b, classes.part_r, key=len)
         nbrs = set()
         for v in witness:
             nbrs.update(t.graph.adj[v])
@@ -176,7 +213,7 @@ def test_conjecture_scan_small_all_agree():
     assert keys == sorted(keys)
     for (m, n, k), row in zip(keys, rows):
         if k == 2:
-            assert row.formula_value == beta_kmn_f2(m, n)
+            assert row.formula_value == _theorem2(m, n)
 
 
 def test_conjecture_scan_guard():
@@ -234,9 +271,9 @@ def test_formula_grid_matches_solver():
             assert token_independence_number(path_graph(p), k) == beta_balanced_family(p, k)
     for n in range(2, 6):
         for k in range(1, n + 1):
-            assert token_independence_number(star_graph(n), k) == beta_star(n, k)
+            assert token_independence_number(star_graph(n), k) == _star(n, k)
     for m in range(2, 4):
         for n in range(m, 5):
             assert token_independence_number(
                 complete_bipartite_graph(m, n), 2
-            ) == beta_kmn_f2(m, n)
+            ) == _theorem2(m, n)

@@ -212,12 +212,6 @@ def test_bipartition_validate_names_the_first_edge_that_does_not_cross():
             part.validate(g)
 
 
-def test_side_selection():
-    part = Bipartition(part_b=frozenset({0}), part_r=frozenset({1, 2}))
-    assert part.side("b") == {0}
-    assert part.side("r") == {1, 2}
-
-
 def test_edge_list_roundtrip():
     g = complete_bipartite_graph(2, 3)
     text = to_edge_list_text(g)

@@ -11,6 +11,7 @@ from tokengraphs.budget import Budget, BudgetExceededError
 from tokengraphs.graphs import (
     Bipartition,
     Graph,
+    _component_masks,
     bipartition_of,
     complete_bipartite_graph,
     complete_graph,
@@ -269,6 +270,13 @@ def test_matching_validate_rejects_foreign_edge():
         Matching.of([(0, 2)]).validate(path_graph(3))
 
 
+def test_matching_validate_rejects_vertices_outside_the_host():
+    # -1 would read the row of vertex 4, and 5 past the last row
+    for pair, vertex in (((-1, 0), -1), ((5, 6), 5)):
+        with pytest.raises(MatchingError, match=f"vertex {vertex} outside"):
+            Matching.of([pair]).validate(cycle_graph(5))
+
+
 def test_matching_validate_rejects_shared_vertex():
     g = path_graph(3)
     with pytest.raises(MatchingError):
@@ -278,38 +286,41 @@ def test_matching_validate_rejects_shared_vertex():
 # -- saturation and Hall witnesses -----------------------------------------
 
 
+def _swapped(part):
+    return Bipartition(part_b=part.part_r, part_r=part.part_b)
+
+
+def _neighbours(g, vertices):
+    return set().union(*(g.adj[v] for v in vertices))
+
+
 def test_saturates_star_leaves_fail():
     g = star_graph(3)
     part = bipartition_of(g)
-    leaves_side = "r" if len(part.part_r) == 3 else "b"
-    centre_side = "b" if leaves_side == "r" else "r"
-    assert hall_witness(g, part, leaves_side) is not None
-    assert hall_witness(g, part, centre_side) is None
+    assert part.part_b == {0} and hall_witness(g, part) is None  # the centre saturates
+    _, reach = _hopcroft_karp(sorted(part.part_r), part.part_b, g.adj)
+    assert reach  # the leaves, the larger side, do not
 
 
 def test_saturates_star_token_classes():
     t = token_graph(star_graph(4), 2)
     classes = token_bipartition(t, bipartition_of(t.base))
-    small = "r" if len(classes.part_r) <= len(classes.part_b) else "b"
-    assert len(classes.side(small)) == 4
-    assert hall_witness(t.graph, classes, small) is None
+    assert min(len(classes.part_b), len(classes.part_r)) == 4
+    assert hall_witness(t.graph, classes) is None
 
 
 def test_saturates_matching_graph_both_sides():
     g = matching_graph(3, 0)
     part = bipartition_of(g)
-    assert hall_witness(g, part, "b") is None and hall_witness(g, part, "r") is None
+    assert hall_witness(g, part) is None and hall_witness(g, _swapped(part)) is None
 
 
-def _hall_min_slack(g, part, side):
-    side_list = sorted(part.side(side))
+def _hall_min_slack(g, side):
+    side_list = sorted(side)
     worst = None
     for size in range(1, len(side_list) + 1):
         for sub in combinations(side_list, size):
-            nbrs = set()
-            for v in sub:
-                nbrs.update(g.adj[v])
-            slack = len(nbrs) - len(sub)
+            slack = len(_neighbours(g, sub)) - len(sub)
             worst = slack if worst is None else min(worst, slack)
     return worst
 
@@ -328,28 +339,49 @@ def test_saturates_agrees_with_exhaustive_hall():
             part_b=frozenset(range(m)), part_r=frozenset(range(m, m + n))
         )
         part.validate(g)
-        for side in ("b", "r"):
-            exhaustive = _hall_min_slack(g, part, side)
+        for side, other in ((part.part_b, part.part_r), (part.part_r, part.part_b)):
+            exhaustive = _hall_min_slack(g, side)
             exhaustive_ok = exhaustive is None or exhaustive >= 0
-            assert (hall_witness(g, part, side) is None) == exhaustive_ok, (trial, side)
+            _, reach = _hopcroft_karp(sorted(side), other, g.adj)
+            assert (not reach) == exhaustive_ok, (trial, sorted(side))
+            if side is min(part.part_b, part.part_r, key=len):
+                assert (hall_witness(g, part) is None) == exhaustive_ok, trial
 
 
 def test_hall_witness_star():
+    # K_{1,3} with three isolated vertices on the centre's side: the leaves
+    # are now the smaller class, and all three need the centre
+    g = Graph(7, star_graph(3).edges)
+    part = Bipartition(part_b=frozenset({0, 4, 5, 6}), part_r=frozenset({1, 2, 3}))
+    witness = hall_witness(g, part)
+    assert witness == part.part_r
+    assert len(_neighbours(g, witness)) < len(witness)
+    # on K_{1,3} itself the leaves are the larger side, which the engine takes
     g = star_graph(3)
     part = bipartition_of(g)
-    leaves_side = "r" if len(part.part_r) == 3 else "b"
-    witness = hall_witness(g, part, leaves_side)
-    assert witness == part.side(leaves_side)
-    nbrs = set()
-    for v in witness:
-        nbrs.update(g.adj[v])
-    assert len(nbrs) < len(witness)
+    _, reach = _hopcroft_karp(sorted(part.part_r), part.part_b, g.adj)
+    assert frozenset(reach) == part.part_r
 
 
 def test_hall_witness_absent_when_saturated():
     g = matching_graph(3, 0)
     part = bipartition_of(g)
-    assert hall_witness(g, part, "b") is None
+    assert hall_witness(g, part) is None
+    assert hall_witness(g, _swapped(part)) is None
+
+
+def test_hall_witness_tests_the_smaller_class_and_part_b_on_a_tie():
+    # path 0-1-2-3 plus vertex 4 beside 2: part_b {0, 2}, part_r {1, 3, 4};
+    # the smaller class saturates under either name
+    g = make_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
+    part = bipartition_of(g)
+    assert part.part_b == {0, 2} and hall_witness(g, part) is None
+    assert hall_witness(g, _swapped(part)) is None
+    # a tie: K_{1,2} plus an isolated vertex split 2/2, tested on part_b
+    g = make_graph(4, [(0, 1), (0, 2)])
+    part = Bipartition(part_b=frozenset({1, 2}), part_r=frozenset({0, 3}))
+    assert hall_witness(g, part) == {1, 2}
+    assert hall_witness(g, _swapped(part)) == {3}
 
 
 def test_hall_witness_is_violating_set_on_random_bipartite():
@@ -361,14 +393,17 @@ def test_hall_witness_is_violating_set_on_random_bipartite():
         edges = [(i, m + j) for i in range(m) for j in range(n) if rng.random() < 0.4]
         g = make_graph(m + n, edges)
         part = Bipartition(part_b=frozenset(range(m)), part_r=frozenset(range(m, m + n)))
-        for side in ("b", "r"):
-            witness = hall_witness(g, part, side)
-            assert (witness is None) == (max_matching(g).size == len(part.side(side)))
-            if witness is not None:
-                nbrs = set()
-                for v in witness:
-                    nbrs.update(g.adj[v])
-                assert len(nbrs) < len(witness)
+        nu = max_matching(g).size
+        small = min(part.part_b, part.part_r, key=len)
+        witness = hall_witness(g, part)
+        assert (witness is None) == (nu == len(small))
+        if witness is not None:
+            assert witness <= small and len(_neighbours(g, witness)) < len(witness)
+        for side, other in ((part.part_b, part.part_r), (part.part_r, part.part_b)):
+            _, reach = _hopcroft_karp(sorted(side), other, g.adj)
+            assert (not reach) == (nu == len(side))
+            if reach:
+                assert len(_neighbours(g, reach)) < len(reach)
 
 
 def test_hall_witness_is_the_side_some_maximum_matching_misses():
@@ -379,12 +414,15 @@ def test_hall_witness_is_the_side_some_maximum_matching_misses():
         g = make_graph(m + n, edges)
         part = Bipartition(part_b=frozenset(range(m)), part_r=frozenset(range(m, m + n)))
         nu = max_matching(g).size
-        for side in ("b", "r"):
+        for side, other in ((part.part_b, part.part_r), (part.part_r, part.part_b)):
             missed = frozenset(
-                v for v in part.side(side)
+                v for v in side
                 if max_matching(delete_vertices(g, (v,))[0]).size == nu
             )
-            assert (hall_witness(g, part, side) or frozenset()) == missed, (trial, side)
+            _, reach = _hopcroft_karp(sorted(side), other, g.adj)
+            assert frozenset(reach) == missed, (trial, sorted(side))
+            if side is min(part.part_b, part.part_r, key=len):
+                assert (hall_witness(g, part) or frozenset()) == missed, trial
 
 
 def test_hall_queries_follow_a_4000_vertex_augmenting_path():
@@ -397,7 +435,8 @@ def test_hall_queries_follow_a_4000_vertex_augmenting_path():
     g = Graph(2 * m, edges)
     part = Bipartition(part_b=frozenset(range(m)), part_r=frozenset(range(m, 2 * m)))
     limit = sys.getrecursionlimit()
-    assert hall_witness(g, part, "b") is None
+    assert hall_witness(g, part) is None
+    assert hall_witness(g, _swapped(part)) is None
     assert sys.getrecursionlimit() == limit
 
 
@@ -477,14 +516,11 @@ def test_hopcroft_karp_on_the_whole_graph_matches_its_components():
     # the engine on the whole graph and on each component, either side:
     # the sizes add up, the reached sets partition, and the whole graph's
     # reached set is the Hall witness
-    from tokengraphs.independence import _component_masks
-
     for seed in range(80):
         g = bipartite_components(seed)
         part = bipartition_of(g)
         comps, _ = _component_masks(g.adj)
-        for side in ("b", "r"):
-            left, right = part.side(side), part.side("r" if side == "b" else "b")
+        for left, right in ((part.part_b, part.part_r), (part.part_r, part.part_b)):
             nu, reach = _hopcroft_karp(sorted(left), right, g.adj)
             total, reached = 0, []
             for comp, _ in comps:
@@ -492,4 +528,5 @@ def test_hopcroft_karp_on_the_whole_graph_matches_its_components():
                 total += size
                 reached += found
             assert (total, sorted(reached)) == (nu, sorted(reach)), seed
-            assert hall_witness(g, part, side) == (frozenset(reach) or None)
+            if left is min(part.part_b, part.part_r, key=len):
+                assert hall_witness(g, part) == (frozenset(reach) or None)
