@@ -94,14 +94,24 @@ class Graph:
         return len(self.adj[v])
 
     def adjacent(self, u: int, v: int) -> bool:
-        """Whether uv is an edge, by bisection of u's sorted neighbours."""
+        """Whether uv is an edge, by bisection of u's sorted neighbours.
+        Raises :class:`GraphError` if u or v is not a vertex."""
+        self._check_vertex(u)
+        self._check_vertex(v)
         row = self.adj[u]
         i = bisect_left(row, v)
         return i < len(row) and row[i] == v
 
     def closed_neighborhood(self, v: int) -> frozenset[int]:
-        """N[v]: the vertex together with its neighbors."""
+        """N[v]: the vertex together with its neighbors. Raises
+        :class:`GraphError` if v is not a vertex."""
+        self._check_vertex(v)
         return frozenset(self.adj[v]) | {v}
+
+    def _check_vertex(self, v: int) -> None:
+        # a negative id would index the rows from the end
+        if not 0 <= v < self.n:
+            raise GraphError(f"vertex {v} outside 0..{self.n - 1}")
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(map(len, self.adj))

@@ -19,7 +19,11 @@ reductions, found in the same scan that picks the branching vertex),
 branching picks the busiest candidate vertex with the include branch first,
 and a greedy clique cover bounds the search. The cover grows one clique at
 a time by intersecting neighborhood masks, the partition first-fit would
-build at O(1) mask operations per vertex. On a triangle-free component,
+build at O(1) mask operations per vertex. On a component with a triangle,
+a node whose cover misses pruning by exactly one tests the cover's cliques
+for inconsistency by failed literals and unit propagation, MaxSAT-style
+inference (Li & Quan, 2010): if no independent set meets every clique, the
+bound drops by one and the node is pruned. On a triangle-free component,
 where each cover clique is a vertex or an edge, a node the cover cannot
 prune also tries the LP bound: |cand| minus half the matching number of the
 bipartite double cover of cand, the LP vertex-cover optimum (Nemhauser &
@@ -153,8 +157,9 @@ def _greedy_seed(comp: list[int], adj: Rows, deg: list[int]) -> tuple[list[int],
     return chosen, degree_sum
 
 
-def _clique_cover_bound(cand: int, masks: tuple[int, ...]) -> int:
-    """Number of cliques in a greedy clique cover of ``cand``.
+def _clique_cover_bound(cand: int, masks: tuple[int, ...], room: int | None = None) -> int:
+    """Number of cliques in a greedy clique cover of ``cand``, less one when
+    that is ``room + 1`` and failed literals show the cliques inconsistent.
 
     The cliques are built one at a time: a clique opens at the lowest
     remaining vertex, and ``grow``, the remaining vertices adjacent to every
@@ -162,9 +167,17 @@ def _clique_cover_bound(cand: int, masks: tuple[int, ...]) -> int:
     That is the partition first-fit builds in id order (a vertex joins the
     first clique whose members it all sees), at O(1) mask operations per
     vertex instead of one subset test per open clique.
+
+    An independent set of ``cand`` meets each clique at most once, so the
+    count bounds it. ``room`` is the size a set must exceed to matter: when
+    the count misses it by exactly one, :func:`_inconsistent` tests whether
+    some set can meet every clique, and if none can the bound is ``room``.
+    The test is made only there, where it decides a prune. Without ``room``
+    the count is returned as it is.
     """
-    count = 0
+    cliques = []
     while cand:
+        rest = cand
         low = cand & (-cand)
         cand ^= low
         grow = masks[low.bit_length() - 1] & cand
@@ -172,8 +185,63 @@ def _clique_cover_bound(cand: int, masks: tuple[int, ...]) -> int:
             low = grow & (-grow)
             cand ^= low
             grow &= masks[low.bit_length() - 1]
-        count += 1
+        cliques.append(rest ^ cand)
+    count = len(cliques)
+    if room is not None and count == room + 1 and _inconsistent(cliques, masks):
+        return room
     return count
+
+
+def _inconsistent(cliques: list[int], masks: tuple[int, ...]) -> bool:
+    """Whether no independent set meets every one of the disjoint
+    ``cliques``, shown by failed literals (Li & Quan, AAAI 2010).
+
+    A vertex v of a clique K fails when taking it forces, by unit
+    propagation, a clique with no vertex left: every other clique loses
+    N(v), and a clique left with one vertex forces that vertex, whose
+    neighbours leave the rest in turn. A set meeting every clique meets K
+    at some v and keeps each forced vertex, so if every vertex of some K
+    fails there is no such set. The cliques are tried last-built first.
+    """
+    for i in range(len(cliques) - 1, -1, -1):
+        others = cliques[:i] + cliques[i + 1:]
+        m = cliques[i]
+        while m:
+            low = m & (-m)
+            m ^= low
+            if not _propagation_fails(masks[low.bit_length() - 1], others, masks):
+                break
+        else:
+            return True
+    return False
+
+
+def _propagation_fails(out: int, cliques: list[int], masks: tuple[int, ...]) -> bool:
+    """Whether excluding ``out`` from ``cliques`` and unit propagation then
+    empty a clique. The single vertices left in a round are forced together,
+    so two of them that are adjacent fail too."""
+    while True:
+        live = []
+        units = 0
+        for c in cliques:
+            c &= ~out
+            if c & (c - 1):
+                live.append(c)
+            elif c:
+                units |= c
+            else:
+                return True
+        if not units:
+            return False
+        out = 0
+        m = units
+        while m:
+            low = m & (-m)
+            m ^= low
+            out |= masks[low.bit_length() - 1]
+        if out & units:
+            return True
+        cliques = live
 
 
 def _solve_component(
@@ -226,15 +294,19 @@ def _branch(
 
     Depth-first on an explicit stack of ``(cand, cur_mask, cur_size)``
     nodes: a node pushes its exclude continuation before its include child,
-    so the include branch is searched first. A node the clique cover cannot
-    prune tries the LP bound, |cand| minus the LP vertex-cover optimum, when
-    ``cand`` is triangle-free, which every node then is. There each cover
-    clique is a vertex or an edge, so the LP bound is never weaker; it
-    prunes only nodes that cannot beat ``best_mask``, so the search returns
-    the same set either way. As nu <= |cand| and cover cliques have at most
-    2 vertices, both bounds are at least cur_size + |cand| // 2 there: a
-    node where that beats ``best_size`` calls neither, and the matching is
-    asked only to reach the size that prunes."""
+    so the include branch is searched first. When ``cand`` has a triangle,
+    the clique cover is told the room left to prune, so a cover that misses
+    it by one is tested for inconsistency. When ``cand`` is triangle-free,
+    which every node then is, the cover is counted alone, and a node it
+    cannot prune tries the LP bound, |cand| minus the LP vertex-cover
+    optimum; each cover clique is a vertex or an edge there, so the LP
+    bound is never weaker. The reductions and the branching vertex depend
+    on ``cand`` alone, and a valid bound prunes only nodes that cannot beat
+    ``best_mask``, so the search returns the set the cover alone finds. As
+    nu <= |cand| and cover cliques have at most 2 vertices, both bounds are
+    at least cur_size + |cand| // 2 on a triangle-free node: one where that
+    beats ``best_size`` calls neither, and the matching is asked only to
+    reach the size that prunes."""
     best_size = best_mask.bit_count()
     free = _triangle_free(cand, masks)
     stack = [(cand, 0, 0)]
@@ -270,11 +342,12 @@ def _branch(
                 best_mask, best_size = cur_mask, cur_size
             continue
         if not free or cur_size + cand.bit_count() // 2 <= best_size:
-            if cur_size + _clique_cover_bound(cand, masks) <= best_size:
+            room = best_size - cur_size
+            if _clique_cover_bound(cand, masks, None if free else room) <= room:
                 continue
             if free:
-                # prunes iff (nu + 1) // 2 >= cur_size + |cand| - best_size
-                target = 2 * (cur_size + cand.bit_count() - best_size) - 1
+                # prunes iff (nu + 1) // 2 >= |cand| - room
+                target = 2 * (cand.bit_count() - room) - 1
                 live = _bit_list(cand)
                 nu, _ = _bipartite_matching_size(live, live, adj, target)
                 if nu >= target:

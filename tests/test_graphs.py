@@ -130,6 +130,19 @@ def test_delete_closed_neighborhood_of_cycle_vertex():
     assert g.n == 2 and g.edges == ((0, 1),)
 
 
+def test_adjacent_and_closed_neighborhood_reject_ids_outside_the_graph():
+    # a negative id would read a row from the end: vertex -1 of C_5 as 4
+    c5 = cycle_graph(5)
+    for u, v in [(-1, 0), (0, -1), (5, 0), (0, 5)]:
+        with pytest.raises(GraphError, match="outside"):
+            c5.adjacent(u, v)
+    for v in (-1, 5):
+        with pytest.raises(GraphError, match="outside"):
+            c5.closed_neighborhood(v)
+    with pytest.raises(GraphError):
+        Graph(0).closed_neighborhood(0)
+
+
 def test_delete_star_center_isolates_leaves():
     g, _ = delete_vertices(star_graph(3), {0})
     assert g.n == 3 and g.edge_count == 0

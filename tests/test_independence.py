@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import time
+from itertools import product
 from math import comb
 
 import pytest
@@ -232,13 +233,14 @@ def test_a_solve_ticks_once_per_bipartite_component(monkeypatch):
 
 def test_branching_solves_tick_as_before(monkeypatch):
     # odd cycles and J(6,3), relabelled; the counts are those of the solver
-    # that ran the seed on bitmasks
+    # that ran the seed on bitmasks, except J(6,3), where the inference on
+    # the clique cover took 39 nodes to 11
     cases = [(cycle_graph(7), 2), (cycle_graph(9), 3), (cycle_graph(7), 3), (complete_graph(6), 3)]
     ticks = [
         _solve_ticks(monkeypatch, relabelled(token_graph(base, k).graph, 10 * base.n + k))[1]
         for base, k in cases
     ]
-    assert ticks == [1, 27, 9, 39]
+    assert ticks == [1, 27, 9, 11]
 
 
 def test_perfect_matching_bipartite_bases_odd_k():
@@ -273,14 +275,15 @@ def test_budget_node_limit_aborts():
 
 @pytest.mark.parametrize(
     "base, k, nodes, beta",
-    [(complete_graph(9), 3, 11_079, 12), (cycle_graph(9), 3, 35, 38)],
+    [(complete_graph(9), 3, 4_093, 12), (cycle_graph(9), 3, 35, 38)],
     ids=["J(9,3)", "F_3(C_9)"],
 )
 def test_budget_node_limit_pins_the_search_tree(base, k, nodes, beta):
     # node counts at the paper's labels. The seed of J(9,3) is already
-    # maximum, so its count does not depend on the branch order; F_3(C_9)
-    # finds a larger set, and would take 49 nodes with the exclude branch
-    # first
+    # maximum, so its count does not depend on the branch order; it took
+    # 11,079 nodes before the inference on the clique cover. F_3(C_9),
+    # triangle-free, finds a larger set, and would take 49 nodes with the
+    # exclude branch first
     g = token_graph(base, k).graph
     assert max_independent_set(g, Budget(node_limit=nodes)).size == beta
     with pytest.raises(BudgetExceededError, match=f"after {nodes} nodes"):
@@ -431,22 +434,23 @@ def test_a_solve_is_linear_in_its_component_count():
 # -- clique-cover bound ----------------------------------------------------
 
 
-def _first_fit_clique_cover(cand, masks):
-    """Reference bound: each vertex, in id order, joins the first open
-    clique whose members it all sees, or opens a new one."""
+def _first_fit_cliques(order, masks):
+    """Each vertex, in ``order``, joins the first open clique whose members
+    it all sees, or opens a new one."""
     cliques = []
-    m = cand
-    while m:
-        low = m & (-m)
-        m ^= low
-        nb = masks[low.bit_length() - 1]
+    for v in order:
         for i, c in enumerate(cliques):
-            if c & ~nb == 0:
-                cliques[i] = c | low
+            if c & ~masks[v] == 0:
+                cliques[i] = c | 1 << v
                 break
         else:
-            cliques.append(low)
-    return len(cliques)
+            cliques.append(1 << v)
+    return cliques
+
+
+def _first_fit_clique_cover(cand, masks):
+    """Reference bound: the number of first-fit cliques in id order."""
+    return len(_first_fit_cliques(_bit_list(cand), masks))
 
 
 def _random_subsets(n, seed, count):
@@ -482,6 +486,40 @@ def test_clique_cover_bound_matches_first_fit_on_relabelled_token_graphs():
                     assert bound == _first_fit_clique_cover(cand, masks)
                     checked += 1
     assert checked > 1500
+
+
+def _meets_every_clique(cliques, masks):
+    """Brute force: some independent set has a vertex in every clique."""
+    for pick in product(*map(_bit_list, cliques)):
+        chosen = _mask(pick)
+        if all(masks[v] & chosen == 0 for v in pick):
+            return True
+    return False
+
+
+def test_inconsistent_covers_have_no_independent_set_meeting_every_clique():
+    # covers first-fit builds in id order, as the search does, and in a
+    # shuffled order; an inconsistent cover also lowers the bound by one
+    # exactly where it misses pruning by one, and the bound stays valid
+    inconsistent = 0
+    for seed in range(400):
+        g = erdos_renyi(4 + seed % 11, (0.2, 0.35, 0.5, 0.7)[seed % 4], seed)
+        masks = g.adjacency_masks()
+        rng = random.Random(seed)
+        for cand in _random_subsets(g.n, seed, 3):
+            ids = _bit_list(cand)
+            for order in (ids, rng.sample(ids, len(ids))):
+                cliques = _first_fit_cliques(order, masks)
+                if independence._inconsistent(cliques, masks):
+                    inconsistent += 1
+                    assert not _meets_every_clique(cliques, masks), (seed, cand, order)
+            count = _clique_cover_bound(cand, masks)
+            alpha = _brute_force_rec(cand, masks)
+            for room in range(count + 1):
+                bound = _clique_cover_bound(cand, masks, room)
+                assert bound >= alpha
+                assert bound == count or (bound == room == count - 1)
+    assert inconsistent > 200
 
 
 # -- LP bound on triangle-free components ----------------------------------
@@ -596,6 +634,34 @@ def test_branch_matches_cover_only_on_relabelled_odd_cycle_token_graphs():
         reference_nodes += reference
     # the bound does prune here: a fifth of the cover-only nodes or fewer
     assert 5 * nodes < reference_nodes
+
+
+def _with_a_triangle(n, p, seed):
+    """G(n, p) with the triangle 0, 1, 2 added."""
+    g = erdos_renyi(n, p, seed)
+    return Graph(n, list(g.edges) + [(0, 1), (1, 2), (0, 2)])
+
+
+@given(st.integers(3, 40), st.sampled_from((0.1, 0.2, 0.35, 0.5, 0.7)), st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_branch_matches_cover_only_on_graphs_with_triangles(n, p, seed):
+    _assert_branch_matches_cover_only(_with_a_triangle(n, p, seed))
+
+
+def test_branch_matches_cover_only_on_johnson_and_relabelled_token_graphs():
+    # J(n, k) = F_k(K_n) at the paper's labels, and token graphs of a
+    # wheel and of K_6, relabelled
+    graphs = [token_graph(complete_graph(n), k).graph for n, k in [(6, 3), (7, 3), (8, 3), (8, 4)]]
+    wheel = Graph(7, [(0, v) for v in range(1, 7)] + [(v, v % 6 + 1) for v in range(1, 7)])
+    for i, (base, k) in enumerate([(wheel, 3), (complete_graph(6), 3)]):
+        graphs.append(relabelled(token_graph(base, k).graph, 70 + i))
+    nodes, reference_nodes = 0, 0
+    for g in graphs:
+        found, reference = _assert_branch_matches_cover_only(g, from_empty=g.n <= 35)
+        nodes += found
+        reference_nodes += reference
+    # the inference prunes: under half the cover-only nodes
+    assert 2 * nodes < reference_nodes
 
 
 def _lp_bound(cand, adj):
