@@ -10,8 +10,9 @@ Graph specs: path:N | cycle:N | complete:N | kbip:M,N | star:N | match:M,S
 | file:PATH. Exit codes: 0 all rows pass or hold their bound, 1 any row
 fails, 2 usage error (a bad budget or graph spec, an output path that
 cannot be written, a verify or scan with no instance, or a scan above the
-desk-scale guard), 3 budget exceeded. Output paths are checked before
-anything is solved or written.
+desk-scale guard), 3 budget exceeded, 141 stdout closed before all output
+was written (128 + SIGPIPE, as a shell reports it; nothing is printed).
+Output paths are checked before anything is solved or written.
 """
 
 from __future__ import annotations
@@ -277,6 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+EXIT_CLOSED_PIPE = 141
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -288,7 +292,20 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"${BUDGET_ENV}: {exc}")
     try:
         _check_writable(*(getattr(args, name, None) for name in ("dot", "json", "csv")))
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # ``| head`` closed stdout: its unwritten buffer goes to devnull, so
+        # the flush at shutdown prints nothing either
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # no descriptor, as with a StringIO
+            return EXIT_CLOSED_PIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -91,6 +91,9 @@ class Graph:
         return self._edges
 
     def degree(self, v: int) -> int:
+        """The number of neighbours of v. Raises :class:`GraphError` if v
+        is not a vertex."""
+        self._check_vertex(v)
         return len(self.adj[v])
 
     def adjacent(self, u: int, v: int) -> bool:

@@ -1,18 +1,19 @@
 """Exact maximum matchings: one engine for each kind of graph.
 
 General graphs go through breadth-first augmenting-path search with blossom
-contraction (O(V^3)) and Edmonds' Hungarian-tree deletion: every later
-search skips the vertices of a search that failed. Bipartite graphs go
-through Hopcroft-Karp (SIAM J. Comput. 1973) on the sorted neighbour tuples,
-with one side given as a list of ids and the matching kept in lists indexed
-by vertex. Its last search also yields the side's vertices reached by
-alternating paths from its unmatched ones: the Hall deficiency set, and the
-König cover of the independence solver. The same engine, with both sides
-the same candidate set, gives the LP bound of the independence solver.
+contraction (O(V^3)), one flag test per neighbour scanned, and Edmonds'
+Hungarian-tree deletion: later searches skip a failed search's vertices.
+Bipartite graphs go through Hopcroft-Karp (SIAM J. Comput. 1973) on the
+sorted neighbour tuples, with one side a list of ids and the matching kept
+in lists indexed by vertex. Its last search also yields the side's vertices
+reached by alternating paths from its unmatched ones: the Hall deficiency
+set, and the König cover of the independence solver. The same engine, with
+both sides the same candidate set, gives the LP bound of that solver.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -44,12 +45,15 @@ class Matching:
         return frozenset(x for e in self.edges for x in e)
 
     def validate(self, host: Graph) -> None:
+        n, adj = host.n, host.adj
         seen: set[int] = set()
         for u, v in self.edges:
-            for x in (u, v):
-                if not 0 <= x < host.n:
-                    raise MatchingError(f"vertex {x} outside the host graph")
-            if not host.adjacent(u, v):
+            if not (0 <= u < n and 0 <= v < n):
+                x = v if 0 <= u < n else u
+                raise MatchingError(f"vertex {x} outside the host graph")
+            row = adj[u]  # sorted, so bisect it as Graph.adjacent does
+            i = bisect_left(row, v)
+            if i == len(row) or row[i] != v:
                 raise MatchingError(f"edge ({u}, {v}) is not in the host graph")
             if u in seen or v in seen:
                 raise MatchingError(f"edge ({u}, {v}) reuses a matched vertex")
@@ -71,14 +75,16 @@ def max_matching(g: Graph, budget: Budget | None = None) -> Matching:
     leaves every augmenting path found, and the matching, unchanged.
     Contracting a blossom walks only the vertices of the blossoms it merges,
     kept per blossom base for the current search, never the whole graph.
+    A neighbour costs one flag test: it is outer just when it is in the
+    tree (the root, the mates of inner vertices and what blossoms absorb),
+    and only then compares bases, as any other vertex is its own base.
 
     Deterministic: greedy seeding and augmenting-path scans run in vertex-id
     order, so identical inputs yield identical matchings. Each exposed root
     searched from is one node of the ``budget``; running out raises
     :class:`BudgetExceededError`.
     """
-    n = g.n
-    adj = g.adj
+    n, adj = g.n, g.adj
     mate = [-1] * n
     clock = _BudgetClock(budget)
 
@@ -110,13 +116,11 @@ def max_matching(g: Graph, budget: Budget | None = None) -> Matching:
                 return b
             b = parent[mate[b]]
 
-    def find_augmenting_from(root: int, queue: list[int]) -> int:
-        """Grow an alternating tree from ``root``; return an exposed endpoint
-        of an augmenting path, or -1. ``queue`` keeps every vertex put in
-        the tree; the others it labelled are their mates and the endpoint."""
+    def find_augmenting_from(root: int) -> tuple[int, list[int], list[int]]:
+        """The exposed end of an augmenting path from ``root``, or -1 once its
+        Hungarian tree is deleted; then the tree's and the inner vertices."""
         in_tree[root] = True
-        queue.append(root)
-        head = 0
+        queue, inner = [root], []
         members: dict[int, list[int]] = {}  # blossom base -> its vertices
 
         def contract(v: int, w: int) -> None:
@@ -148,46 +152,42 @@ def max_matching(g: Graph, budget: Budget | None = None) -> Matching:
             grown.sort()
             queue.extend(grown)
 
-        while head < len(queue):
-            v = queue[head]
-            head += 1
+        for v in queue:  # contract extends the queue as it grows
             for w in adj[v]:
-                if dead[w] or base[v] == base[w] or mate[v] == w:
-                    continue
-                if w == root or (mate[w] != -1 and parent[mate[w]] != -1):
-                    contract(v, w)
-                elif parent[w] == -1:
+                if in_tree[w]:
+                    if base[w] != base[v]:
+                        contract(v, w)
+                elif parent[w] == -1 and not dead[w]:
                     parent[w] = v
-                    if mate[w] == -1:
-                        return w
-                    in_tree[mate[w]] = True
-                    queue.append(mate[w])
-        return -1
+                    inner.append(w)
+                    x = mate[w]
+                    if x == -1:
+                        return w, queue, inner
+                    in_tree[x] = True
+                    queue.append(x)
+        for v in queue + inner:
+            dead[v] = True
+        return -1, queue, inner
 
     for root in range(n):
         if mate[root] != -1:
             continue
         clock.tick()
-        queue: list[int] = []
-        end = find_augmenting_from(root, queue)
-        labelled = queue + [mate[v] for v in queue if mate[v] != -1]
-        if end == -1:
-            for v in labelled:
-                dead[v] = True
-        else:
-            labelled.append(end)
+        end, queue, inner = find_augmenting_from(root)
         while end != -1:
             prev = parent[end]
             next_start = mate[prev]
             mate[end] = prev
             mate[prev] = end
             end = next_start
-        for v in labelled:
+        for v in queue:  # the only ones whose base or in_tree changed
             parent[v] = -1
             base[v] = v
             in_tree[v] = False
+        for v in inner:
+            parent[v] = -1
 
-    return Matching.of((v, mate[v]) for v in range(n) if mate[v] > v)
+    return Matching(frozenset((v, w) for v, w in enumerate(mate) if w > v))
 
 
 def brute_force_nu(g: Graph) -> int:

@@ -341,3 +341,43 @@ def test_reports_byte_identical_across_processes(tmp_path):
         )
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_cli_closed_stdout_prints_nothing_and_exits_141():
+    # no reader is left once the parent closes its end, so the first write
+    # fails whatever the buffering: unbuffered it fails in a print, block
+    # buffered in main's flush
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import tokengraphs
+
+    src = str(Path(tokengraphs.__file__).resolve().parent.parent)
+    for unbuffered in ("1", ""):
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        if not unbuffered:
+            del env["PYTHONUNBUFFERED"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tokengraphs.cli", "beta", "cycle:7", "-k", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (cli.EXIT_CLOSED_PIPE, b"")
+
+
+def test_cli_closed_stdout_without_a_descriptor(capsys):
+    # a StringIO stdout has no file descriptor to point at devnull
+    import contextlib
+    import io
+
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    with contextlib.redirect_stdout(Closed()):
+        assert main(["beta", "cycle:7", "-k", "3"]) == cli.EXIT_CLOSED_PIPE
+    assert capsys.readouterr().err == ""

@@ -143,6 +143,15 @@ def test_adjacent_and_closed_neighborhood_reject_ids_outside_the_graph():
         Graph(0).closed_neighborhood(0)
 
 
+def test_degree_rejects_ids_outside_the_graph():
+    # -1 would read the row of vertex 4, and 5 would raise IndexError
+    c5 = cycle_graph(5)
+    for v in (-1, 5):
+        with pytest.raises(GraphError, match=f"vertex {v} outside 0..4"):
+            c5.degree(v)
+    assert [c5.degree(v) for v in range(5)] == [2] * 5
+
+
 def test_delete_star_center_isolates_leaves():
     g, _ = delete_vertices(star_graph(3), {0})
     assert g.n == 3 and g.edge_count == 0

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from collections import deque
@@ -234,6 +235,40 @@ def test_blossom_matches_reference_on_relabelled_token_graphs():
     assert checked == 2 * sum(b.n - 1 for b in bases)
 
 
+@pytest.mark.parametrize(
+    "base, k",
+    [(path_graph(12), 6), (complete_bipartite_graph(5, 5), 5), (cycle_graph(12), 6),
+     (cycle_graph(9), 4), (cycle_graph(11), 4)],
+    ids=["F6(P12)", "F5(K55)", "F6(C12)", "F4(C9)", "F4(C11)"],
+)
+def test_blossom_matches_reference_on_large_token_graphs(base, k):
+    # bipartite ones with long successful searches, and general ones whose
+    # blossoms absorb inner vertices, at three labellings each
+    t = token_graph(base, k).graph
+    for seed in (1, 2, 3):
+        g = relabelled(t, seed)
+        assert max_matching(g).edges == _reference_max_matching(g).edges, seed
+
+
+def test_blossom_matches_reference_where_an_absorbed_inner_vertex_augments():
+    # greedy matches 0-1 and 2-3; the search from 4 labels 0 and 3 inner,
+    # contracts the blossom 4-0-1-2-3, and reaches 5 only from the absorbed 0
+    g = make_graph(6, [(0, 1), (2, 3), (1, 2), (0, 4), (3, 4), (0, 5)])
+    assert max_matching(g).edges == _reference_max_matching(g).edges
+    assert max_matching(g).sorted_edges() == [(0, 5), (1, 2), (3, 4)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_blossom_matches_reference_on_sparse_general_graphs(seed):
+    # past the random test's 30 vertices, at average degree about 3, where
+    # searches run long and contract nested blossoms
+    rng = random.Random(seed)
+    n = 40 + 10 * seed
+    g = Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 3 / n])
+    for h in (g, relabelled(g, seed)):
+        assert max_matching(h).edges == _reference_max_matching(h).edges
+
+
 def test_blossom_agrees_with_networkx_on_general_token_graphs():
     nx = pytest.importorskip("networkx")
     for base, k in [(cycle_graph(9), 3), (cycle_graph(11), 3), (cycle_graph(11), 4)]:
@@ -262,6 +297,14 @@ def test_blossom_reaches_the_frontier_matching_numbers():
     assert m.size == 1716 == t.graph.n // 2
 
 
+def test_blossom_matching_of_f8_p16_is_pinned():
+    # sha256 of the sorted edges at the paper's labels: a search that moves
+    # one edge of the frontier matching fails here
+    m = max_matching(token_graph(path_graph(16), 8).graph)
+    digest = hashlib.sha256(repr(m.sorted_edges()).encode()).hexdigest()
+    assert digest == "f9ea730acfa061f63c6b3a6ee8cb83f7ce4b00c741928850f23797800e9e7589"
+
+
 # -- Matching type ----------------------------------------------------------
 
 
@@ -271,8 +314,9 @@ def test_matching_validate_rejects_foreign_edge():
 
 
 def test_matching_validate_rejects_vertices_outside_the_host():
-    # -1 would read the row of vertex 4, and 5 past the last row
-    for pair, vertex in (((-1, 0), -1), ((5, 6), 5)):
+    # -1 would read the row of vertex 4, and 5 past the last row; the lower
+    # end is named first
+    for pair, vertex in (((-1, 0), -1), ((5, 6), 5), ((0, 7), 7), ((-1, 5), -1)):
         with pytest.raises(MatchingError, match=f"vertex {vertex} outside"):
             Matching.of([pair]).validate(cycle_graph(5))
 
