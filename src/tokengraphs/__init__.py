@@ -6,9 +6,7 @@ from .constructions import (
     LayerSet,
     cycle_independent_set,
     cycle_layer,
-    f2_matching_construction,
     isolated_tokens,
-    lemma_times_combine,
     theorem1_matching,
     witness_graph,
 )
@@ -66,7 +64,6 @@ from .tokens import (
     token_graph,
     token_graph_to_dot,
     token_graph_to_json,
-    validate_token_matching,
 )
 from .verify import CHECKS, OeisCheck, oeis_check, run_check
 

@@ -1,5 +1,6 @@
-"""Constructive witnesses: explicit matchings and independent sets that
-achieve the guaranteed sizes, plus the extremal bipartite witness graphs of
+"""Constructive witnesses: theorem 1's matching by one swap rule, the
+isolated tokens of a matching base, the alternating-layer independent set
+of a 2-token odd cycle, and the extremal bipartite witness graphs of
 lemmas 5 and 6, from one builder for both.
 
 Every constructor validates its output against the host token graph and
@@ -9,116 +10,30 @@ asserts the claimed size, so a successful return is itself a certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 
 from .formulas import nu_token_formula
-from .graphs import Bipartition, Graph, GraphError, cycle_graph, delete_vertices, make_graph, matching_graph
+from .graphs import Bipartition, Graph, GraphError, cycle_graph, make_graph, matching_graph
 from .independence import IndependentSet
 from .matching import Matching
-from .tokens import SubsetCodec, TokenGraph, token_graph, validate_token_matching
+from .tokens import TokenGraph, _membership_lanes, token_graph
 
 
 # ---------------------------------------------------------------------------
 # matchings
 
 
-def lemma_times_combine(
-    g: Graph,
-    e: tuple[int, int],
-    n_matching: Matching,
-    l_matching: Matching,
-    k: int,
-) -> Matching:
-    """Combine matchings of the k- and (k-2)-token graphs of ``g - {v, w}``
-    into a matching of the k-token graph of ``g``.
-
-    Three disjoint families: the lifted ``n_matching``; the ``l_matching``
-    edges pushed onto supersets containing both v and w; and one edge
-    [{v} u A, {w} u A] per (k-1)-subset A avoiding v and w. The result has
-    exactly ``|N| + |L| + C(n-2, k-1)`` edges.
-    """
-    v, w = e
-    n = g.n
-    if not g.adjacent(v, w):
-        raise GraphError(f"({v}, {w}) is not an edge of the base graph")
-    if n < 6 or not 3 <= k <= n - 3:
-        raise GraphError(f"combination step needs n >= 6 and 3 <= k <= n-3, got n={n}, k={k}")
-    h, kept = delete_vertices(g, (v, w))
-    validate_token_matching(h, k, n_matching.edges)
-    validate_token_matching(h, k - 2, l_matching.edges)
-
-    codec = SubsetCodec(n, k)
-    codec_h_k = SubsetCodec(h.n, k)
-    codec_h_l = SubsetCodec(h.n, k - 2)
-
-    out: list[tuple[int, int]] = []
-    for a, b in n_matching.edges:
-        lifted_a = [kept[x] for x in codec_h_k.unrank(a)]
-        lifted_b = [kept[x] for x in codec_h_k.unrank(b)]
-        out.append((codec.rank(lifted_a), codec.rank(lifted_b)))
-    for a, b in l_matching.edges:
-        lifted_a = [kept[x] for x in codec_h_l.unrank(a)] + [v, w]
-        lifted_b = [kept[x] for x in codec_h_l.unrank(b)] + [v, w]
-        out.append((codec.rank(lifted_a), codec.rank(lifted_b)))
-    others = tuple(x for x in range(n) if x != v and x != w)
-    for rest in combinations(others, k - 1):
-        out.append((codec.rank(rest + (v,)), codec.rank(rest + (w,))))
-
-    combined = Matching.of(out)
-    assert combined.size == n_matching.size + l_matching.size + comb(n - 2, k - 1)
-    validate_token_matching(g, k, combined.edges)
-    return combined
-
-
-def _f2_from_matching(g: Graph, base_matching: Matching) -> Matching:
-    """The two-family pair matching of the 2-token graph spanned by a
-    perfect or almost perfect matching of ``g``.
-
-    With matched pairs (a_i, b_i) (and the possibly uncovered vertex joining
-    the b side), the families are [{a_i,a_j}, {a_j,b_i}] for i < j and
-    [{b_i,b_j}, {a_i,b_j}] for i < j; together they miss only the matched
-    pairs themselves.
-    """
-    pairs = sorted(base_matching.edges)
-    a_side = [p[0] for p in pairs]
-    b_side = [p[1] for p in pairs]
-    covered = base_matching.vertices
-    b_side += [x for x in range(g.n) if x not in covered]
-    codec = SubsetCodec(g.n, 2)
-    out: list[tuple[int, int]] = []
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            out.append((codec.rank((a_side[i], a_side[j])), codec.rank((a_side[j], b_side[i]))))
-    for i in range(len(b_side)):
-        for j in range(i + 1, len(b_side)):
-            out.append((codec.rank((b_side[i], b_side[j])), codec.rank((a_side[i], b_side[j]))))
-    return Matching.of(out)
-
-
-def f2_matching_construction(m: int, s: int) -> Matching:
-    """Explicit maximum matching of the 2-token graph of ``matching_graph(m, s)``.
-
-    Size is exactly ``C(m,2) + C(m+s,2)``, i.e. half of everything except
-    the matched-pair tokens, which are isolated.
-    """
-    g = matching_graph(m, s)
-    if g.n < 3:
-        raise GraphError("construction needs base order at least 3")
-    result = _f2_from_matching(g, Matching.of(g.edges))
-    assert result.size == comb(m, 2) + comb(m + s, 2)
-    validate_token_matching(g, 2, result.edges)
-    return result
-
-
 def theorem1_matching(g: Graph, base_matching: Matching, k: int) -> Matching:
-    """A matching of the k-token graph achieving the guaranteed size, built
-    recursively from a perfect or almost perfect matching of the base.
+    """A matching of the k-token graph achieving the guaranteed size, from a
+    perfect or almost perfect matching of the base.
 
-    Base cases lift the matching to singleton or cosingleton tokens; k = 2
-    uses the two-family construction; token counts above n/2 are mirrored
-    through set complements; everything else recurses on the base minus one
-    matched edge and combines via :func:`lemma_times_combine`.
+    Each token is paired with its swap along the first matched edge, in
+    sorted order, that it meets exactly once. The swap keeps the token's
+    relation to every earlier edge, so the rule is an involution, and the
+    tokens it leaves unpaired meet every matched edge twice or not at all.
+    It is the proof's recursion unrolled: the swap family along one matched
+    edge, then the same rule on the tokens that meet that edge evenly.
     """
     n = g.n
     base_matching.validate(g)
@@ -126,32 +41,22 @@ def theorem1_matching(g: Graph, base_matching: Matching, k: int) -> Matching:
         raise GraphError("base matching must be perfect or almost perfect")
     if not 1 <= k <= n - 1:
         raise GraphError(f"token count k={k} out of range")
-
-    result = _theorem1_recurse(g, base_matching, k)
+    t = token_graph(g, k)
+    lanes, size = _membership_lanes(n, k), t.codec.size
+    ids = range(size)
+    pairs: list[tuple[int, int]] = []
+    seen = 0  # lane mask of the tokens an earlier matched edge paired
+    for u, w in sorted(base_matching.edges):
+        lu, lw = lanes[u], lanes[w]
+        # as in token_graph, A -> A - u + w keeps rank order, and it keeps
+        # membership of the earlier edges, so seen cuts both lists alike
+        pairs += zip(compress(ids, (lu & ~lw & ~seen).to_bytes(size, "little")),
+                     compress(ids, (lw & ~lu & ~seen).to_bytes(size, "little")))
+        seen |= lu ^ lw
+    result = Matching.of(pairs)
     assert result.size == nu_token_formula(n, k).value
-    validate_token_matching(g, k, result.edges)
+    result.validate(t.graph)
     return result
-
-
-def _theorem1_recurse(g: Graph, base_matching: Matching, k: int) -> Matching:
-    n = g.n
-    if k == 1:
-        return base_matching  # the colex rank of {u} is u
-    if 2 * k > n:
-        # complementing reverses colex rank (see complement_image in tests/conftest.py)
-        last, mirrored = comb(n, k) - 1, _theorem1_recurse(g, base_matching, n - k)
-        return Matching.of((last - a, last - b) for a, b in mirrored.edges)
-    if k == 2:
-        return _f2_from_matching(g, base_matching)
-    edge = min(base_matching.edges)
-    h, kept = delete_vertices(g, edge)
-    new_id = {old: i for i, old in enumerate(kept)}
-    reduced = Matching.of(
-        (new_id[u], new_id[v]) for u, v in base_matching.edges if (u, v) != edge
-    )
-    inner_n = _theorem1_recurse(h, reduced, k)
-    inner_l = _theorem1_recurse(h, reduced, k - 2)
-    return lemma_times_combine(g, edge, inner_n, inner_l, k)
 
 
 def isolated_tokens(m: int, s: int, k: int) -> frozenset[frozenset[int]]:
@@ -165,6 +70,7 @@ def isolated_tokens(m: int, s: int, k: int) -> frozenset[frozenset[int]]:
     g = matching_graph(m, s)
     if not 1 <= k <= g.n - 1:
         raise GraphError(f"token count k={k} out of range")
+    t = token_graph(g, k)  # its size cap runs before any subset is listed
     pairs = [(2 * i, 2 * i + 1) for i in range(m)]
     out: list[frozenset[int]] = []
     if k % 2 == 0:
@@ -176,7 +82,6 @@ def isolated_tokens(m: int, s: int, k: int) -> frozenset[frozenset[int]]:
             out.append(frozenset([uncovered] + [x for i in chosen for x in pairs[i]]))
     expected = comb(m, k // 2) if (k % 2 == 0 or s == 1) else 0
     assert len(out) == expected
-    t = token_graph(g, k)
     degree_zero = {
         frozenset(t.codec.unrank(r))
         for r in range(t.graph.n)

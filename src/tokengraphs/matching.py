@@ -40,10 +40,6 @@ class Matching:
     def size(self) -> int:
         return len(self.edges)
 
-    @property
-    def vertices(self) -> frozenset[int]:
-        return frozenset(x for e in self.edges for x in e)
-
     def validate(self, host: Graph) -> None:
         n, adj = host.n, host.adj
         seen: set[int] = set()

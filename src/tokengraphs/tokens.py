@@ -143,27 +143,6 @@ def token_bipartition(t: TokenGraph, base: Bipartition) -> Bipartition:
     return Bipartition(part_b=frozenset(range(size)) - odd, part_r=odd)
 
 
-def validate_token_matching(base: Graph, k: int, edges: Iterable[tuple[int, int]]) -> None:
-    """Check that rank pairs form a matching of the k-token graph of ``base``.
-
-    Works straight off the codec (symmetric differences must be base edges),
-    so no derived graph needs to be materialised.
-    """
-    codec = SubsetCodec(base.n, k)
-    seen: set[int] = set()
-    for a, b in edges:
-        if a == b:
-            raise GraphError(f"degenerate matching edge ({a}, {b})")
-        aa, bb = set(codec.unrank(a)), set(codec.unrank(b))
-        diff = sorted(aa ^ bb)
-        if len(diff) != 2 or not base.adjacent(diff[0], diff[1]):
-            raise GraphError(f"ranks ({a}, {b}) are not adjacent in the token graph")
-        if a in seen or b in seen:
-            raise GraphError(f"matching edge ({a}, {b}) reuses a vertex")
-        seen.add(a)
-        seen.add(b)
-
-
 def token_graph_to_json(t: TokenGraph) -> dict:
     """JSON-able export: subsets are sorted and 1-based, edges are rank pairs."""
     return {

@@ -28,7 +28,6 @@ from typing import Callable, Iterable, Iterator
 from .budget import Budget, BudgetExceededError
 from .constructions import (
     cycle_independent_set,
-    f2_matching_construction,
     isolated_tokens,
     theorem1_matching,
     witness_graph,
@@ -170,7 +169,7 @@ def _matching_sweep_pairs(max_order: int, min_order: int = 2) -> list[tuple[int,
 
 def _thm1_exact(cap: int) -> Iterator[tuple]:
     """Odd token counts over perfect-matching bases, where both the
-    recursive construction and the solver give a perfect matching."""
+    construction of theorem 1 and the solver give a perfect matching."""
     for name, g in (
         ("C6", cycle_graph(6)),
         ("K_{3,3}", complete_bipartite_graph(3, 3)),
@@ -432,12 +431,13 @@ _CATALOG: tuple[tuple[str, int, Callable[..., Iterable], Callable[..., Compute] 
         for n in range(m, cap - m + 1)
     ), _beta),
     ("thm3", 11, _thm3, None),
-    # the two-family pair construction is a maximum matching of the 2-token
-    # graph of every disjoint (almost) perfect matching base
+    # theorem 1's construction is a maximum matching of the 2-token graph of
+    # every disjoint (almost) perfect matching base
     ("lemma3", 10, lambda cap: (
-        (f"match({m},{s})", matching_graph(m, s), 2, nu_token_formula(2 * m + s, 2).value,
-         partial(f2_matching_construction, m, s))
+        (f"match({m},{s})", g, 2, nu_token_formula(g.n, 2).value,
+         partial(theorem1_matching, g, Matching.of(g.edges), 2))
         for m, s in _matching_sweep_pairs(cap, 3)
+        for g in (matching_graph(m, s),)
     ), _nu),
     ("lemma5", 9, partial(_witness_family, True), None),
     ("lemma6", 9, partial(_witness_family, False), None),

@@ -84,8 +84,8 @@ def complement_image(t: TokenGraph) -> TokenGraph:
     asserting that rank reversal r -> C(n,k) - 1 - r maps the edges of ``t``
     onto all of its edges. The reversal is the set complement: A, B and
     their complements differ at the same elements, the largest of which is
-    in B just when not in B's complement. ``constructions._theorem1_recurse``
-    and ``verify._cached_beta`` rely on this."""
+    in B just when not in B's complement. ``verify._cached_beta`` relies on
+    this."""
     n, k = t.base.n, t.k
     target = t if 2 * k == n else token_graph(t.base, n - k)
     last = t.codec.size - 1

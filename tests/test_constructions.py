@@ -1,3 +1,5 @@
+import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -5,9 +7,7 @@ import pytest
 from tokengraphs.constructions import (
     cycle_independent_set,
     cycle_layer,
-    f2_matching_construction,
     isolated_tokens,
-    lemma_times_combine,
     theorem1_matching,
     witness_graph,
 )
@@ -16,54 +16,154 @@ from tokengraphs.graphs import (
     GraphError,
     complete_bipartite_graph,
     cycle_graph,
+    delete_vertices,
     make_graph,
     matching_graph,
     path_graph,
 )
 from tokengraphs.independence import independence_number, token_independence_number
-from tokengraphs.matching import Matching, max_matching
-from tokengraphs.tokens import token_graph, validate_token_matching
+from tokengraphs.matching import Matching, MatchingError, max_matching
+from tokengraphs.tokens import SubsetCodec, token_graph
+
+from conftest import relabelled
 
 
-# -- the combination step ---------------------------------------------------
+# -- the recursion of theorem 1's proof, frozen as a reference ------------
+#
+# The construction as it stood before it became one swap rule, kept verbatim
+# but for its per-level validation (theorem1_matching validates its result
+# on the token graph itself) and Matching.vertices, written out inline.
 
 
-def test_combine_with_empty_inner_matchings():
-    g = cycle_graph(6)
-    empty = Matching.of([])
-    combined = lemma_times_combine(g, (0, 1), empty, empty, 3)
-    assert combined.size == comb(4, 2) == 6
-    validate_token_matching(g, 3, combined.edges)
+def _reference_combine(g, e, n_matching, l_matching, k):
+    v, w = e
+    n = g.n
+    h, kept = delete_vertices(g, (v, w))
+    codec = SubsetCodec(n, k)
+    codec_h_k = SubsetCodec(h.n, k)
+    codec_h_l = SubsetCodec(h.n, k - 2)
+
+    out = []
+    for a, b in n_matching.edges:
+        lifted_a = [kept[x] for x in codec_h_k.unrank(a)]
+        lifted_b = [kept[x] for x in codec_h_k.unrank(b)]
+        out.append((codec.rank(lifted_a), codec.rank(lifted_b)))
+    for a, b in l_matching.edges:
+        lifted_a = [kept[x] for x in codec_h_l.unrank(a)] + [v, w]
+        lifted_b = [kept[x] for x in codec_h_l.unrank(b)] + [v, w]
+        out.append((codec.rank(lifted_a), codec.rank(lifted_b)))
+    others = tuple(x for x in range(n) if x != v and x != w)
+    for rest in combinations(others, k - 1):
+        out.append((codec.rank(rest + (v,)), codec.rank(rest + (w,))))
+
+    combined = Matching.of(out)
+    assert combined.size == n_matching.size + l_matching.size + comb(n - 2, k - 1)
+    return combined
 
 
-def test_combine_families_partition_by_endpoint_count():
-    g = cycle_graph(6)
-    h_edges = token_graph(make_graph(4, [(0, 1), (1, 2), (2, 3)]), 1).graph.edges
-    inner_n = Matching.of([h_edges[0]])
-    combined = lemma_times_combine(g, (4, 5), inner_n, Matching.of([]), 3)
-    assert combined.size == 1 + comb(4, 2)
-    t = token_graph(g, 3)
-    # count how many of {4, 5} each covered token contains: the lifted inner
-    # matching avoids both, the swap family hits exactly one each
-    for a, b in combined.edges:
-        ca = len({4, 5} & set(t.codec.unrank(a)))
-        cb = len({4, 5} & set(t.codec.unrank(b)))
-        assert (ca, cb) in {(0, 0), (1, 1), (2, 2)}
+def _reference_f2(g, base_matching):
+    pairs = sorted(base_matching.edges)
+    a_side = [p[0] for p in pairs]
+    b_side = [p[1] for p in pairs]
+    covered = frozenset(x for e in base_matching.edges for x in e)
+    b_side += [x for x in range(g.n) if x not in covered]
+    codec = SubsetCodec(g.n, 2)
+    out = []
+    for i in range(len(pairs)):
+        for j in range(i + 1, len(pairs)):
+            out.append((codec.rank((a_side[i], a_side[j])), codec.rank((a_side[j], b_side[i]))))
+    for i in range(len(b_side)):
+        for j in range(i + 1, len(b_side)):
+            out.append((codec.rank((b_side[i], b_side[j])), codec.rank((a_side[i], b_side[j]))))
+    return Matching.of(out)
 
 
-def test_combine_rejects_undersized_base():
-    g = cycle_graph(5)
-    with pytest.raises(GraphError):
-        lemma_times_combine(g, (0, 1), Matching.of([]), Matching.of([]), 3)
+def _reference_recurse(g, base_matching, k):
+    n = g.n
+    if k == 1:
+        return base_matching  # the colex rank of {u} is u
+    if 2 * k > n:
+        # complementing reverses colex rank (see complement_image in conftest)
+        last, mirrored = comb(n, k) - 1, _reference_recurse(g, base_matching, n - k)
+        return Matching.of((last - a, last - b) for a, b in mirrored.edges)
+    if k == 2:
+        return _reference_f2(g, base_matching)
+    edge = min(base_matching.edges)
+    h, kept = delete_vertices(g, edge)
+    new_id = {old: i for i, old in enumerate(kept)}
+    reduced = Matching.of(
+        (new_id[u], new_id[v]) for u, v in base_matching.edges if (u, v) != edge
+    )
+    inner_n = _reference_recurse(h, reduced, k)
+    inner_l = _reference_recurse(h, reduced, k - 2)
+    return _reference_combine(g, edge, inner_n, inner_l, k)
 
 
-def test_combine_rejects_non_edge():
-    g = cycle_graph(6)
-    with pytest.raises(GraphError):
-        lemma_times_combine(g, (0, 2), Matching.of([]), Matching.of([]), 3)
+def _planted_base(seed: int):
+    """A random base of 2 to 11 vertices with a planted perfect or almost
+    perfect matching, relabelled, and a maximum matching of it."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 11)
+    p = rng.choice((0.0, 0.2, 0.5, 0.9))
+    edges = [(2 * i, 2 * i + 1) for i in range(n // 2)]
+    edges += [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    g = relabelled(make_graph(n, edges), seed)
+    return g, max_matching(g)
 
 
-# -- pair-token construction ------------------------------------------------
+def _assert_matches_reference(g, base, k):
+    assert theorem1_matching(g, base, k).edges == _reference_recurse(g, base, k).edges, (g, base, k)
+
+
+def test_theorem1_matches_reference_on_catalog_and_matching_bases():
+    bases = [(g, max_matching(g)) for g in (
+        cycle_graph(6), complete_bipartite_graph(3, 3), matching_graph(3, 0), matching_graph(4, 0),
+    )]
+    bases += [(g, Matching.of(g.edges)) for m in range(1, 7) for s in (0, 1)
+              if 2 * m + s <= 12 for g in (matching_graph(m, s),)]
+    for g, base in bases:
+        for k in range(1, g.n):
+            _assert_matches_reference(g, base, k)
+
+
+def test_theorem1_matches_reference_on_random_relabelled_bases():
+    for seed in range(320):
+        g, base = _planted_base(seed)
+        for k in range(1, g.n):
+            _assert_matches_reference(g, base, k)
+
+
+def test_theorem1_matches_reference_on_f8_p16():
+    g = path_graph(16)
+    _assert_matches_reference(g, max_matching(g), 8)
+
+
+def test_theorem1_pairs_differ_by_the_first_edge_their_tokens_meet_once():
+    for g, base in [(path_graph(7), max_matching(path_graph(7)))] + [
+        _planted_base(seed) for seed in range(20)
+    ]:
+        order = sorted(base.edges)
+        for k in range(1, g.n):
+            codec = SubsetCodec(g.n, k)
+            for a, b in theorem1_matching(g, base, k).edges:
+                ta, tb = set(codec.unrank(a)), set(codec.unrank(b))
+                first = next(e for e in order if len(ta & set(e)) == 1)
+                assert next(e for e in order if len(tb & set(e)) == 1) == first
+                assert ta ^ tb == set(first), (g, k, a, b)
+
+
+def test_theorem1_refuses_an_oversized_token_graph_at_once():
+    g = path_graph(40)
+    with pytest.raises(GraphError, match="over the cap"):
+        theorem1_matching(g, max_matching(g), 20)
+
+
+# -- pair-token construction: theorem 1 at k = 2 ----------------------------
+
+
+def _f2(m, s):
+    g = matching_graph(m, s)
+    return theorem1_matching(g, Matching.of(g.edges), 2)
 
 
 @pytest.mark.parametrize(
@@ -71,7 +171,7 @@ def test_combine_rejects_non_edge():
     [(2, 0, 2), (2, 1, 4), (3, 0, 6), (1, 1, 1), (4, 1, 16)],
 )
 def test_f2_construction_sizes(m, s, expect):
-    built = f2_matching_construction(m, s)
+    built = _f2(m, s)
     assert built.size == expect == comb(m, 2) + comb(m + s, 2)
     n = 2 * m + s
     assert 2 * built.size == comb(n, 2) - (n // 2)
@@ -79,13 +179,13 @@ def test_f2_construction_sizes(m, s, expect):
 
 def test_f2_construction_rejects_tiny_order():
     with pytest.raises(GraphError):
-        f2_matching_construction(1, 0)
+        _f2(1, 0)
 
 
 def test_f2_construction_is_maximum():
     for m, s in [(2, 0), (2, 1), (3, 0), (3, 1), (4, 0)]:
         t = token_graph(matching_graph(m, s), 2)
-        assert f2_matching_construction(m, s).size == max_matching(t.graph).size
+        assert _f2(m, s).size == max_matching(t.graph).size
 
 
 # -- the full recursive matching --------------------------------------------
@@ -131,6 +231,8 @@ def test_theorem1_rejects_weak_base_matching():
     g = path_graph(5)
     with pytest.raises(GraphError):
         theorem1_matching(g, Matching.of([(0, 1)]), 2)
+    with pytest.raises(MatchingError):
+        theorem1_matching(g, Matching.of([(0, 1), (2, 4)]), 2)  # 24 is no edge of P_5
 
 
 # -- isolated tokens ---------------------------------------------------------
@@ -150,6 +252,11 @@ def test_isolated_tokens_odd_k_with_spare_vertex():
 def test_isolated_tokens_odd_k_perfect_base_empty():
     assert isolated_tokens(3, 0, 3) == frozenset()
     assert isolated_tokens(2, 0, 1) == frozenset()
+
+
+def test_isolated_tokens_refuses_an_oversized_token_graph_at_once():
+    with pytest.raises(GraphError, match="over the cap"):
+        isolated_tokens(32, 0, 32)
 
 
 def test_isolated_tokens_counts_sweep():

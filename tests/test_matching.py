@@ -305,6 +305,30 @@ def test_blossom_matching_of_f8_p16_is_pinned():
     assert digest == "f9ea730acfa061f63c6b3a6ee8cb83f7ce4b00c741928850f23797800e9e7589"
 
 
+class _CountingRows(tuple):
+    """Neighbour rows that count how many times a row is read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("g,reads", [
+    (star_graph(50), 100),
+    (token_graph(star_graph(9), 2).graph, 72),
+], ids=["K_{1,50}", "F_2(K_{1,9})"])
+def test_blossom_skips_the_vertices_of_deleted_hungarian_trees(g, reads):
+    # deletion leaves the matching as it is, so only the work shows it: the
+    # rows a run reads, pinned at the paper's labels. Without deletion every
+    # later search from a leaf of the star re-reads the centre's row.
+    expected = max_matching(g)
+    g.adj = _CountingRows(g.adj)
+    assert max_matching(g) == expected
+    assert g.adj.reads == reads
+
+
 # -- Matching type ----------------------------------------------------------
 
 

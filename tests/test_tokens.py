@@ -25,7 +25,6 @@ from tokengraphs.tokens import (
     token_graph,
     token_graph_to_dot,
     token_graph_to_json,
-    validate_token_matching,
 )
 from conftest import complement_image, named_graphs, relabelled
 
@@ -282,15 +281,6 @@ def test_token_bipartition_counts_part_r_hits():
 
 
 # -- exports ----------------------------------------------------------------
-
-
-def test_token_matching_validator():
-    g = matching_graph(2, 0)
-    t = token_graph(g, 2)
-    edges = t.graph.edges
-    validate_token_matching(g, 2, [edges[0]])
-    with pytest.raises(GraphError):
-        validate_token_matching(g, 2, [(0, 1)] if not t.graph.adjacent(0, 1) else [(0, 0)])
 
 
 def test_json_export_shape():
