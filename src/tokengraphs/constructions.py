@@ -3,8 +3,9 @@ isolated tokens of a matching base, the alternating-layer independent set
 of a 2-token odd cycle, and the extremal bipartite witness graphs of
 lemmas 5 and 6, from one builder for both.
 
-Every constructor validates its output against the host token graph and
-asserts the claimed size, so a successful return is itself a certificate.
+Each constructor takes the token graph it certifies, reads the base and k
+from it, validates its output on it and raises unless the size is as
+claimed, so a successful return is itself a certificate.
 """
 
 from __future__ import annotations
@@ -17,16 +18,16 @@ from .formulas import nu_token_formula
 from .graphs import Bipartition, Graph, GraphError, cycle_graph, make_graph, matching_graph
 from .independence import IndependentSet
 from .matching import Matching
-from .tokens import TokenGraph, _membership_lanes, token_graph
+from .tokens import TokenGraph, _membership_lanes
 
 
 # ---------------------------------------------------------------------------
 # matchings
 
 
-def theorem1_matching(g: Graph, base_matching: Matching, k: int) -> Matching:
-    """A matching of the k-token graph achieving the guaranteed size, from a
-    perfect or almost perfect matching of the base.
+def theorem1_matching(t: TokenGraph, base_matching: Matching) -> Matching:
+    """A matching of the token graph ``t`` achieving the guaranteed size,
+    from a perfect or almost perfect matching of its base.
 
     Each token is paired with its swap along the first matched edge, in
     sorted order, that it meets exactly once. The swap keeps the token's
@@ -35,13 +36,10 @@ def theorem1_matching(g: Graph, base_matching: Matching, k: int) -> Matching:
     It is the proof's recursion unrolled: the swap family along one matched
     edge, then the same rule on the tokens that meet that edge evenly.
     """
-    n = g.n
-    base_matching.validate(g)
+    n, k = t.base.n, t.k
+    base_matching.validate(t.base)
     if 2 * base_matching.size not in (n, n - 1):
         raise GraphError("base matching must be perfect or almost perfect")
-    if not 1 <= k <= n - 1:
-        raise GraphError(f"token count k={k} out of range")
-    t = token_graph(g, k)
     lanes, size = _membership_lanes(n, k), t.codec.size
     ids = range(size)
     pairs: list[tuple[int, int]] = []
@@ -54,23 +52,24 @@ def theorem1_matching(g: Graph, base_matching: Matching, k: int) -> Matching:
                      compress(ids, (lw & ~lu & ~seen).to_bytes(size, "little")))
         seen |= lu ^ lw
     result = Matching.of(pairs)
-    assert result.size == nu_token_formula(n, k).value
+    if result.size != nu_token_formula(n, k).value:
+        raise AssertionError("theorem 1 matching is not of the bound's size")
     result.validate(t.graph)
     return result
 
 
-def isolated_tokens(m: int, s: int, k: int) -> frozenset[frozenset[int]]:
-    """All isolated vertices of the k-token graph of ``matching_graph(m, s)``.
+def isolated_tokens(t: TokenGraph) -> frozenset[frozenset[int]]:
+    """All isolated vertices of the token graph ``t`` of ``matching_graph(m, s)``.
 
     Even k: the endpoints of each k/2-subset of the matched pairs. Odd k
     with an uncovered vertex: those endpoint sets plus the uncovered vertex.
     Odd k with none: empty. The enumeration is checked against the actual
     degree-0 vertices, so it certifies the count is exact.
     """
-    g = matching_graph(m, s)
-    if not 1 <= k <= g.n - 1:
-        raise GraphError(f"token count k={k} out of range")
-    t = token_graph(g, k)  # its size cap runs before any subset is listed
+    m, s = divmod(t.base.n, 2)
+    if t.base != matching_graph(m, s):
+        raise GraphError("isolated tokens need the token graph of a matching graph")
+    k = t.k
     pairs = [(2 * i, 2 * i + 1) for i in range(m)]
     out: list[frozenset[int]] = []
     if k % 2 == 0:
@@ -81,12 +80,9 @@ def isolated_tokens(m: int, s: int, k: int) -> frozenset[frozenset[int]]:
         for chosen in combinations(range(m), k // 2):
             out.append(frozenset([uncovered] + [x for i in chosen for x in pairs[i]]))
     expected = comb(m, k // 2) if (k % 2 == 0 or s == 1) else 0
-    assert len(out) == expected
-    degree_zero = {
-        frozenset(t.codec.unrank(r))
-        for r in range(t.graph.n)
-        if t.graph.degree(r) == 0
-    }
+    if len(out) != expected:
+        raise AssertionError("isolated-token enumeration is not of the predicted count")
+    degree_zero = {frozenset(t.codec.unrank(r)) for r, row in enumerate(t.graph.adj) if not row}
     result = frozenset(out)
     if result != degree_zero:
         raise AssertionError("isolated-token enumeration disagrees with the token graph")
@@ -125,23 +121,24 @@ def cycle_layer(p: int, i: int) -> LayerSet:
     return LayerSet(p=p, index=i, pairs=pairs)
 
 
-def cycle_independent_set(p: int) -> IndependentSet:
-    """The alternating-layer independent set of the 2-token graph of an odd
-    cycle, of size floor(p * floor(p/2) / 2)."""
-    if p < 5 or p % 2 == 0:
-        raise GraphError("construction needs an odd cycle of length >= 5")
+def cycle_independent_set(t: TokenGraph) -> IndependentSet:
+    """The alternating-layer independent set of the 2-token graph ``t`` of
+    an odd cycle C_p, p >= 5, of size floor(p * floor(p/2) / 2)."""
+    p = t.base.n
+    if t.k != 2 or p < 5 or p % 2 == 0 or t.base != cycle_graph(p):
+        raise GraphError("construction needs the 2-token graph of an odd cycle of length >= 5")
     t_half = p // 2
     if t_half % 2 == 1:
         indices = list(range(1, t_half + 1, 2)) + list(range(t_half + 3, p, 2))
     else:
         indices = list(range(1, t_half, 2)) + list(range(t_half + 2, p, 2))
-    t = token_graph(cycle_graph(p), 2)
     chosen: set[int] = set()
     for i in indices:
         chosen |= cycle_layer(p, i).ranks(t)
     result = IndependentSet(frozenset(chosen))
     result.validate(t.graph)
-    assert result.size == (p * t_half) // 2
+    if result.size != (p * t_half) // 2:
+        raise AssertionError("alternating-layer set is not of the claimed size")
     return result
 
 

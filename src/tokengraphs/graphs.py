@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 #: Order cap for base graphs built through :func:`make_graph` / :func:`family`.
@@ -167,7 +167,8 @@ class Bipartition:
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a base graph, collapsing duplicate edges and rejecting self-loops."""
+    """Build a base graph, collapsing duplicate edges and rejecting self-loops.
+    The order cap runs before ``edges`` is read, so lazy edges cost nothing."""
     if n > MAX_BASE_ORDER:
         raise GraphError(f"base graphs are capped at {MAX_BASE_ORDER} vertices")
     return Graph(n, edges)
@@ -176,26 +177,26 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise GraphError("path needs at least 1 vertex")
-    return make_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return make_graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs at least 3 vertices")
-    return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return make_graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise GraphError("complete graph needs at least 1 vertex")
-    return make_graph(n, combinations(range(n), 2))
+    return make_graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
 def complete_bipartite_graph(m: int, n: int) -> Graph:
     """K_{m,n} with the m-vertex class first (ids 0..m-1), then the n-vertex class."""
     if m < 1 or n < 1:
         raise GraphError("complete bipartite graph needs both parts nonempty")
-    return make_graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+    return make_graph(m + n, ((i, m + j) for i in range(m) for j in range(n)))
 
 
 def star_graph(n: int) -> Graph:
@@ -209,7 +210,7 @@ def matching_graph(m: int, s: int) -> Graph:
         raise GraphError("matching graph needs at least 1 edge")
     if s not in (0, 1):
         raise GraphError("isolated-vertex count s must be 0 or 1")
-    return make_graph(2 * m + s, [(2 * i, 2 * i + 1) for i in range(m)])
+    return make_graph(2 * m + s, ((2 * i, 2 * i + 1) for i in range(m)))
 
 
 _FAMILIES = {
@@ -296,8 +297,8 @@ def bipartition_of(g: Graph) -> Bipartition | None:
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p) with a fixed seed; each pair becomes an edge independently."""
     rng = random.Random(seed)
-    edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
-    return make_graph(n, edges)
+    # the pairs in combinations order, drawn lazily
+    return make_graph(n, ((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p))
 
 
 def to_edge_list_text(g: Graph) -> str:

@@ -310,5 +310,6 @@ def hall_witness(g: Graph, part: Bipartition) -> frozenset[int] | None:
     _, reach = _hopcroft_karp(sorted(small), big, g.adj)
     if not reach:
         return None
-    assert len(set().union(*(g.adj[u] for u in reach))) < len(reach)
+    if len(set().union(*(g.adj[u] for u in reach))) >= len(reach):
+        raise AssertionError("Hall witness is not deficient")
     return frozenset(reach)

@@ -138,15 +138,16 @@ def _nu(
     k: int,
     target: int,
     budget: Budget | None,
-    build: Callable[[], Matching] | None = None,
+    build: Callable[[TokenGraph], Matching] | None = None,
 ) -> Compute:
     """A ν row: the solver's maximum matching of the k-token graph of ``g`` is
-    valid and has ``target`` edges, and so does the ``build`` construction,
-    if given. The witness is the built matching, else the solved one."""
+    valid and has ``target`` edges, and so does the ``build`` construction on
+    that token graph, if given. The witness is the built matching, else the
+    solved one."""
 
     def compute():
         t = token_graph(g, k)
-        built = build() if build else None
+        built = build(t) if build else None
         solved = max_matching(t.graph, budget)
         solved.validate(t.graph)
         shown = solved if built is None else built
@@ -178,7 +179,7 @@ def _thm1_exact(cap: int) -> Iterator[tuple]:
     ):
         base_matching = max_matching(g)
         for k in range(1, g.n, 2):
-            build = partial(theorem1_matching, g, base_matching, k)
+            build = partial(theorem1_matching, base_matching=base_matching)
             yield f"exact: {name}", g, k, nu_token_formula(g.n, k).value, build
 
 
@@ -192,9 +193,9 @@ def _thm1_tight(cap: int, budget: Budget | None) -> Rows:
             def compute(g=g, base_matching=base_matching, m=m, s=s, k=k):
                 t = token_graph(g, k)
                 target = nu_token_formula(g.n, k).value
-                built = theorem1_matching(g, base_matching, k)
+                built = theorem1_matching(t, base_matching)
                 solved = max_matching(t.graph, budget).size
-                isolated = isolated_tokens(m, s, k)
+                isolated = isolated_tokens(t)
                 iso_target = comb(m, k // 2) if (k % 2 == 0 or s == 1) else 0
                 ok = built.size == target == solved and len(isolated) == iso_target
                 return target, solved, {"matching_size": built.size, "isolated": iso_target}, (
@@ -213,7 +214,7 @@ def _thm3(cap: int, budget: Budget | None) -> Rows:
         if p % 2 == 1 and p >= 5:
             def compute(p=p, target=target):
                 t = token_graph(cycle_graph(p), 2)
-                built = cycle_independent_set(p)
+                built = cycle_independent_set(t)
                 return target, built.size, _subset_witness(t, built.vertices), _eq_status(
                     target, built.size
                 )
@@ -435,7 +436,7 @@ _CATALOG: tuple[tuple[str, int, Callable[..., Iterable], Callable[..., Compute] 
     # every disjoint (almost) perfect matching base
     ("lemma3", 10, lambda cap: (
         (f"match({m},{s})", g, 2, nu_token_formula(g.n, 2).value,
-         partial(theorem1_matching, g, Matching.of(g.edges), 2))
+         partial(theorem1_matching, base_matching=Matching.of(g.edges)))
         for m, s in _matching_sweep_pairs(cap, 3)
         for g in (matching_graph(m, s),)
     ), _nu),

@@ -111,8 +111,12 @@ def _planted_base(seed: int):
     return g, max_matching(g)
 
 
+def _theorem1(g, base, k):
+    return theorem1_matching(token_graph(g, k), base)
+
+
 def _assert_matches_reference(g, base, k):
-    assert theorem1_matching(g, base, k).edges == _reference_recurse(g, base, k).edges, (g, base, k)
+    assert _theorem1(g, base, k).edges == _reference_recurse(g, base, k).edges, (g, base, k)
 
 
 def test_theorem1_matches_reference_on_catalog_and_matching_bases():
@@ -145,17 +149,11 @@ def test_theorem1_pairs_differ_by_the_first_edge_their_tokens_meet_once():
         order = sorted(base.edges)
         for k in range(1, g.n):
             codec = SubsetCodec(g.n, k)
-            for a, b in theorem1_matching(g, base, k).edges:
+            for a, b in _theorem1(g, base, k).edges:
                 ta, tb = set(codec.unrank(a)), set(codec.unrank(b))
                 first = next(e for e in order if len(ta & set(e)) == 1)
                 assert next(e for e in order if len(tb & set(e)) == 1) == first
                 assert ta ^ tb == set(first), (g, k, a, b)
-
-
-def test_theorem1_refuses_an_oversized_token_graph_at_once():
-    g = path_graph(40)
-    with pytest.raises(GraphError, match="over the cap"):
-        theorem1_matching(g, max_matching(g), 20)
 
 
 # -- pair-token construction: theorem 1 at k = 2 ----------------------------
@@ -163,7 +161,7 @@ def test_theorem1_refuses_an_oversized_token_graph_at_once():
 
 def _f2(m, s):
     g = matching_graph(m, s)
-    return theorem1_matching(g, Matching.of(g.edges), 2)
+    return _theorem1(g, Matching.of(g.edges), 2)
 
 
 @pytest.mark.parametrize(
@@ -193,19 +191,19 @@ def test_f2_construction_is_maximum():
 
 def test_theorem1_perfect_on_even_cycle():
     g = cycle_graph(6)
-    built = theorem1_matching(g, max_matching(g), 3)
+    built = _theorem1(g, max_matching(g), 3)
     assert built.size == 10 == comb(6, 3) // 2
 
 
 def test_theorem1_tight_on_matching_graph():
     g = matching_graph(3, 0)
-    built = theorem1_matching(g, Matching.of(g.edges), 2)
+    built = _theorem1(g, Matching.of(g.edges), 2)
     assert built.size == 6 == (comb(6, 2) - 3) // 2
 
 
 def test_theorem1_odd_order_bound():
     g = path_graph(5)
-    built = theorem1_matching(g, max_matching(g), 3)
+    built = _theorem1(g, max_matching(g), 3)
     assert built.size == 4 == (comb(5, 3) - comb(2, 1)) // 2
 
 
@@ -214,8 +212,9 @@ def test_theorem1_all_matching_graphs_tight():
         g = matching_graph(m, s)
         base = Matching.of(g.edges)
         for k in range(1, g.n):
-            built = theorem1_matching(g, base, k)
-            solved = max_matching(token_graph(g, k).graph).size
+            t = token_graph(g, k)
+            built = theorem1_matching(t, base)
+            solved = max_matching(t.graph).size
             assert built.size == solved == nu_token_formula(g.n, k).value, (m, s, k)
 
 
@@ -223,40 +222,101 @@ def test_theorem1_achieves_bound_on_richer_bases():
     for g in [cycle_graph(8), complete_bipartite_graph(4, 4), path_graph(6), path_graph(7)]:
         base = max_matching(g)
         for k in range(1, g.n):
-            built = theorem1_matching(g, base, k)
+            built = _theorem1(g, base, k)
             assert built.size == nu_token_formula(g.n, k).value, (g, k)
 
 
 def test_theorem1_rejects_weak_base_matching():
-    g = path_graph(5)
+    t = token_graph(path_graph(5), 2)
     with pytest.raises(GraphError):
-        theorem1_matching(g, Matching.of([(0, 1)]), 2)
+        theorem1_matching(t, Matching.of([(0, 1)]))
     with pytest.raises(MatchingError):
-        theorem1_matching(g, Matching.of([(0, 1), (2, 4)]), 2)  # 24 is no edge of P_5
+        theorem1_matching(t, Matching.of([(0, 1), (2, 4)]))  # 24 is no edge of P_5
+
+
+# -- certificate checks under python -O ---------------------------------------
+
+
+_FALSIFIED = '''
+import sys
+from dataclasses import replace
+
+import tokengraphs.constructions as c
+import tokengraphs.matching as mt
+from tokengraphs import complete_bipartite_graph, cycle_graph, matching_graph, path_graph
+from tokengraphs import Matching, bipartition_of, hall_witness, max_matching, token_graph
+
+print('optimize', sys.flags.optimize)
+real = c.nu_token_formula
+c.nu_token_formula = lambda n, k: replace(real(n, k), value=real(n, k).value + 1)
+c.comb = lambda n, r: 99
+layer = c.cycle_layer
+c.cycle_layer = lambda p, i: replace(layer(p, i), pairs=frozenset())
+mt._hopcroft_karp = lambda small, big, adj: (0, small[:1])
+g = path_graph(6)
+kbip = complete_bipartite_graph(2, 3)
+for name, run in [
+    ("theorem1_matching", lambda: c.theorem1_matching(token_graph(g, 3), max_matching(g))),
+    ("isolated_tokens", lambda: c.isolated_tokens(token_graph(matching_graph(2, 0), 2))),
+    ("cycle_independent_set", lambda: c.cycle_independent_set(token_graph(cycle_graph(7), 2))),
+    ("hall_witness", lambda: hall_witness(kbip, bipartition_of(kbip))),
+]:
+    try:
+        run()
+    except AssertionError as exc:
+        print(name, "raised:", exc)
+    else:
+        print(name, "returned")
+'''
+
+
+def test_certificate_checks_survive_python_dash_o():
+    # asserts vanish under -O; a falsified claim must still raise
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import tokengraphs
+
+    src = str(Path(tokengraphs.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _FALSIFIED], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert out[0] == "optimize 1", out
+    assert [line.split(" ", 1)[1].startswith("raised:") for line in out[1:]] == [True] * 4, out
 
 
 # -- isolated tokens ---------------------------------------------------------
 
 
+def _isolated(m, s, k):
+    return isolated_tokens(token_graph(matching_graph(m, s), k))
+
+
 def test_isolated_tokens_even_k():
-    out = isolated_tokens(2, 0, 2)
+    out = _isolated(2, 0, 2)
     assert out == {frozenset({0, 1}), frozenset({2, 3})}
 
 
 def test_isolated_tokens_odd_k_with_spare_vertex():
-    out = isolated_tokens(3, 1, 3)
+    out = _isolated(3, 1, 3)
     assert len(out) == comb(3, 1) == 3
     assert all(6 in token for token in out)
 
 
 def test_isolated_tokens_odd_k_perfect_base_empty():
-    assert isolated_tokens(3, 0, 3) == frozenset()
-    assert isolated_tokens(2, 0, 1) == frozenset()
+    assert _isolated(3, 0, 3) == frozenset()
+    assert _isolated(2, 0, 1) == frozenset()
 
 
-def test_isolated_tokens_refuses_an_oversized_token_graph_at_once():
-    with pytest.raises(GraphError, match="over the cap"):
-        isolated_tokens(32, 0, 32)
+def test_isolated_tokens_rejects_other_bases():
+    # a matching in other labels, a path, and a matching with an isolated
+    # vertex that is not the last
+    for g in (make_graph(4, [(0, 2), (1, 3)]), path_graph(4), make_graph(5, [(0, 1), (3, 4)])):
+        with pytest.raises(GraphError, match="matching graph"):
+            isolated_tokens(token_graph(g, 2))
 
 
 def test_isolated_tokens_counts_sweep():
@@ -264,7 +324,7 @@ def test_isolated_tokens_counts_sweep():
         n = 2 * m + s
         for k in range(1, n):
             expect = comb(m, k // 2) if (k % 2 == 0 or s == 1) else 0
-            assert len(isolated_tokens(m, s, k)) == expect, (m, s, k)
+            assert len(_isolated(m, s, k)) == expect, (m, s, k)
 
 
 # -- cycle layers ------------------------------------------------------------
@@ -313,16 +373,22 @@ def test_layer_independent_unless_middle():
 
 def test_cycle_independent_set_sizes_and_validity():
     for p in (5, 7, 9, 11):
-        built = cycle_independent_set(p)
+        built = cycle_independent_set(token_graph(cycle_graph(p), 2))
         assert built.size == beta_cycle_f2(p)
         assert built.size == token_independence_number(cycle_graph(p), 2)
 
 
 def test_cycle_independent_set_rejects_even_or_tiny():
-    with pytest.raises(GraphError):
-        cycle_independent_set(6)
-    with pytest.raises(GraphError):
-        cycle_independent_set(3)
+    # or anything but the 2-token graph of an odd cycle in its own labels
+    for t in (
+        token_graph(cycle_graph(6), 2),
+        token_graph(cycle_graph(3), 2),
+        token_graph(cycle_graph(7), 3),
+        token_graph(path_graph(7), 2),
+        token_graph(relabelled(cycle_graph(7), 1), 2),
+    ):
+        with pytest.raises(GraphError, match="odd cycle"):
+            cycle_independent_set(t)
 
 
 # -- witness graphs -----------------------------------------------------------

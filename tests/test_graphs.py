@@ -1,5 +1,7 @@
 import random
 import re
+import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,10 @@ from tokengraphs.graphs import (
     GraphError,
     bipartition_of,
     complete_bipartite_graph,
+    complete_graph,
     cycle_graph,
     delete_vertices,
+    erdos_renyi,
     family,
     make_graph,
     matching_graph,
@@ -62,6 +66,41 @@ def test_base_order_cap():
         make_graph(65, [])
     # derived graphs are allowed to be larger
     assert Graph(100, [(0, 99)]).n == 100
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: path_graph(10**6),
+        lambda: cycle_graph(10**6),
+        lambda: complete_graph(10**6),
+        lambda: complete_bipartite_graph(1000, 1000),
+        lambda: star_graph(10**6),
+        lambda: matching_graph(5 * 10**5, 0),
+        lambda: erdos_renyi(2000, 0.5, 0),
+    ],
+    ids=["path", "cycle", "complete", "kbip", "star", "match", "random"],
+)
+def test_base_order_cap_runs_before_any_edge_is_built(build):
+    # order 10^6, or 10^6 edges for K_{1000,1000} and about as many pairs
+    # for G(2000, 1/2), so a builder that lists its edges first stays
+    # finite here and still shows up tens of megabytes over the limit
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="capped at 64"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_erdos_renyi_draws_the_pairs_in_combinations_order():
+    for seed in range(30):
+        n, p = 2 + seed % 9, (0.2, 0.5, 0.8)[seed % 3]
+        rng = random.Random(seed)
+        drawn = [e for e in combinations(range(n), 2) if rng.random() < p]
+        assert erdos_renyi(n, p, seed) == make_graph(n, drawn), seed
 
 
 @given(
@@ -195,8 +234,6 @@ def test_bipartition_lowest_vertex_goes_to_b():
 
 
 def test_bipartition_agrees_with_exhaustive_two_coloring():
-    from tokengraphs.graphs import erdos_renyi
-
     for seed in range(40):
         g = erdos_renyi(3 + seed % 6, (0.2, 0.45, 0.7)[seed % 3], seed)
         found = bipartition_of(g)
@@ -219,8 +256,6 @@ def test_bipartition_validate_rejects_non_crossing():
 
 def test_bipartition_validate_names_the_first_edge_that_does_not_cross():
     # the edge-order scan it replaced, on random splits of random graphs
-    from tokengraphs.graphs import erdos_renyi
-
     rng = random.Random(3)
     for seed in range(60):
         g = erdos_renyi(2 + seed % 9, 0.4, seed)

@@ -1,10 +1,12 @@
 import hashlib
+import sys
 
 import pytest
 
 from tokengraphs.budget import Budget, BudgetExceededError
 from tokengraphs.graphs import cycle_graph
 from tokengraphs.reports import exit_code_for, reports_to_csv, reports_to_json
+import tokengraphs.tokens as tokens
 import tokengraphs.verify as verify
 from tokengraphs.verify import CHECKS, run_check
 
@@ -122,6 +124,30 @@ def test_catalog_reports_match_the_recorded_digests(default_reports):
     assert (hashlib.sha256(csv_text).hexdigest(), len(csv_text)) == (
         "8cc1eb45a4a27f0ff92009f5e9a9cd9a71dd488ed225f146c4051fb8aa0e86c7", 27709
     )
+
+
+def test_each_construction_row_builds_one_token_graph(monkeypatch):
+    # the constructions certify against the row's token graph instead of
+    # building their own; at 161 / 16 / 17 builds they built it again
+    builds = []
+    build = tokens.token_graph
+
+    def counted(g, k):
+        builds.append((g, k))
+        return build(g, k)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tokengraphs"):
+            for attr, value in list(vars(module).items()):
+                if value is build:
+                    monkeypatch.setattr(module, attr, counted)
+    counts = {}
+    for check_id in ("thm1", "lemma3", "thm3"):
+        builds.clear()
+        rows = run_check(check_id)
+        assert exit_code_for(rows) == 0
+        counts[check_id] = (len(rows), len(builds))
+    assert counts == {"thm1": (58, 58), "lemma3": (8, 8), "thm3": (13, 13)}
 
 
 def test_recursive_checks_solve_each_token_graph_once_up_to_complement(monkeypatch):
