@@ -69,7 +69,10 @@ def parse_graph_spec(spec: str) -> Graph:
         params = [int(x) for x in arg.split(",")]
     except ValueError:
         raise GraphError(f"bad parameters in graph spec {spec!r}") from None
-    return family(kinds[kind], params)
+    try:
+        return family(kinds[kind], params)
+    except GraphError as exc:
+        raise GraphError(f"graph spec {spec!r}: {exc}") from None
 
 
 def _budget_seconds(text: str) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, compress
 from math import comb
 
-from .formulas import nu_token_formula
+from .formulas import isolated_token_count, nu_token_formula
 from .graphs import Bipartition, Graph, GraphError, cycle_graph, make_graph, matching_graph
 from .independence import IndependentSet
 from .matching import Matching
@@ -79,8 +79,7 @@ def isolated_tokens(t: TokenGraph) -> frozenset[frozenset[int]]:
         uncovered = 2 * m
         for chosen in combinations(range(m), k // 2):
             out.append(frozenset([uncovered] + [x for i in chosen for x in pairs[i]]))
-    expected = comb(m, k // 2) if (k % 2 == 0 or s == 1) else 0
-    if len(out) != expected:
+    if len(out) != isolated_token_count(m, s, k):
         raise AssertionError("isolated-token enumeration is not of the predicted count")
     degree_zero = {frozenset(t.codec.unrank(r)) for r, row in enumerate(t.graph.adj) if not row}
     result = frozenset(out)

@@ -25,25 +25,32 @@ class FormulaValue:
     tight_for: str | None = None
 
 
+def isolated_token_count(m: int, s: int, k: int) -> int:
+    """Number of isolated vertices of the k-token graph of
+    ``matching_graph(m, s)``: the tokens holding both ends or neither of
+    every edge, so k // 2 whole edges, and the uncovered vertex when k is
+    odd."""
+    return comb(m, k // 2) if k % 2 == 0 or s == 1 else 0
+
+
 def nu_token_formula(n: int, k: int) -> FormulaValue:
     """Matching number of a k-token graph over a base of order n with
-    maximum possible matching number.
+    maximum possible matching number: half the tokens that are not isolated
+    in the token graph of the disjoint (almost) perfect matching.
 
-    Even n, odd k: exact C(n,k)/2. Even n, even k: lower bound, tight when
-    the base is a disjoint perfect matching. Odd n: lower bound, tight for
-    a disjoint almost perfect matching.
+    Even n, odd k: exact C(n,k)/2, as no token is isolated. Even n, even k:
+    lower bound, tight when the base is a disjoint perfect matching. Odd n:
+    lower bound, tight for a disjoint almost perfect matching.
     """
     if not 1 <= k <= n - 1:
         raise GraphError(f"k={k} out of range for n={n}")
-    if n % 2 == 0 and k % 2 == 1:
-        total = comb(n, k)
-        assert total % 2 == 0
-        return FormulaValue(total // 2, "exact")
-    if n % 2 == 0:
-        value = (comb(n, k) - comb(n // 2, k // 2)) // 2
-        return FormulaValue(value, "lower-bound", tight_for="disjoint perfect matching")
-    value = (comb(n, k) - comb((n - 1) // 2, k // 2)) // 2
-    return FormulaValue(value, "lower-bound", tight_for="disjoint almost perfect matching")
+    paired = comb(n, k) - isolated_token_count(n // 2, n % 2, k)
+    assert paired % 2 == 0
+    if n % 2 == 1:
+        return FormulaValue(paired // 2, "lower-bound", tight_for="disjoint almost perfect matching")
+    if k % 2 == 1:
+        return FormulaValue(paired // 2, "exact")
+    return FormulaValue(paired // 2, "lower-bound", tight_for="disjoint perfect matching")
 
 
 def beta_cycle_f2(p: int) -> int:

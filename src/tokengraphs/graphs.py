@@ -11,6 +11,7 @@ Vertex ids are 0-based everywhere in the API; the text interchange format
 from __future__ import annotations
 
 import random
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
@@ -317,20 +318,35 @@ def _int_pair(row: list[str], what: str) -> tuple[int, int]:
 
 
 def parse_edge_list_text(text: str) -> Graph:
-    """Inverse of :func:`to_edge_list_text`; blank lines are ignored."""
-    rows: Iterator[list[str]] = (line.split() for line in text.splitlines() if line.strip())
+    """Inverse of :func:`to_edge_list_text`; blank lines are ignored.
+
+    Lines are split where :meth:`str.splitlines` splits them, but lazily:
+    the header's order meets the base-order cap before any edge line is
+    read."""
+    lines = re.finditer("[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]+", text)
+    rows = (line[0].split() for line in lines if not line[0].isspace())
     try:
         header = next(rows)
     except StopIteration:
         raise GraphError("empty edge-list input") from None
     n, m = _int_pair(header, "edge-list header 'n m'")
-    edges = []
+    return make_graph(n, _edge_lines(rows, n, m))
+
+
+def _edge_lines(rows: Iterator[list[str]], n: int, m: int) -> Iterator[tuple[int, int]]:
+    """The 0-based edges of the 1-based edge lines, each checked as written,
+    then that there were ``m`` of them."""
+    count = 0
     for row in rows:
         u, v = _int_pair(row, "edge line")
-        edges.append((u - 1, v - 1))
-    if len(edges) != m:
-        raise GraphError(f"header promised {m} edges, found {len(edges)}")
-    return make_graph(n, edges)
+        if u == v or not (1 <= u <= n and 1 <= v <= n):
+            raise GraphError(
+                f"bad edge line: {' '.join(row)!r} is not two distinct vertices of 1..{n}"
+            )
+        count += 1
+        yield u - 1, v - 1
+    if count != m:
+        raise GraphError(f"header promised {m} edges, found {count}")
 
 
 def to_dot(g: Graph, labels: dict[int, str] | None = None, name: str = "G") -> str:

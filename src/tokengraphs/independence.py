@@ -17,23 +17,19 @@ on the graph's adjacency masks, on an explicit stack, so no recursion limit
 bounds its depth: degree-0/degree-1 vertices are taken greedily (exact
 reductions, found in the same scan that picks the branching vertex),
 branching picks the busiest candidate vertex with the include branch first,
-and a greedy clique cover bounds the search. The cover grows one clique at
-a time by intersecting neighborhood masks, the partition first-fit would
-build at O(1) mask operations per vertex. On a component with a triangle,
-a node whose cover misses pruning by exactly one tests the cover's cliques
-for inconsistency by failed literals and unit propagation, MaxSAT-style
-inference (Li & Quan, 2010): if no independent set meets every clique, the
-bound drops by one and the node is pruned. On a triangle-free component,
-where each cover clique is a vertex or an edge, a node the cover cannot
-prune also tries the LP bound: |cand| minus half the matching number of the
-bipartite double cover of cand, the LP vertex-cover optimum (Nemhauser &
-Trotter, 1975), from the same matching engine with cand on both sides. A
-node whose size alone shows that neither bound can prune calls neither, and
-the matching stops once it is large enough to prune. A stronger bound
-prunes only subtrees that cannot beat the best set so far, so the search
-returns the same set. The helpers are module functions, not closures, so a
-solve leaves no reference cycles behind. A brute-force enumerator backs the
-solver as an independent oracle.
+and each node is pruned by one bound, picked by the component. With a
+triangle it is a greedy clique cover, and a node that misses the prune by
+exactly one tests the cover's cliques for inconsistency by failed literals
+and unit propagation, MaxSAT-style inference (Li & Quan, 2010).
+Triangle-free, it is the LP bound: |cand| minus half the matching number of
+the bipartite double cover of cand, the LP vertex-cover optimum (Nemhauser
+& Trotter, 1975), from the same matching engine with cand on both sides.
+Either prunes only subtrees that cannot beat the best set so far, so the
+search returns the set the cover alone finds. The matchings of one solve
+share one scratch, so each costs time in its own sides, not the graph's.
+The helpers are module functions, not closures, so a solve leaves no
+reference cycles behind. A brute-force enumerator backs the solver as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ from typing import Callable
 from .budget import Budget, BudgetExceededError, _BudgetClock  # noqa: F401 (the error is re-exported)
 from .graphs import Bipartition, Graph, GraphError, Rows, delete_vertices
 from .graphs import _component_masks  # traced by bench/layers.py
-from .matching import hall_witness
+from .matching import _Scratch, _hopcroft_karp_scratch, hall_witness
 from .matching import _hopcroft_karp as _bipartite_matching_size  # traced by bench/layers.py
 from .tokens import TokenGraph, token_graph
 
@@ -82,7 +78,6 @@ class BoundsPair:
     def __post_init__(self) -> None:
         if self.lower > self.upper:
             raise ValueError(f"bounds crossed: {self.lower} > {self.upper}")
-
 
 
 #: Binary digits to the bytes 0 and 1, to select ids with.
@@ -157,7 +152,7 @@ def _greedy_seed(comp: list[int], adj: Rows, deg: list[int]) -> tuple[list[int],
     return chosen, degree_sum
 
 
-def _clique_cover_bound(cand: int, masks: tuple[int, ...], room: int | None = None) -> int:
+def _clique_cover_bound(cand: int, masks: tuple[int, ...], room: int) -> int:
     """Number of cliques in a greedy clique cover of ``cand``, less one when
     that is ``room + 1`` and failed literals show the cliques inconsistent.
 
@@ -172,8 +167,7 @@ def _clique_cover_bound(cand: int, masks: tuple[int, ...], room: int | None = No
     count bounds it. ``room`` is the size a set must exceed to matter: when
     the count misses it by exactly one, :func:`_inconsistent` tests whether
     some set can meet every clique, and if none can the bound is ``room``.
-    The test is made only there, where it decides a prune. Without ``room``
-    the count is returned as it is.
+    The test is made only there, where it decides a prune.
     """
     cliques = []
     while cand:
@@ -187,7 +181,7 @@ def _clique_cover_bound(cand: int, masks: tuple[int, ...], room: int | None = No
             grow &= masks[low.bit_length() - 1]
         cliques.append(rest ^ cand)
     count = len(cliques)
-    if room is not None and count == room + 1 and _inconsistent(cliques, masks):
+    if count == room + 1 and _inconsistent(cliques, masks):
         return room
     return count
 
@@ -245,7 +239,8 @@ def _propagation_fails(out: int, cliques: list[int], masks: tuple[int, ...]) -> 
 
 
 def _solve_component(
-    comp: list[int], odd: bool, side: list[int], g: Graph, deg: list[int], clock: _BudgetClock
+    comp: list[int], odd: bool, side: list[int], g: Graph, deg: list[int], scratch: _Scratch,
+    clock: _BudgetClock,
 ) -> list[int]:
     if len(comp) == 1:
         return comp
@@ -259,7 +254,9 @@ def _solve_component(
     classes = _two_color(comp, odd, side)
     if classes is None:
         masks = g.adjacency_masks()
-        bits = _branch(sum(1 << v for v in comp), sum(1 << v for v in best), masks, adj, clock)
+        bits = _branch(
+            sum(1 << v for v in comp), sum(1 << v for v in best), masks, adj, scratch, clock
+        )
         return _bit_list(bits)
     # König: beta = |comp| - nu. When neither the seed nor the larger class
     # has that size, the complement of the König cover does: the reached
@@ -269,7 +266,7 @@ def _solve_component(
     cls = one if len(one) >= len(two) else two
     if len(cls) > len(best):
         best = cls
-    nu, reach = _bipartite_matching_size(one, two, adj)
+    nu, reach = _bipartite_matching_size(one, two, adj, None, scratch)
     if len(best) == len(comp) - nu:
         return best
     seen = set().union(*(adj[u] for u in reach))
@@ -288,25 +285,26 @@ def _triangle_free(comp: int, masks: tuple[int, ...]) -> bool:
 
 
 def _branch(
-    cand: int, best_mask: int, masks: tuple[int, ...], adj: Rows, clock: _BudgetClock
+    cand: int, best_mask: int, masks: tuple[int, ...], adj: Rows, scratch: _Scratch,
+    clock: _BudgetClock,
 ) -> int:
     """The best of ``best_mask`` and every independent set inside ``cand``.
 
     Depth-first on an explicit stack of ``(cand, cur_mask, cur_size)``
     nodes: a node pushes its exclude continuation before its include child,
-    so the include branch is searched first. When ``cand`` has a triangle,
-    the clique cover is told the room left to prune, so a cover that misses
-    it by one is tested for inconsistency. When ``cand`` is triangle-free,
-    which every node then is, the cover is counted alone, and a node it
-    cannot prune tries the LP bound, |cand| minus the LP vertex-cover
-    optimum; each cover clique is a vertex or an edge there, so the LP
-    bound is never weaker. The reductions and the branching vertex depend
-    on ``cand`` alone, and a valid bound prunes only nodes that cannot beat
-    ``best_mask``, so the search returns the set the cover alone finds. As
-    nu <= |cand| and cover cliques have at most 2 vertices, both bounds are
-    at least cur_size + |cand| // 2 on a triangle-free node: one where that
-    beats ``best_size`` calls neither, and the matching is asked only to
-    reach the size that prunes."""
+    so the include branch is searched first. With a triangle, each node's
+    bound is the clique cover, told the room left to prune, so a cover that
+    misses it by one is tested for inconsistency. Triangle-free, which every
+    node then is, it is the LP bound, |cand| minus the LP vertex-cover
+    optimum, which prunes every node a cover of vertices and edges would.
+    As nu <= |cand|, that is at least cur_size + |cand| // 2: a node where
+    this beats ``best_size`` skips the matching, which is asked only to
+    reach the size that prunes. The reductions and the branching vertex
+    depend on ``cand`` alone, and a valid bound prunes only nodes that
+    cannot beat ``best_mask``, so the search returns the set the cover
+    alone finds. Profiled, an F_4(C_11) solve is about 65 % matching engine
+    and 27 % this loop, mostly its reduction walk; the ``_bit_list`` decodes
+    are not in its top eight entries, so the candidate sets stay bitmasks."""
     best_size = best_mask.bit_count()
     free = _triangle_free(cand, masks)
     stack = [(cand, 0, 0)]
@@ -341,17 +339,16 @@ def _branch(
             if cur_size > best_size:
                 best_mask, best_size = cur_mask, cur_size
             continue
-        if not free or cur_size + cand.bit_count() // 2 <= best_size:
-            room = best_size - cur_size
-            if _clique_cover_bound(cand, masks, None if free else room) <= room:
+        room = best_size - cur_size
+        if not free:
+            if _clique_cover_bound(cand, masks, room) <= room:
                 continue
-            if free:
-                # prunes iff (nu + 1) // 2 >= |cand| - room
-                target = 2 * (cand.bit_count() - room) - 1
-                live = _bit_list(cand)
-                nu, _ = _bipartite_matching_size(live, live, adj, target)
-                if nu >= target:
-                    continue
+        elif cand.bit_count() // 2 <= room:
+            # prunes iff (nu + 1) // 2 >= |cand| - room
+            live = _bit_list(cand)
+            target = 2 * (len(live) - room) - 1
+            if _bipartite_matching_size(live, live, adj, target, scratch)[0] >= target:
+                continue
         stack.append((cand & ~pick, cur_mask, cur_size))
         inside = cand & ~(masks[pick.bit_length() - 1] | pick)
         stack.append((inside, cur_mask | pick, cur_size + 1))
@@ -369,10 +366,11 @@ def max_independent_set(g: Graph, budget: Budget | None = None) -> IndependentSe
         return IndependentSet(frozenset())
     clock = _BudgetClock(budget)
     deg = [-1] * g.n
+    scratch = _hopcroft_karp_scratch(g.n)
     comps, side = _component_masks(g.adj)
     chosen: list[int] = []
     for comp, odd in comps:
-        chosen += _solve_component(comp, odd, side, g, deg, clock)
+        chosen += _solve_component(comp, odd, side, g, deg, scratch, clock)
     result = IndependentSet(frozenset(chosen))
     result.validate(g)
     return result

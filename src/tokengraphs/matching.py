@@ -5,7 +5,8 @@ contraction (O(V^3)), one flag test per neighbour scanned, and Edmonds'
 Hungarian-tree deletion: later searches skip a failed search's vertices.
 Bipartite graphs go through Hopcroft-Karp (SIAM J. Comput. 1973) on the
 sorted neighbour tuples, with one side a list of ids and the matching kept
-in lists indexed by vertex. Its last search also yields the side's vertices
+in lists indexed by vertex, which the calls of one solve share and restore
+at their own vertices only. Its last search also yields the side's vertices
 reached by alternating paths from its unmatched ones: the Hall deficiency
 set, and the König cover of the independence solver. The same engine, with
 both sides the same candidate set, gives the LP bound of that solver.
@@ -16,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .budget import Budget, _BudgetClock
 from .graphs import Bipartition, Graph, GraphError, Rows
@@ -209,8 +210,18 @@ def brute_force_nu(g: Graph) -> int:
     return best((1 << g.n) - 1)
 
 
+#: ``mate_r``, ``mate_l`` and ``dist`` of :func:`_hopcroft_karp`, one entry
+#: per vertex of its rows, in the state each call leaves them in.
+_Scratch = tuple[list[int], list[int], list[int]]
+
+
+def _hopcroft_karp_scratch(n: int) -> _Scratch:
+    return [-2] * n, [-1] * n, [-1] * n
+
+
 def _hopcroft_karp(
-    left: list[int], right: Iterable[int], rows: Rows, target: int | None = None
+    left: list[int], right: Collection[int], rows: Rows, target: int | None = None,
+    scratch: _Scratch | None = None,
 ) -> tuple[int, list[int] | None]:
     """Maximum matching size between ``left`` and ``right`` along ``rows``
     (Hopcroft-Karp), and ``reach``, the left vertices that alternating
@@ -225,74 +236,85 @@ def _hopcroft_karp(
     ``mate_l``. The greedy start matches each left vertex, in ``left``
     order, to its lowest free neighbour. Given a ``target``, the search
     stops once the matching reaches it, so the size is between
-    ``min(target, nu)`` and nu, and ``reach`` is None."""
-    n = len(rows)
-    mate_r = [-2] * n
+    ``min(target, nu)`` and nu, and ``reach`` is None.
+
+    ``scratch``, from :func:`_hopcroft_karp_scratch` of ``len(rows)``, is
+    shared by the calls of one solve: a call writes it only at its two
+    sides and restores them on return, so it costs time in its sides and
+    their rows, not in the order of the whole graph."""
+    mate_r, mate_l, dist = scratch or _hopcroft_karp_scratch(len(rows))
     for w in right:
         mate_r[w] = -1
-    mate_l = [-1] * n
-    size = 0
-    for u in left:
-        for w in rows[u]:
-            if mate_r[w] == -1:
-                mate_r[w] = u
-                mate_l[u] = w
-                size += 1
-                break
-    if target is not None and size >= target:
-        return size, None
-
-    while True:
-        roots = [u for u in left if mate_l[u] == -1]
-        dist = [-1] * n
-        for u in roots:
-            dist[u] = 0
-        queue = roots[:]
-        free_reachable = False
-        for u in queue:
-            d = dist[u] + 1
+    try:
+        size = 0
+        for u in left:
             for w in rows[u]:
-                x = mate_r[w]
-                if x == -1:
-                    free_reachable = True
-                elif x >= 0 and dist[x] < 0:
-                    dist[x] = d
-                    queue.append(x)
-        if not free_reachable:
-            return size, (queue if target is None else None)
+                if mate_r[w] == -1:
+                    mate_r[w] = u
+                    mate_l[u] = w
+                    size += 1
+                    break
+        if target is not None and size >= target:
+            return size, None
 
-        # one augmenting path per root along the BFS layers, by depth-first
-        # search on an explicit stack, so no recursion limit bounds its
-        # length. ``via`` holds the right vertex taken out of each stacked
-        # left vertex but the last; a left vertex with no way on leaves the
-        # layers for the phase
-        for root in roots:
-            if dist[root]:
-                continue
-            stack, via = [(root, iter(rows[root]))], []
-            while stack:
-                u, scan = stack[-1]
-                for w in scan:
+        while True:
+            roots = [u for u in left if mate_l[u] == -1]
+            for u in roots:
+                dist[u] = 0
+            queue = roots[:]
+            free_reachable = False
+            for u in queue:
+                d = dist[u] + 1
+                for w in rows[u]:
                     x = mate_r[w]
-                    if x == -1 or (x >= 0 and dist[x] == dist[u] + 1):
-                        via.append(w)
-                        break
-                else:
-                    dist[u] = -1
-                    stack.pop()
-                    if via:
-                        via.pop()
+                    if x == -1:
+                        free_reachable = True
+                    elif x >= 0 and dist[x] < 0:
+                        dist[x] = d
+                        queue.append(x)
+            if not free_reachable:
+                return size, (queue if target is None else None)
+
+            # one augmenting path per root along the BFS layers, by
+            # depth-first search on an explicit stack, so no recursion limit
+            # bounds its length. ``via`` holds the right vertex taken out of
+            # each stacked left vertex but the last; a left vertex with no
+            # way on leaves the layers for the phase
+            for root in roots:
+                if dist[root]:
                     continue
-                if x >= 0:
-                    stack.append((x, iter(rows[x])))
-                    continue
-                for (a, _), b in zip(stack, via):
-                    mate_l[a] = b
-                    mate_r[b] = a
-                size += 1
-                if target is not None and size >= target:
-                    return size, None
-                break
+                stack, via = [(root, iter(rows[root]))], []
+                while stack:
+                    u, scan = stack[-1]
+                    for w in scan:
+                        x = mate_r[w]
+                        if x == -1 or (x >= 0 and dist[x] == dist[u] + 1):
+                            via.append(w)
+                            break
+                    else:
+                        dist[u] = -1
+                        stack.pop()
+                        if via:
+                            via.pop()
+                        continue
+                    if x >= 0:
+                        stack.append((x, iter(rows[x])))
+                        continue
+                    for (a, _), b in zip(stack, via):
+                        mate_l[a] = b
+                        mate_r[b] = a
+                    size += 1
+                    if target is not None and size >= target:
+                        return size, None
+                    break
+            for u in queue:  # the only ones the phase gave a layer
+                dist[u] = -1
+    finally:
+        for w in right:
+            mate_r[w] = -2
+        for u in left:
+            mate_l[u] = -1
+            dist[u] = -1
 
 
 def hall_witness(g: Graph, part: Bipartition) -> frozenset[int] | None:

@@ -105,6 +105,8 @@ def token_graph(g: Graph, k: int) -> TokenGraph:
     :data:`MAX_TOKEN_GRAPH_SIZE`.
     """
     n = g.n
+    if n < 2:
+        raise GraphError(f"a base of order {n} has no token graph: it needs 1 <= k <= n - 1")
     if not 1 <= k <= n - 1:
         raise GraphError(f"token count k={k} must satisfy 1 <= k <= {n - 1}")
     size = comb(n, k) + g.edge_count * comb(n - 2, k - 1)

@@ -37,6 +37,7 @@ from .formulas import (
     beta_cycle_f2,
     class_bound,
     class_order_predicate,
+    isolated_token_count,
     nu_token_formula,
 )
 from .graphs import (
@@ -196,7 +197,7 @@ def _thm1_tight(cap: int, budget: Budget | None) -> Rows:
                 built = theorem1_matching(t, base_matching)
                 solved = max_matching(t.graph, budget).size
                 isolated = isolated_tokens(t)
-                iso_target = comb(m, k // 2) if (k % 2 == 0 or s == 1) else 0
+                iso_target = isolated_token_count(m, s, k)
                 ok = built.size == target == solved and len(isolated) == iso_target
                 return target, solved, {"matching_size": built.size, "isolated": iso_target}, (
                     STATUS_PASS if ok else STATUS_FAIL

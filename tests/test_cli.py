@@ -243,6 +243,18 @@ def test_cli_bad_spec_is_usage_error(capsys):
     assert main(["beta", "wheel:5", "-k", "2"]) == 2
 
 
+def test_cli_spec_of_the_wrong_arity_names_the_spec(capsys):
+    assert main(["build", "kbip:2", "-k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "'kbip:2'" in err and "takes 2 parameter(s), got 1" in err
+
+
+def test_cli_base_of_order_one_has_no_token_graph(capsys):
+    assert main(["build", "path:1", "-k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "a base of order 1 has no token graph" in err and "<= 0" not in err
+
+
 def test_cli_budget_flag_parses(capsys):
     assert main(["--budget", "30", "beta", "cycle:5", "-k", "2"]) == 0
 

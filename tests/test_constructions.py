@@ -249,7 +249,7 @@ from tokengraphs import Matching, bipartition_of, hall_witness, max_matching, to
 print('optimize', sys.flags.optimize)
 real = c.nu_token_formula
 c.nu_token_formula = lambda n, k: replace(real(n, k), value=real(n, k).value + 1)
-c.comb = lambda n, r: 99
+c.isolated_token_count = lambda m, s, k: 99
 layer = c.cycle_layer
 c.cycle_layer = lambda p, i: replace(layer(p, i), pairs=frozenset())
 mt._hopcroft_karp = lambda small, big, adj: (0, small[:1])

@@ -8,6 +8,7 @@ from tokengraphs.formulas import (
     beta_cycle_f2,
     class_bound,
     class_order_predicate,
+    isolated_token_count,
     nu_token_formula,
     r_value,
 )
@@ -16,6 +17,7 @@ from tokengraphs.graphs import (
     bipartition_of,
     complete_bipartite_graph,
     cycle_graph,
+    matching_graph,
     path_graph,
     star_graph,
 )
@@ -51,6 +53,16 @@ def test_nu_formula_cases():
 def test_nu_formula_rejects_bad_k():
     with pytest.raises(GraphError):
         nu_token_formula(5, 5)
+
+
+def test_isolated_token_count_is_the_degree_zero_tokens_of_a_matching_base():
+    for n in range(2, 13):
+        m, s = divmod(n, 2)
+        for k in range(1, n):
+            g = token_graph(matching_graph(m, s), k).graph
+            count = isolated_token_count(m, s, k)
+            assert count == sum(not row for row in g.adj), (m, s, k)
+            assert nu_token_formula(n, k).value == (comb(n, k) - count) // 2
 
 
 # -- independence formulas ----------------------------------------------------

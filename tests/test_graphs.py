@@ -286,6 +286,31 @@ def test_parse_edge_list_rejects_bad_header():
         parse_edge_list_text("3\n1 2\n")
 
 
+def test_edge_list_order_cap_runs_before_any_edge_line_is_read():
+    # 2 MB of edge lines under a header of order 10^5: split and parsed
+    # first, they peak at tens of megabytes
+    text = "100000 500000\n" + "1 2\n" * 500_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="capped at 64"):
+            parse_edge_list_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("line", ["0 1", "1 4", "2 2", "-1 3"])
+def test_parse_edge_list_names_a_bad_edge_line_as_written(line):
+    with pytest.raises(GraphError, match=f"bad edge line: '{line}' is not two distinct vertices of 1..3"):
+        parse_edge_list_text(f"3 2\n1 2\n{line}\n")
+
+
+def test_edge_list_lines_break_where_splitlines_breaks_them():
+    text = " \n3 2\r\n1 2\r\x0c2 3\u2028\n"
+    assert parse_edge_list_text(text) == path_graph(3)
+
+
 def test_dot_export_mentions_every_vertex_and_edge():
     g = matching_graph(1, 1)
     dot = to_dot(g)

@@ -44,7 +44,7 @@ from tokengraphs.independence import (
     token_independence_number,
     vertex_transitive_bound,
 )
-from tokengraphs.matching import max_matching
+from tokengraphs.matching import _hopcroft_karp_scratch, max_matching
 from tokengraphs.tokens import token_bipartition, token_graph
 from conftest import bipartite_components, relabelled
 
@@ -211,6 +211,14 @@ def _solve_ticks(monkeypatch, g):
     found.validate(g)
     (clock,) = clocks
     return found, clock.nodes
+
+
+def test_koenig_on_many_small_components_is_linear_in_the_graph():
+    # F_4 of 16 disjoint edges: 35,960 tokens, closed by 3,500 König
+    # matchings on components of at most 16 vertices; matchings that each
+    # allocate in the order of the whole graph take seconds
+    g = token_graph(matching_graph(16, 0), 4).graph
+    assert max_independent_set(g, Budget(seconds=0.5)).size == 18_040
 
 
 def test_a_solve_ticks_once_per_bipartite_component(monkeypatch):
@@ -453,6 +461,12 @@ def _first_fit_clique_cover(cand, masks):
     return len(_first_fit_cliques(_bit_list(cand), masks))
 
 
+def _cover_count(cand, masks):
+    """The clique count alone: a cover of ``cand`` has at most |cand|
+    cliques, so that room never triggers the inference."""
+    return _clique_cover_bound(cand, masks, cand.bit_count())
+
+
 def _random_subsets(n, seed, count):
     rng = random.Random(seed)
     full = (1 << n) - 1
@@ -468,7 +482,7 @@ def _random_subsets(n, seed, count):
 def test_clique_cover_bound_matches_first_fit_on_random_graphs(n, p, seed):
     masks = erdos_renyi(n, p, seed).adjacency_masks()
     for cand in _random_subsets(n, seed, 12):
-        assert _clique_cover_bound(cand, masks) == _first_fit_clique_cover(cand, masks)
+        assert _cover_count(cand, masks) == _first_fit_clique_cover(cand, masks)
 
 
 def test_clique_cover_bound_matches_first_fit_on_relabelled_token_graphs():
@@ -482,7 +496,7 @@ def test_clique_cover_bound_matches_first_fit_on_relabelled_token_graphs():
             for g in (t, relabelled(t, i * 100 + k)):
                 masks = g.adjacency_masks()
                 for cand in _random_subsets(g.n, i * 100 + k, 8):
-                    bound = _clique_cover_bound(cand, masks)
+                    bound = _cover_count(cand, masks)
                     assert bound == _first_fit_clique_cover(cand, masks)
                     checked += 1
     assert checked > 1500
@@ -513,7 +527,7 @@ def test_inconsistent_covers_have_no_independent_set_meeting_every_clique():
                 if independence._inconsistent(cliques, masks):
                     inconsistent += 1
                     assert not _meets_every_clique(cliques, masks), (seed, cand, order)
-            count = _clique_cover_bound(cand, masks)
+            count = _cover_count(cand, masks)
             alpha = _brute_force_rec(cand, masks)
             for room in range(count + 1):
                 bound = _clique_cover_bound(cand, masks, room)
@@ -558,7 +572,7 @@ def _cover_only_branch(cand, best_mask, masks, clock):
             if cur_size > best_size:
                 best_mask, best_size = cur_mask, cur_size
             continue
-        if cur_size + _clique_cover_bound(cand, masks) <= best_size:
+        if cur_size + _cover_count(cand, masks) <= best_size:
             continue
         pick, pick_deg = -1, -1
         m = cand
@@ -601,11 +615,12 @@ def _assert_branch_matches_cover_only(g, from_empty=True):
     masks = g.adjacency_masks()
     total = [0, 0]
     deg = [-1] * g.n
+    scratch = _hopcroft_karp_scratch(g.n)
     starts = [(_mask(comp), _mask(_greedy_seed(comp, g.adj, deg)[0])) for comp in _components(g)]
     if from_empty:
         starts.append(((1 << g.n) - 1, 0))
     for cand, seed in starts:
-        found, nodes = _search_nodes(_branch, cand, seed, masks, g.adj)
+        found, nodes = _search_nodes(_branch, cand, seed, masks, g.adj, scratch)
         reference, reference_nodes = _search_nodes(_cover_only_branch, cand, seed, masks)
         assert found == reference
         assert nodes <= reference_nodes
@@ -695,7 +710,7 @@ def test_lp_bound_is_an_upper_bound_on_triangle_free_graphs(n, p, seed, free):
     for cand in _random_subsets(n, seed, 6):
         # on a triangle-free graph the LP bound is never weaker than the cover
         bound = _lp_bound(cand, g.adj)
-        assert _brute_force_rec(cand, masks) <= bound <= _clique_cover_bound(cand, masks)
+        assert _brute_force_rec(cand, masks) <= bound <= _cover_count(cand, masks)
 
 
 def test_lp_bound_is_never_tried_on_graphs_with_triangles(monkeypatch):
@@ -707,15 +722,24 @@ def test_lp_bound_is_never_tried_on_graphs_with_triangles(monkeypatch):
     assert max_independent_set(token_graph(complete_graph(8), 4).graph).size == 14
 
 
+def test_clique_cover_is_never_tried_on_triangle_free_graphs(monkeypatch):
+    # the LP bound prunes every node the cover of vertices and edges would
+    def refuse(*args):
+        raise AssertionError("clique cover called on a triangle-free graph")
+
+    monkeypatch.setattr(independence, "_clique_cover_bound", refuse)
+    assert max_independent_set(token_graph(cycle_graph(9), 3).graph).size == 38
+    assert max_independent_set(token_graph(cycle_graph(9), 4).graph).size == 56
+
+
 @pytest.mark.parametrize(
     "n, k, nodes, lp_calls",
-    [(9, 3, 35, 13), (9, 4, 103, 46), (11, 3, 227, 86)],
+    [(9, 3, 35, 18), (9, 4, 103, 59), (11, 3, 227, 113)],
     ids=["F_3(C_9)", "F_4(C_9)", "F_3(C_11)"],
 )
 def test_lp_bound_runs_only_where_it_can_prune(monkeypatch, n, k, nodes, lp_calls):
-    # at the paper's labels. Calling the LP bound at every node the cover
-    # cannot prune, each matching run to the end, takes the same 35, 103
-    # and 227 nodes but 28, 89 and 195 matchings
+    # at the paper's labels; the LP bound is the only bound on these
+    # triangle-free graphs, tried where |cand| // 2 leaves it room to prune
     targets = []
     engine = independence._bipartite_matching_size
 
@@ -733,7 +757,7 @@ def test_lp_bound_runs_only_where_it_can_prune(monkeypatch, n, k, nodes, lp_call
 
 @pytest.mark.parametrize(
     "n, k, beta, nodes, lp_calls",
-    [(11, 4, 150, 3_831, 1_865), (13, 3, 132, 1_813, 805)],
+    [(11, 4, 150, 3_831, 1_969), (13, 3, 132, 1_813, 929)],
     ids=["F_4(C_11)", "F_3(C_13)"],
 )
 def test_the_search_tree_is_pinned_past_the_catalog(monkeypatch, n, k, beta, nodes, lp_calls):

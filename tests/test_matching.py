@@ -28,6 +28,7 @@ from tokengraphs.matching import (
     Matching,
     MatchingError,
     _hopcroft_karp,
+    _hopcroft_karp_scratch,
     brute_force_nu,
     hall_witness,
     max_matching,
@@ -598,3 +599,24 @@ def test_hopcroft_karp_on_the_whole_graph_matches_its_components():
             assert (total, sorted(reached)) == (nu, sorted(reach)), seed
             if left is min(part.part_b, part.part_r, key=len):
                 assert hall_witness(g, part) == (frozenset(reach) or None)
+
+
+def test_hopcroft_karp_scratch_is_restored_between_calls():
+    # one scratch through every component, each side, every target and the
+    # double cover of each component: the answers of fresh calls, and the
+    # scratch back as it was after each call
+    for seed in range(40):
+        g = bipartite_components(seed)
+        part = bipartition_of(g)
+        comps, _ = _component_masks(g.adj)
+        scratch = _hopcroft_karp_scratch(g.n)
+        clean = _hopcroft_karp_scratch(g.n)
+        for comp, _ in comps:
+            for side in (part.part_b, part.part_r):
+                left = [v for v in comp if v in side]
+                right = [v for v in comp if v not in side]
+                for sides in ((left, right), (comp, comp)):
+                    for target in (None, 0, 1, len(comp) // 2):
+                        args = (*sides, g.adj, target)
+                        assert _hopcroft_karp(*args, scratch) == _hopcroft_karp(*args), seed
+                        assert scratch == clean, seed
