@@ -38,15 +38,12 @@ from .graphs import (
     to_edge_list_text,
 )
 from .independence import (
-    BoundsPair,
     IndependentSet,
     beta_via_saturation,
     brute_force_mis,
     independence_number,
     max_independent_set,
-    recursive_bounds,
     token_independence_number,
-    vertex_transitive_bound,
 )
 from .matching import (
     Matching,
@@ -65,6 +62,14 @@ from .tokens import (
     token_graph_to_dot,
     token_graph_to_json,
 )
-from .verify import CHECKS, OeisCheck, oeis_check, run_check
+from .verify import (
+    CHECKS,
+    BoundsPair,
+    OeisCheck,
+    oeis_check,
+    recursive_bounds,
+    run_check,
+    vertex_transitive_bound,
+)
 
 __version__ = "0.1.0"

@@ -44,7 +44,8 @@ class Graph:
     are safe to share across threads; a cache filled twice holds equal
     values. ``_freeze`` sorts and stores neighbour lists: ``__init__`` runs
     it after checking its edges and collapsing duplicates, and
-    ``tokens.token_graph`` on the lists it fills, which hold none.
+    ``tokens.token_graph`` and :func:`delete_vertices` on the lists they
+    fill, which hold none.
     """
 
     __slots__ = ("n", "adj", "edge_count", "_edges", "_masks")
@@ -52,18 +53,15 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        rows: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
+        rows: list[set[int]] = [set() for _ in range(n)]
+        for u, v in edges:  # sets: no duplicate is held, however often it repeats
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for order {n}")
-            rows[u].append(v)
-            rows[v].append(u)
-        for i, row in enumerate(rows):
-            if len(set(row)) != len(row):
-                rows[i] = list(set(row))
-        self._freeze(rows)
+            rows[u].add(v)
+            rows[v].add(u)
+        self._freeze(list(map(list, rows)))
 
     @classmethod
     def _from_rows(cls, rows: list[list[int]]) -> Graph:
@@ -202,6 +200,8 @@ def complete_bipartite_graph(m: int, n: int) -> Graph:
 
 def star_graph(n: int) -> Graph:
     """K_{1,n}: center vertex 0 plus n leaves."""
+    if n < 1:
+        raise GraphError("star needs at least 1 leaf")
     return complete_bipartite_graph(1, n)
 
 
@@ -237,7 +237,8 @@ def family(kind: str, params: Sequence[int]) -> Graph:
 
 
 def delete_vertices(g: Graph, remove: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on the surviving vertices, densely relabeled.
+    """Induced subgraph on the surviving vertices, densely relabeled, built
+    from each kept vertex's surviving neighbours, so no edge is checked again.
 
     Returns ``(subgraph, kept)`` where ``kept[new_id] == old_id``.
     """
@@ -246,12 +247,7 @@ def delete_vertices(g: Graph, remove: Iterable[int]) -> tuple[Graph, tuple[int, 
         raise GraphError("vertices to delete must belong to the graph")
     kept = tuple(v for v in range(g.n) if v not in removed)
     new_id = {old: i for i, old in enumerate(kept)}
-    edges = [
-        (new_id[u], new_id[v])
-        for u, v in g.edges
-        if u not in removed and v not in removed
-    ]
-    return Graph(len(kept), edges), kept
+    return Graph._from_rows([[new_id[w] for w in g.adj[v] if w in new_id] for v in kept]), kept
 
 
 def _component_masks(adj: Rows) -> tuple[list[tuple[list[int], bool]], list[int]]:

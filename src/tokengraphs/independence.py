@@ -1,4 +1,4 @@
-"""Exact maximum independent sets and the recursive token-graph bounds.
+"""Exact maximum independent sets.
 
 One breadth-first search over the sorted neighbour tuples, the one
 ``graphs._component_masks`` that :func:`.graphs.bipartition_of` runs too,
@@ -37,10 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import compress
-from typing import Callable
 
 from .budget import Budget, BudgetExceededError, _BudgetClock  # noqa: F401 (the error is re-exported)
-from .graphs import Bipartition, Graph, GraphError, Rows, delete_vertices
+from .graphs import Bipartition, Graph, GraphError, Rows
 from .graphs import _component_masks  # traced by bench/layers.py
 from .matching import _Scratch, _hopcroft_karp_scratch, hall_witness
 from .matching import _hopcroft_karp as _bipartite_matching_size  # traced by bench/layers.py
@@ -66,18 +65,6 @@ class IndependentSet:
 
     def sorted_vertices(self) -> list[int]:
         return sorted(self.vertices)
-
-
-@dataclass(frozen=True)
-class BoundsPair:
-    """Lower and upper bounds bracketing an independence number."""
-
-    lower: int
-    upper: int
-
-    def __post_init__(self) -> None:
-        if self.lower > self.upper:
-            raise ValueError(f"bounds crossed: {self.lower} > {self.upper}")
 
 
 #: Binary digits to the bytes 0 and 1, to select ids with.
@@ -417,71 +404,3 @@ def token_independence_number(g: Graph, k: int, budget: Budget | None = None) ->
     """Exact independence number of the k-token graph of ``g``."""
     return max_independent_set(token_graph(g, k).graph, budget).size
 
-
-BetaOracle = Callable[[Graph, int], int]
-
-
-def _beta_with_conventions(oracle: BetaOracle, h: Graph, j: int) -> int:
-    # Degenerate token counts: the empty token set is a single vertex (j == 0),
-    # oversized token sets give an empty graph, the full set gives one vertex.
-    if j == 0:
-        return 1
-    if h.n == 0 or j > h.n:
-        return 0
-    if j == h.n:
-        return 1
-    return oracle(h, j)
-
-
-def recursive_bounds(
-    g: Graph,
-    k: int,
-    beta_oracle: BetaOracle = token_independence_number,
-) -> BoundsPair:
-    """Bracket the independence number of the k-token graph by recursion on
-    vertex deletion.
-
-    Lower: the best single-vertex split, beta over tokens containing v plus
-    beta over tokens avoiding N[v]. Upper: the floor of the averaged
-    one-smaller-token bound, sum over v of beta(F_{k-1}(G - v)) divided by k.
-    """
-    n = g.n
-    if not 2 <= k <= n - 1:
-        raise GraphError(f"k={k} out of range for recursion on order {n}")
-    lower = 0
-    total = 0
-    for v in range(n):
-        g_minus_v, _ = delete_vertices(g, (v,))
-        g_minus_nv, _ = delete_vertices(g, g.closed_neighborhood(v))
-        with_v = _beta_with_conventions(beta_oracle, g_minus_v, k - 1)
-        without_nv = _beta_with_conventions(beta_oracle, g_minus_nv, k)
-        lower = max(lower, with_v + without_nv)
-        total += with_v
-    return BoundsPair(lower=lower, upper=total // k)
-
-
-def vertex_transitive_bound(
-    g: Graph,
-    k: int,
-    w: int,
-    beta_oracle: BetaOracle = token_independence_number,
-) -> int:
-    """Upper bound on the k-token independence number of a vertex-transitive
-    graph, from a single vertex deletion.
-
-    Only regularity is checked here; full vertex-transitivity is the
-    caller's assertion (it holds for the cycles and complete graphs this is
-    used on).
-    """
-    n = g.n
-    if not 2 <= k <= n - 2:
-        raise GraphError(f"k={k} out of range for order {n}")
-    if not 0 <= w < n:
-        raise GraphError(f"vertex {w} outside the graph")
-    degs = set(g.degree_sequence())
-    if len(degs) > 1:
-        raise GraphError("graph is not regular, hence not vertex-transitive")
-    g_minus_w, _ = delete_vertices(g, (w,))
-    smaller = _beta_with_conventions(beta_oracle, g_minus_w, k - 1)
-    same = _beta_with_conventions(beta_oracle, g_minus_w, k)
-    return min((n * smaller) // k, (n * same) // (n - k))

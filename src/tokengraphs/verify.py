@@ -14,7 +14,9 @@ budget is reported as such, and a row's :class:`GraphError`, such as a size
 cap, is raised again with its check and instance prefixed. The scans
 :func:`conjecture_rows` and :func:`fig3_rows` run through :func:`run_rows`
 too, outside :data:`CHECKS`. Every cross-check of a closed form against the
-exact solvers lives here, :func:`oeis_check` included.
+exact solvers lives here, :func:`oeis_check` included, and so do the
+vertex-deletion bounds that eq1–eq3 check, :func:`recursive_bounds` and
+:func:`vertex_transitive_bound`, beside the cached solver they are given.
 """
 
 from __future__ import annotations
@@ -47,18 +49,13 @@ from .graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    delete_vertices,
     erdos_renyi,
     matching_graph,
     path_graph,
     star_graph,
 )
-from .independence import (
-    independence_number,
-    max_independent_set,
-    recursive_bounds,
-    token_independence_number,
-    vertex_transitive_bound,
-)
+from .independence import independence_number, max_independent_set, token_independence_number
 from .matching import Matching, hall_witness, max_matching
 from .reports import (
     STATUS_BOUND,
@@ -314,8 +311,73 @@ def _fig34(cap: int, budget: Budget | None) -> Rows:
 # ---------------------------------------------------------------------------
 # recursive-bound checks
 
+#: β(F_j(h)) for a graph h and a token count j.
+BetaOracle = Callable[[Graph, int], int]
 
-def _cached_beta(budget: Budget | None) -> Callable[[Graph, int], int]:
+
+@dataclass(frozen=True)
+class BoundsPair:
+    """Lower and upper bounds bracketing an independence number."""
+
+    lower: int
+    upper: int
+
+    def __post_init__(self) -> None:
+        if self.lower > self.upper:
+            raise ValueError(f"bounds crossed: {self.lower} > {self.upper}")
+
+
+def _beta_with_conventions(oracle: BetaOracle, h: Graph, j: int) -> int:
+    # Degenerate token counts: the empty token set (j == 0) and the full set
+    # (j == h.n) are single vertices, oversized token sets give an empty graph.
+    if j in (0, h.n):
+        return 1
+    return 0 if j > h.n else oracle(h, j)
+
+
+def recursive_bounds(g: Graph, k: int, beta_oracle: BetaOracle) -> BoundsPair:
+    """Bracket the independence number of the k-token graph by recursion on
+    vertex deletion, with ``beta_oracle`` giving β of each deleted graph.
+
+    Lower: the best single-vertex split, beta over tokens containing v plus
+    beta over tokens avoiding N[v]. Upper: the floor of the averaged
+    one-smaller-token bound, sum over v of beta(F_{k-1}(G - v)) divided by k.
+    """
+    n = g.n
+    if not 2 <= k <= n - 1:
+        raise GraphError(f"k={k} out of range for recursion on order {n}")
+    lower = total = 0
+    for v in range(n):
+        g_minus_v, _ = delete_vertices(g, (v,))
+        g_minus_nv, _ = delete_vertices(g, g.closed_neighborhood(v))
+        with_v = _beta_with_conventions(beta_oracle, g_minus_v, k - 1)
+        without_nv = _beta_with_conventions(beta_oracle, g_minus_nv, k)
+        lower = max(lower, with_v + without_nv)
+        total += with_v
+    return BoundsPair(lower=lower, upper=total // k)
+
+
+def vertex_transitive_bound(g: Graph, k: int, beta_oracle: BetaOracle) -> int:
+    """Upper bound on the k-token independence number of a vertex-transitive
+    graph, from deleting one vertex, with ``beta_oracle`` giving β of the
+    deleted graph. Every vertex gives the same bound, so vertex 0 is used.
+
+    Only regularity is checked here; full vertex-transitivity is the
+    caller's assertion (it holds for the cycles and complete graphs this is
+    used on).
+    """
+    n = g.n
+    if not 2 <= k <= n - 2:
+        raise GraphError(f"k={k} out of range for order {n}")
+    if len(set(g.degree_sequence())) > 1:
+        raise GraphError("graph is not regular, hence not vertex-transitive")
+    g_minus_v, _ = delete_vertices(g, (0,))
+    smaller = _beta_with_conventions(beta_oracle, g_minus_v, k - 1)
+    same = _beta_with_conventions(beta_oracle, g_minus_v, k)
+    return min((n * smaller) // k, (n * same) // (n - k))
+
+
+def _cached_beta(budget: Budget | None) -> BetaOracle:
     """β(F_j(h)), each solved once up to complement: taking complements of
     the token sets makes F_j(h) and F_{n-j}(h) isomorphic. A solve that ran
     out of budget is kept too, and its error raised again on every call."""
@@ -360,7 +422,7 @@ def _eq1(cap: int, budget: Budget | None) -> Rows:
     for name, g in _eq1_corpus(cap):
         for k in range(2, g.n):
             def compute(g=g, k=k):
-                bounds = recursive_bounds(g, k, beta_oracle=beta)
+                bounds = recursive_bounds(g, k, beta)
                 return _bracket(bounds.lower, bounds.upper, beta(g, k))
 
             yield f"{name}, k={k}", compute
@@ -371,7 +433,7 @@ def _eq1(cap: int, budget: Budget | None) -> Rows:
     ]
     for instance, g, side in tight:
         def compute(g=g, side=side):
-            bound = getattr(recursive_bounds(g, 2, beta_oracle=beta), side)
+            bound = getattr(recursive_bounds(g, 2, beta), side)
             exact = beta(g, 2)
             return bound, exact, None, _eq_status(bound, exact)
 
@@ -379,39 +441,36 @@ def _eq1(cap: int, budget: Budget | None) -> Rows:
             yield instance, compute
 
 
-def _eq2(cap: int, budget: Budget | None) -> Rows:
-    """Cycle sandwich: path-token independence numbers bracket the cycle's,
-    with the closed form supplying every path value."""
-    beta = _cached_beta(budget)
-
-    def path_beta(h: Graph, j: int) -> int:
-        # every graph the deletion bounds of a cycle ask about is a path
-        return beta_balanced_family(h.n, j)
-
+def _sandwich(
+    name: str, base: Callable[[int], Graph], max_k: int, oracle: BetaOracle, beta: BetaOracle, cap: int
+) -> Rows:
+    """On the vertex-transitive ``base(n)``, the best deletion split and the
+    vertex-transitive bound, with ``oracle`` giving β of every deleted graph,
+    bracket the exact β(F_k) from ``beta``, for 2 <= k <= min(max_k, n - 2)."""
     for n in range(4, cap + 1):
-        for k in range(2, n - 1):
+        for k in range(2, min(max_k, n - 2) + 1):
             def compute(n=n, k=k):
-                g = cycle_graph(n)
-                lower = recursive_bounds(g, k, beta_oracle=path_beta).lower
-                upper = vertex_transitive_bound(g, k, 0, beta_oracle=path_beta)
+                g = base(n)
+                lower = recursive_bounds(g, k, oracle).lower
+                upper = vertex_transitive_bound(g, k, oracle)
                 return _bracket(lower, upper, beta(g, k))
 
-            yield f"C{n}, k={k}", compute
+            yield name.format(n=n, k=k), compute
+
+
+def _eq2(cap: int, budget: Budget | None) -> Rows:
+    """Cycle sandwich: the closed form gives β of every path a deletion leaves."""
+    def path_beta(h: Graph, j: int) -> int:
+        return beta_balanced_family(h.n, j)
+
+    return _sandwich("C{n}, k={k}", cycle_graph, cap, path_beta, _cached_beta(budget), cap)
 
 
 def _eq3(cap: int, budget: Budget | None) -> Rows:
-    """Johnson-graph sandwich: one-smaller Johnson independence numbers
-    bracket the next one."""
+    """Johnson-graph sandwich: as K_n - N[v] is empty, the lower bound is
+    β(F_{k-1}(K_{n-1})), and the solver gives every β a deletion asks for."""
     beta = _cached_beta(budget)
-    for n in range(4, cap + 1):
-        for k in range(2, min(3, n - 2) + 1):
-            def compute(n=n, k=k):
-                g = complete_graph(n)
-                lower = beta(complete_graph(n - 1), k - 1)
-                upper = vertex_transitive_bound(g, k, 0, beta_oracle=beta)
-                return _bracket(lower, upper, beta(g, k))
-
-            yield f"J({n},{k}), k={k}", compute
+    return _sandwich("J({n},{k}), k={k}", complete_graph, 3, beta, beta, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,12 @@ def test_cli_spec_of_the_wrong_arity_names_the_spec(capsys):
     assert "'kbip:2'" in err and "takes 2 parameter(s), got 1" in err
 
 
+def test_cli_star_without_leaves_names_the_star(capsys):
+    assert main(["build", "star:0", "-k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "'star:0': star needs at least 1 leaf" in err and "bipartite" not in err
+
+
 def test_cli_base_of_order_one_has_no_token_graph(capsys):
     assert main(["build", "path:1", "-k", "1"]) == 2
     err = capsys.readouterr().err

@@ -300,6 +300,20 @@ def test_edge_list_order_cap_runs_before_any_edge_line_is_read():
     assert peak < 1 << 20, peak
 
 
+def test_duplicate_edges_collapse_as_they_arrive():
+    # one set per vertex: rows that held every copy before collapsing them
+    # peaked at 1.53 MiB on these 100,000 copies of one edge
+    text = "3 100000\n" + "1 2\n" * 100_000
+    tracemalloc.start()
+    try:
+        g = parse_edge_list_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.adj == ((1,), (0,), ())
+    assert peak < 0.25 * (1 << 20), peak
+
+
 @pytest.mark.parametrize("line", ["0 1", "1 4", "2 2", "-1 3"])
 def test_parse_edge_list_names_a_bad_edge_line_as_written(line):
     with pytest.raises(GraphError, match=f"bad edge line: '{line}' is not two distinct vertices of 1..3"):
@@ -433,6 +447,22 @@ def test_graph_matches_the_set_based_reference(first, second):
     h, ref2 = Graph(n2, edges2), _ReferenceGraph(n2, edges2)
     assert (g == h) == (ref == ref2)
     assert g == Graph(n, reversed(edges)) and g == Graph(n, list(g.edges))
+
+
+@given(_edge_lists, st.data())
+@settings(max_examples=200, deadline=None)
+def test_delete_vertices_matches_the_induced_subgraph_of_the_edge_list(case, data):
+    n, edges = case
+    removed = data.draw(st.sets(st.integers(0, n - 1)) if n else st.just(set()))
+    h, kept = delete_vertices(Graph(n, edges), removed)
+    assert kept == tuple(v for v in range(n) if v not in removed)
+    new_id = {old: i for i, old in enumerate(kept)}
+    induced = [
+        (new_id[u], new_id[v])
+        for u, v in _ReferenceGraph(n, edges).edges
+        if u in new_id and v in new_id
+    ]
+    _assert_same_graph(h, _ReferenceGraph(len(kept), induced))
 
 
 def test_graph_matches_the_set_based_reference_on_relabelled_token_graphs():

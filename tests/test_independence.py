@@ -33,19 +33,17 @@ from tokengraphs.independence import (
     _greedy_seed,
     _triangle_free,
     _two_color,
-    BoundsPair,
     Budget,
     BudgetExceededError,
     beta_via_saturation,
     brute_force_mis,
     independence_number,
     max_independent_set,
-    recursive_bounds,
     token_independence_number,
-    vertex_transitive_bound,
 )
 from tokengraphs.matching import _hopcroft_karp_scratch, max_matching
 from tokengraphs.tokens import token_bipartition, token_graph
+from tokengraphs.verify import BoundsPair, recursive_bounds, vertex_transitive_bound
 from conftest import bipartite_components, relabelled
 
 
@@ -934,18 +932,18 @@ def test_bounds_pair_validates():
 
 
 def test_recursive_bounds_c5():
-    bounds = recursive_bounds(cycle_graph(5), 2)
+    bounds = recursive_bounds(cycle_graph(5), 2, token_independence_number)
     assert bounds.lower == 3 and bounds.upper == 5
     assert bounds.lower <= token_independence_number(cycle_graph(5), 2) <= bounds.upper
 
 
 def test_recursive_bounds_lower_tight_at_claw():
-    bounds = recursive_bounds(star_graph(3), 2)
+    bounds = recursive_bounds(star_graph(3), 2, token_independence_number)
     assert bounds.lower == 3 == token_independence_number(star_graph(3), 2)
 
 
 def test_recursive_bounds_upper_tight_at_k4():
-    bounds = recursive_bounds(complete_graph(4), 2)
+    bounds = recursive_bounds(complete_graph(4), 2, token_independence_number)
     assert bounds.upper == 2 == token_independence_number(complete_graph(4), 2)
 
 
@@ -962,26 +960,35 @@ def test_recursive_bounds_sandwich_small_corpus(small_named):
         if g.n > 6:
             continue
         for k in range(2, g.n):
-            bounds = recursive_bounds(g, k, beta_oracle=beta)
+            bounds = recursive_bounds(g, k, beta)
             assert bounds.lower <= beta(g, k) <= bounds.upper, (name, k)
+
+
+def test_recursive_lower_bound_on_k_n_is_the_one_smaller_johnson_value():
+    # K_n - N[v] is empty, so the best split is β(F_{k-1}(K_{n-1})), the
+    # lower bound of the Johnson sandwich, at every k that check uses
+    for n in range(4, 9):
+        for k in range(2, min(3, n - 2) + 1):
+            bounds = recursive_bounds(complete_graph(n), k, token_independence_number)
+            assert bounds.lower == token_independence_number(complete_graph(n - 1), k - 1)
 
 
 def test_recursive_bounds_rejects_bad_k():
     with pytest.raises(GraphError):
-        recursive_bounds(path_graph(4), 1)
+        recursive_bounds(path_graph(4), 1, token_independence_number)
 
 
 def test_vertex_transitive_bound_cycles():
-    assert vertex_transitive_bound(cycle_graph(7), 2, 0) == 10
-    assert vertex_transitive_bound(cycle_graph(5), 2, 0) == 5
+    assert vertex_transitive_bound(cycle_graph(7), 2, token_independence_number) == 10
+    assert vertex_transitive_bound(cycle_graph(5), 2, token_independence_number) == 5
 
 
 def test_vertex_transitive_bound_johnson():
     # both one-smaller Johnson values give 7 here, so the bound is exact
-    bound = vertex_transitive_bound(complete_graph(7), 3, 0)
+    bound = vertex_transitive_bound(complete_graph(7), 3, token_independence_number)
     assert bound == 7 == token_independence_number(complete_graph(7), 3)
 
 
 def test_vertex_transitive_bound_rejects_irregular():
     with pytest.raises(GraphError):
-        vertex_transitive_bound(path_graph(5), 2, 0)
+        vertex_transitive_bound(path_graph(5), 2, token_independence_number)

@@ -316,17 +316,25 @@ class _CountingRows(tuple):
         return tuple.__getitem__(self, i)
 
 
+#: A broom: c = 0 is matched to d = 1 by the greedy start, d hangs a chain
+#: of 50 matched edges e_j f_j (ids 2..101), and 50 pendants see only c.
+_BROOM = Graph(152, [(v, v + 1) for v in range(101)] + [(0, p) for p in range(102, 152)])
+
+
 @pytest.mark.parametrize("g,reads", [
     (star_graph(50), 100),
     (token_graph(star_graph(9), 2).graph, 72),
-], ids=["K_{1,50}", "F_2(K_{1,9})"])
+    (_BROOM, 202),
+], ids=["K_{1,50}", "F_2(K_{1,9})", "broom"])
 def test_blossom_skips_the_vertices_of_deleted_hungarian_trees(g, reads):
     # deletion leaves the matching as it is, so only the work shows it: the
     # rows a run reads, pinned at the paper's labels. Without deletion every
-    # later search from a leaf of the star re-reads the centre's row.
-    expected = max_matching(g)
+    # later search from a leaf of the star re-reads the centre's row, and
+    # every pendant of the broom regrows the tree down the whole chain:
+    # 2,701 reads there, quadratic in n, against 202
+    expected = _reference_max_matching(g).edges
     g.adj = _CountingRows(g.adj)
-    assert max_matching(g) == expected
+    assert max_matching(g).edges == expected
     assert g.adj.reads == reads
 
 
