@@ -3,7 +3,6 @@ constructive witnesses, and closed-form verification at desk scale."""
 
 from .budget import Budget, BudgetExceededError
 from .constructions import (
-    LayerSet,
     cycle_independent_set,
     cycle_layer,
     isolated_tokens,
@@ -11,7 +10,6 @@ from .constructions import (
     witness_graph,
 )
 from .formulas import (
-    FormulaValue,
     beta_balanced_family,
     beta_cycle_f2,
     class_order_predicate,

@@ -39,7 +39,7 @@ from .reports import (
     reports_to_json,
 )
 from .tokens import subset_label, token_graph, token_graph_to_dot, token_graph_to_json
-from .verify import CHECKS, conjecture_rows, fig3_rows, oeis_check, run_check, run_rows
+from .verify import _OEIS, CHECKS, conjecture_rows, fig3_rows, oeis_check, run_check, run_rows
 
 BUDGET_ENV = "TOKENGRAPHS_BUDGET"
 
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig3.set_defaults(func=_cmd_scan_fig3)
 
     p_oeis = sub.add_parser("oeis", help="sequence prefix from the closed forms")
-    p_oeis.add_argument("sequence", choices=["A091044", "A000217", "A002620", "A189889"])
+    p_oeis.add_argument("sequence", choices=list(_OEIS))
     p_oeis.add_argument("--count", type=int, default=10)
     p_oeis.set_defaults(func=_cmd_oeis)
 

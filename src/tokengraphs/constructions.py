@@ -4,17 +4,15 @@ of a 2-token odd cycle, and the extremal bipartite witness graphs of
 lemmas 5 and 6, from one builder for both.
 
 Each constructor takes the token graph it certifies, reads the base and k
-from it, validates its output on it and raises unless the size is as
-claimed, so a successful return is itself a certificate.
+from it, validates its output on it and raises unless the size is the one
+``formulas`` gives, so a successful return is itself a certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, compress
-from math import comb
 
-from .formulas import isolated_token_count, nu_token_formula
+from .formulas import beta_cycle_f2, class_order_predicate, isolated_token_count, nu_token_formula
 from .graphs import Bipartition, Graph, GraphError, cycle_graph, make_graph, matching_graph
 from .independence import IndependentSet
 from .matching import Matching
@@ -52,7 +50,7 @@ def theorem1_matching(t: TokenGraph, base_matching: Matching) -> Matching:
                      compress(ids, (lw & ~lu & ~seen).to_bytes(size, "little")))
         seen |= lu ^ lw
     result = Matching.of(pairs)
-    if result.size != nu_token_formula(n, k).value:
+    if result.size != nu_token_formula(n, k):
         raise AssertionError("theorem 1 matching is not of the bound's size")
     result.validate(t.graph)
     return result
@@ -92,37 +90,21 @@ def isolated_tokens(t: TokenGraph) -> frozenset[frozenset[int]]:
 # cycle layers and the 2-token independent set
 
 
-@dataclass(frozen=True)
-class LayerSet:
-    """Layer i of the 2-token graph of an odd cycle: the 1-based pairs
+def cycle_layer(p: int, i: int) -> frozenset[frozenset[int]]:
+    """Layer i of the 2-token graph of an odd cycle C_p: the i 1-based pairs
     {j, p-(i-j)} for 1 <= j <= i."""
-
-    p: int
-    index: int
-    pairs: frozenset[frozenset[int]]
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
-
-    def ranks(self, t: TokenGraph) -> frozenset[int]:
-        """The layer as vertex ids of a 2-token graph over the same cycle."""
-        return frozenset(t.codec.rank([x - 1 for x in pair]) for pair in self.pairs)
-
-
-def cycle_layer(p: int, i: int) -> LayerSet:
     if p < 3 or p % 2 == 0:
         raise GraphError("layers are defined over odd cycles of length >= 3")
     if not 1 <= i <= p - 1:
         raise GraphError(f"layer index {i} out of range 1..{p - 1}")
     pairs = frozenset(frozenset((j, p - (i - j))) for j in range(1, i + 1))
     assert len(pairs) == i
-    return LayerSet(p=p, index=i, pairs=pairs)
+    return pairs
 
 
 def cycle_independent_set(t: TokenGraph) -> IndependentSet:
     """The alternating-layer independent set of the 2-token graph ``t`` of
-    an odd cycle C_p, p >= 5, of size floor(p * floor(p/2) / 2)."""
+    an odd cycle C_p, p >= 5, of size ``beta_cycle_f2(p)``."""
     p = t.base.n
     if t.k != 2 or p < 5 or p % 2 == 0 or t.base != cycle_graph(p):
         raise GraphError("construction needs the 2-token graph of an odd cycle of length >= 5")
@@ -131,12 +113,12 @@ def cycle_independent_set(t: TokenGraph) -> IndependentSet:
         indices = list(range(1, t_half + 1, 2)) + list(range(t_half + 3, p, 2))
     else:
         indices = list(range(1, t_half, 2)) + list(range(t_half + 2, p, 2))
-    chosen: set[int] = set()
-    for i in indices:
-        chosen |= cycle_layer(p, i).ranks(t)
-    result = IndependentSet(frozenset(chosen))
+    rank = t.codec.rank
+    result = IndependentSet(
+        frozenset(rank([x - 1 for x in pair]) for i in indices for pair in cycle_layer(p, i))
+    )
     result.validate(t.graph)
-    if result.size != (p * t_half) // 2:
+    if result.size != beta_cycle_f2(p):
         raise AssertionError("alternating-layer set is not of the claimed size")
     return result
 
@@ -165,6 +147,6 @@ def witness_graph(m: int, s: int) -> tuple[Graph, Bipartition, tuple[tuple[objec
     g = make_graph(2 * m + s, edges)
     bip = Bipartition(part_b=frozenset(range(m)), part_r=frozenset(range(m, 2 * m + s)))
     bip.validate(g)
-    if comb(s, 2) < m:
-        return g, bip, tuple((pair, h) for h, pair in enumerate(pairs, 1))
-    return g, bip, tuple((h, pair) for h, pair in enumerate(pairs, 1))
+    if class_order_predicate(m, m + s):
+        return g, bip, tuple((h, pair) for h, pair in enumerate(pairs, 1))
+    return g, bip, tuple((pair, h) for h, pair in enumerate(pairs, 1))

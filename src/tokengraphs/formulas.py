@@ -9,20 +9,9 @@ no floating point enters any verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .graphs import GraphError
-
-
-@dataclass(frozen=True)
-class FormulaValue:
-    """A closed-form value together with how it binds: exactly, or as a
-    one-sided bound (optionally tight for a named family)."""
-
-    value: int
-    kind: str  # "exact" | "lower-bound" | "upper-bound"
-    tight_for: str | None = None
 
 
 def isolated_token_count(m: int, s: int, k: int) -> int:
@@ -33,7 +22,7 @@ def isolated_token_count(m: int, s: int, k: int) -> int:
     return comb(m, k // 2) if k % 2 == 0 or s == 1 else 0
 
 
-def nu_token_formula(n: int, k: int) -> FormulaValue:
+def nu_token_formula(n: int, k: int) -> int:
     """Matching number of a k-token graph over a base of order n with
     maximum possible matching number: half the tokens that are not isolated
     in the token graph of the disjoint (almost) perfect matching.
@@ -46,11 +35,7 @@ def nu_token_formula(n: int, k: int) -> FormulaValue:
         raise GraphError(f"k={k} out of range for n={n}")
     paired = comb(n, k) - isolated_token_count(n // 2, n % 2, k)
     assert paired % 2 == 0
-    if n % 2 == 1:
-        return FormulaValue(paired // 2, "lower-bound", tight_for="disjoint almost perfect matching")
-    if k % 2 == 1:
-        return FormulaValue(paired // 2, "exact")
-    return FormulaValue(paired // 2, "lower-bound", tight_for="disjoint perfect matching")
+    return paired // 2
 
 
 def beta_cycle_f2(p: int) -> int:

@@ -10,13 +10,15 @@ row comes from a base graph with at most cap vertices. A closed form holds
 lazy cases and a row kind, :func:`_beta` or :func:`_nu`, and one builder
 makes its rows; every other check yields its own ``(instance, compute)``
 pairs. :func:`run_rows` times each ``compute`` call as one row, a row out of
-budget is reported as such, and a row's :class:`GraphError`, such as a size
-cap, is raised again with its check and instance prefixed. The scans
-:func:`conjecture_rows` and :func:`fig3_rows` run through :func:`run_rows`
-too, outside :data:`CHECKS`. Every cross-check of a closed form against the
-exact solvers lives here, :func:`oeis_check` included, and so do the
-vertex-deletion bounds that eq1–eq3 check, :func:`recursive_bounds` and
-:func:`vertex_transitive_bound`, beside the cached solver they are given.
+budget is reported as such, a construction whose certificate fails is a
+failing row with the failure as its witness, and a row's :class:`GraphError`,
+such as a size cap, is raised again with its check and instance prefixed.
+The scans :func:`conjecture_rows` and :func:`fig3_rows` run through
+:func:`run_rows` too, outside :data:`CHECKS`. Every cross-check of a
+closed form against the exact solvers lives here, :func:`oeis_check`
+included, and so do the vertex-deletion bounds that eq1–eq3 check,
+:func:`recursive_bounds` and :func:`vertex_transitive_bound`, beside the
+cached solver they are given.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .formulas import (
     beta_cycle_f2,
     class_bound,
     class_order_predicate,
-    isolated_token_count,
     nu_token_formula,
 )
 from .graphs import (
@@ -92,6 +93,8 @@ def _row(check_id: str, instance: str, compute: Compute) -> VerificationReport |
         result = compute()
     except BudgetExceededError:
         result = None, None, None, STATUS_BUDGET
+    except AssertionError as exc:  # a certificate check failed: say which
+        result = None, None, str(exc), STATUS_FAIL
     except GraphError as exc:  # such as a size cap: name the row that hit it
         raise GraphError(f"{check_id}: {instance}: {exc}") from None
     if result is None:
@@ -139,9 +142,9 @@ def _nu(
     build: Callable[[TokenGraph], Matching] | None = None,
 ) -> Compute:
     """A ν row: the solver's maximum matching of the k-token graph of ``g`` is
-    valid and has ``target`` edges, and so does the ``build`` construction on
-    that token graph, if given. The witness is the built matching, else the
-    solved one."""
+    valid and has ``target`` edges. The witness is the matching that
+    ``build``, if given, constructs on that token graph and size-checks
+    itself; else the solved one."""
 
     def compute():
         t = token_graph(g, k)
@@ -149,10 +152,7 @@ def _nu(
         solved = max_matching(t.graph, budget)
         solved.validate(t.graph)
         shown = solved if built is None else built
-        ok = solved.size == target == shown.size
-        return target, solved.size, _matching_witness(t, shown), (
-            STATUS_PASS if ok else STATUS_FAIL
-        )
+        return target, solved.size, _matching_witness(t, shown), _eq_status(target, solved.size)
 
     return compute
 
@@ -178,27 +178,24 @@ def _thm1_exact(cap: int) -> Iterator[tuple]:
         base_matching = max_matching(g)
         for k in range(1, g.n, 2):
             build = partial(theorem1_matching, base_matching=base_matching)
-            yield f"exact: {name}", g, k, nu_token_formula(g.n, k).value, build
+            yield f"exact: {name}", g, k, nu_token_formula(g.n, k), build
 
 
 def _thm1_tight(cap: int, budget: Budget | None) -> Rows:
     """Disjoint-matching bases meet the bound exactly and carry exactly the
-    predicted number of isolated tokens, for every token count."""
+    predicted number of isolated tokens, for every token count; the two
+    constructions check their sizes, the row checks the solver's."""
     for m, s in _matching_sweep_pairs(cap):
         g = matching_graph(m, s)
         base_matching = Matching.of(g.edges)
         for k in range(1, g.n):
-            def compute(g=g, base_matching=base_matching, m=m, s=s, k=k):
+            def compute(g=g, base_matching=base_matching, k=k):
                 t = token_graph(g, k)
-                target = nu_token_formula(g.n, k).value
+                target = nu_token_formula(g.n, k)
                 built = theorem1_matching(t, base_matching)
                 solved = max_matching(t.graph, budget).size
-                isolated = isolated_tokens(t)
-                iso_target = isolated_token_count(m, s, k)
-                ok = built.size == target == solved and len(isolated) == iso_target
-                return target, solved, {"matching_size": built.size, "isolated": iso_target}, (
-                    STATUS_PASS if ok else STATUS_FAIL
-                )
+                witness = {"matching_size": built.size, "isolated": len(isolated_tokens(t))}
+                return target, solved, witness, _eq_status(target, solved)
 
             yield f"tight: match({m},{s}), k={k}", compute
 
@@ -247,7 +244,7 @@ def _witness_family(small: bool, cap: int, budget: Budget | None) -> Rows:
     class."""
     for m in range(1, cap // 2 + 1):
         for s in range(0, cap - 2 * m + 1):
-            if (comb(s, 2) < m) != small:
+            if class_order_predicate(m, m + s) == small:
                 continue
             def compute(m=m, s=s):
                 g, _, phi = witness_graph(m, s)
@@ -495,7 +492,7 @@ _CATALOG: tuple[tuple[str, int, Callable[..., Iterable], Callable[..., Compute] 
     # theorem 1's construction is a maximum matching of the 2-token graph of
     # every disjoint (almost) perfect matching base
     ("lemma3", 10, lambda cap: (
-        (f"match({m},{s})", g, 2, nu_token_formula(g.n, 2).value,
+        (f"match({m},{s})", g, 2, nu_token_formula(g.n, 2),
          partial(theorem1_matching, base_matching=Matching.of(g.edges)))
         for m, s in _matching_sweep_pairs(cap, 3)
         for g in (matching_graph(m, s),)

@@ -107,6 +107,37 @@ def test_cli_verify_row_over_the_size_cap_names_its_row(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+def test_cli_failed_certificate_is_a_failing_row(tmp_path):
+    # a bound one too large makes theorem 1's construction raise in every
+    # lemma3 row; the run still writes its report and prints no traceback
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import tokengraphs
+
+    src = str(Path(tokengraphs.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = tmp_path / "r.json"
+    script = (
+        "import sys\n"
+        "import tokengraphs.constructions as c\n"
+        "real = c.nu_token_formula\n"
+        "c.nu_token_formula = lambda n, k: real(n, k) + 1\n"
+        "from tokengraphs.cli import main\n"
+        f"sys.exit(main(['verify', 'lemma3', '--json', {str(out)!r}]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+    rows = json.loads(out.read_text())
+    assert [(r["status"], r["witness"]) for r in rows] == [
+        ("fail", "theorem 1 matching is not of the bound's size")
+    ] * 8
+
+
 def test_cli_unwritable_report_path_fails_before_any_solve(tmp_path, capsys, monkeypatch):
     # verify eq2 --max-n 11 solves 36 rows, about 9 s, when nothing stops it
     def refuse(*args, **kwargs):

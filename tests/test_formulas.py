@@ -41,13 +41,9 @@ from conftest import conjecture_mnk
 
 
 def test_nu_formula_cases():
-    exact = nu_token_formula(6, 3)
-    assert exact.value == 10 and exact.kind == "exact"
-    even = nu_token_formula(6, 2)
-    assert even.value == 6 and even.kind == "lower-bound"
-    odd = nu_token_formula(5, 2)
-    assert odd.value == 4 and odd.kind == "lower-bound"
-    assert odd.tight_for is not None
+    assert nu_token_formula(6, 3) == 10
+    assert nu_token_formula(6, 2) == 6
+    assert nu_token_formula(5, 2) == 4
 
 
 def test_nu_formula_rejects_bad_k():
@@ -62,7 +58,7 @@ def test_isolated_token_count_is_the_degree_zero_tokens_of_a_matching_base():
             g = token_graph(matching_graph(m, s), k).graph
             count = isolated_token_count(m, s, k)
             assert count == sum(not row for row in g.adj), (m, s, k)
-            assert nu_token_formula(n, k).value == (comb(n, k) - count) // 2
+            assert nu_token_formula(n, k) == (comb(n, k) - count) // 2
 
 
 # -- independence formulas ----------------------------------------------------
@@ -270,7 +266,7 @@ def test_nu_formula_is_a_lower_bound_on_rich_bases():
     for g in [cycle_graph(6), cycle_graph(7), complete_graph(5),
               complete_bipartite_graph(3, 4), path_graph(6)]:
         for k in range(1, g.n):
-            bound = nu_token_formula(g.n, k).value
+            bound = nu_token_formula(g.n, k)
             solved = max_matching(token_graph(g, k).graph).size
             assert solved >= bound, (g, k)
 
