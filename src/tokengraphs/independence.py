@@ -25,15 +25,19 @@ Triangle-free, it is the LP bound: |cand| minus half the matching number of
 the bipartite double cover of cand, the LP vertex-cover optimum (Nemhauser
 & Trotter, 1975), from the same matching engine with cand on both sides.
 Either prunes only subtrees that cannot beat the best set so far, so the
-search returns the set the cover alone finds. The matchings of one solve
-share one scratch, so each costs time in its own sides, not the graph's.
-The helpers are module functions, not closures, so a solve leaves no
-reference cycles behind. A brute-force enumerator backs the solver as an
-independent oracle.
+search returns the set the cover alone finds. A regular component with a
+triangle also gets a bound on the whole component from its maximum cliques
+(Johnson, 1962), and the search stops once its best set meets it: J(9,3),
+J(8,4) and J(13,3) close at their first node, with the same sets. The
+matchings of one solve share one scratch, so each costs time in its own
+sides, not the graph's. The helpers are module functions, not closures, so
+a solve leaves no reference cycles behind. A brute-force enumerator backs
+the solver as an independent oracle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import compress
@@ -260,6 +264,54 @@ def _solve_component(
     return reach + [w for w in two if w not in seen]
 
 
+#: The clique enumeration of :func:`_clique_family_bound` gives up after this
+#: many nodes per edge of the component. J(7,3) to J(12,4) take 1.9 to 2.9
+#: at the paper's labels, and at most 3.2 relabelled.
+_FAMILY_NODES_PER_EDGE = 4
+
+
+def _clique_family_bound(comp: int, masks: tuple[int, ...]) -> int | None:
+    """|F| // r for F the maximum cliques of the regular ``comp`` and r the
+    fewest of them any vertex lies in; None if ``comp`` is not regular, if
+    some vertex lies in none, or if the enumeration passes its node limit.
+
+    An independent set meets each clique of F at most once, and each of its
+    vertices lies in at least r of them, so r times its size is at most |F|
+    (Johnson, 1962). On J(n,k) with n >= 2k this is tight wherever a Steiner
+    system S(k-1,k,n) exists. Each clique is enumerated once, as the
+    ascending sequence of its ids: a node is a clique with the later
+    vertices that see all of it, dropped once it cannot reach the largest
+    size found. The enumeration stops after ``_FAMILY_NODES_PER_EDGE`` nodes
+    per edge, so a graph with exponentially many maximum cliques, such as a
+    cocktail-party graph, costs time in its edges only.
+    """
+    verts = _bit_list(comp)
+    degree = masks[verts[0]].bit_count()
+    if any(masks[v].bit_count() != degree for v in verts):
+        return None
+    budget = _FAMILY_NODES_PER_EDGE * len(verts) * degree // 2
+    size, cliques = 0, []
+    stack = [(0, 0, comp)]
+    while stack:
+        budget -= 1
+        if budget < 0:
+            return None
+        clique, count, later = stack.pop()
+        if not later:
+            if count > size:
+                size, cliques = count, [clique]
+            elif count == size:
+                cliques.append(clique)
+            continue
+        if count + later.bit_count() < size:
+            continue
+        for v in reversed(_bit_list(later)):  # the lowest is popped first
+            stack.append((clique | 1 << v, count + 1, masks[v] & later >> v + 1 << v + 1))
+    times = Counter(v for clique in cliques for v in _bit_list(clique))
+    fewest = min(times[v] for v in verts)
+    return len(cliques) // fewest if fewest else None
+
+
 def _triangle_free(comp: int, masks: tuple[int, ...]) -> bool:
     """Whether ``comp`` induces no triangle: no edge uv of it has a common
     neighbor inside it."""
@@ -291,9 +343,19 @@ def _branch(
     cannot beat ``best_mask``, so the search returns the set the cover
     alone finds. Profiled, an F_4(C_11) solve is about 65 % matching engine
     and 27 % this loop, mostly its reduction walk; the ``_bit_list`` decodes
-    are not in its top eight entries, so the candidate sets stay bitmasks."""
+    are not in its top eight entries, so the candidate sets stay bitmasks.
+
+    With a triangle, the first node the cover does not prune asks
+    :func:`_clique_family_bound` for a bound on the whole component, once,
+    and the search returns as soon as ``best_size`` meets it: at once if
+    the seed does, else at the improvement that does. No strictly larger
+    set exists then, and the search replaces its set only on strict
+    improvement, so it returns the set the full search returns."""
     best_size = best_mask.bit_count()
     free = _triangle_free(cand, masks)
+    # the component, until its root bound is asked for; no set reaches stop
+    # until that bound replaces it
+    root, stop = cand, cand.bit_count() + 1
     stack = [(cand, 0, 0)]
     while stack:
         cand, cur_mask, cur_size = stack.pop()
@@ -325,11 +387,18 @@ def _branch(
         if cand == 0:
             if cur_size > best_size:
                 best_mask, best_size = cur_mask, cur_size
+                if best_size >= stop:
+                    return best_mask
             continue
         room = best_size - cur_size
         if not free:
             if _clique_cover_bound(cand, masks, room) <= room:
                 continue
+            if root:
+                stop = _clique_family_bound(root, masks) or stop
+                root = 0
+                if best_size >= stop:
+                    return best_mask
         elif cand.bit_count() // 2 <= room:
             # prunes iff (nu + 1) // 2 >= |cand| - room
             live = _bit_list(cand)

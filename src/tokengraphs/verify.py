@@ -332,9 +332,25 @@ def _beta_with_conventions(oracle: BetaOracle, h: Graph, j: int) -> int:
     return 0 if j > h.n else oracle(h, j)
 
 
-def recursive_bounds(g: Graph, k: int, beta_oracle: BetaOracle) -> BoundsPair:
+#: G - v and G - N[v] for each vertex v of a base G, in vertex order.
+Deletions = list[tuple[Graph, Graph]]
+
+
+def _vertex_deletions(g: Graph) -> Deletions:
+    """The graphs the deletion bounds take β of. They depend on the base
+    alone, so a check builds them once per base and passes them to every k."""
+    return [
+        (delete_vertices(g, (v,))[0], delete_vertices(g, g.closed_neighborhood(v))[0])
+        for v in range(g.n)
+    ]
+
+
+def recursive_bounds(
+    g: Graph, k: int, beta_oracle: BetaOracle, deletions: Deletions | None = None
+) -> BoundsPair:
     """Bracket the independence number of the k-token graph by recursion on
-    vertex deletion, with ``beta_oracle`` giving β of each deleted graph.
+    vertex deletion, with ``beta_oracle`` giving β of each deleted graph,
+    from ``deletions``, built here if not given.
 
     Lower: the best single-vertex split, beta over tokens containing v plus
     beta over tokens avoiding N[v]. Upper: the floor of the averaged
@@ -344,9 +360,7 @@ def recursive_bounds(g: Graph, k: int, beta_oracle: BetaOracle) -> BoundsPair:
     if not 2 <= k <= n - 1:
         raise GraphError(f"k={k} out of range for recursion on order {n}")
     lower = total = 0
-    for v in range(n):
-        g_minus_v, _ = delete_vertices(g, (v,))
-        g_minus_nv, _ = delete_vertices(g, g.closed_neighborhood(v))
+    for g_minus_v, g_minus_nv in deletions or _vertex_deletions(g):
         with_v = _beta_with_conventions(beta_oracle, g_minus_v, k - 1)
         without_nv = _beta_with_conventions(beta_oracle, g_minus_nv, k)
         lower = max(lower, with_v + without_nv)
@@ -354,10 +368,13 @@ def recursive_bounds(g: Graph, k: int, beta_oracle: BetaOracle) -> BoundsPair:
     return BoundsPair(lower=lower, upper=total // k)
 
 
-def vertex_transitive_bound(g: Graph, k: int, beta_oracle: BetaOracle) -> int:
+def vertex_transitive_bound(
+    g: Graph, k: int, beta_oracle: BetaOracle, deletions: Deletions | None = None
+) -> int:
     """Upper bound on the k-token independence number of a vertex-transitive
     graph, from deleting one vertex, with ``beta_oracle`` giving β of the
-    deleted graph. Every vertex gives the same bound, so vertex 0 is used.
+    deleted graph, the first of ``deletions`` if given. Every vertex gives
+    the same bound, so vertex 0 is used.
 
     Only regularity is checked here; full vertex-transitivity is the
     caller's assertion (it holds for the cycles and complete graphs this is
@@ -368,7 +385,7 @@ def vertex_transitive_bound(g: Graph, k: int, beta_oracle: BetaOracle) -> int:
         raise GraphError(f"k={k} out of range for order {n}")
     if len(set(g.degree_sequence())) > 1:
         raise GraphError("graph is not regular, hence not vertex-transitive")
-    g_minus_v, _ = delete_vertices(g, (0,))
+    g_minus_v = deletions[0][0] if deletions else delete_vertices(g, (0,))[0]
     smaller = _beta_with_conventions(beta_oracle, g_minus_v, k - 1)
     same = _beta_with_conventions(beta_oracle, g_minus_v, k)
     return min((n * smaller) // k, (n * same) // (n - k))
@@ -416,10 +433,11 @@ def _eq1(cap: int, budget: Budget | None) -> Rows:
     """The vertex-deletion recursion brackets the exact independence number
     on the whole small corpus, with equality at the two extremal instances."""
     beta = _cached_beta(budget)
+    deleted = cache(_vertex_deletions)
     for name, g in _eq1_corpus(cap):
         for k in range(2, g.n):
             def compute(g=g, k=k):
-                bounds = recursive_bounds(g, k, beta)
+                bounds = recursive_bounds(g, k, beta, deleted(g))
                 return _bracket(bounds.lower, bounds.upper, beta(g, k))
 
             yield f"{name}, k={k}", compute
@@ -430,7 +448,7 @@ def _eq1(cap: int, budget: Budget | None) -> Rows:
     ]
     for instance, g, side in tight:
         def compute(g=g, side=side):
-            bound = getattr(recursive_bounds(g, 2, beta), side)
+            bound = getattr(recursive_bounds(g, 2, beta, deleted(g)), side)
             exact = beta(g, 2)
             return bound, exact, None, _eq_status(bound, exact)
 
@@ -444,12 +462,14 @@ def _sandwich(
     """On the vertex-transitive ``base(n)``, the best deletion split and the
     vertex-transitive bound, with ``oracle`` giving β of every deleted graph,
     bracket the exact β(F_k) from ``beta``, for 2 <= k <= min(max_k, n - 2)."""
+    deleted = cache(_vertex_deletions)
     for n in range(4, cap + 1):
         for k in range(2, min(max_k, n - 2) + 1):
             def compute(n=n, k=k):
                 g = base(n)
-                lower = recursive_bounds(g, k, oracle).lower
-                upper = vertex_transitive_bound(g, k, oracle)
+                deletions = deleted(g)
+                lower = recursive_bounds(g, k, oracle, deletions).lower
+                upper = vertex_transitive_bound(g, k, oracle, deletions)
                 return _bracket(lower, upper, beta(g, k))
 
             yield name.format(n=n, k=k), compute

@@ -6,7 +6,7 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tokengraphs.graphs import (
@@ -279,21 +279,133 @@ def test_budget_node_limit_aborts():
         max_independent_set(t.graph, Budget(node_limit=1))
 
 
+def _no_root_bound(monkeypatch):
+    """For the rest of the test, ``_branch`` searches with no stop at a root
+    bound."""
+    monkeypatch.setattr(independence, "_clique_family_bound", lambda comp, masks: None)
+
+
 @pytest.mark.parametrize(
     "base, k, nodes, beta",
     [(complete_graph(9), 3, 4_093, 12), (cycle_graph(9), 3, 35, 38)],
     ids=["J(9,3)", "F_3(C_9)"],
 )
-def test_budget_node_limit_pins_the_search_tree(base, k, nodes, beta):
-    # node counts at the paper's labels. The seed of J(9,3) is already
+def test_budget_node_limit_pins_the_search_tree(monkeypatch, base, k, nodes, beta):
+    # node counts at the paper's labels, with no stop at the root bound,
+    # which closes J(9,3) at its first node. The seed of J(9,3) is already
     # maximum, so its count does not depend on the branch order; it took
     # 11,079 nodes before the inference on the clique cover. F_3(C_9),
     # triangle-free, finds a larger set, and would take 49 nodes with the
     # exclude branch first
+    _no_root_bound(monkeypatch)
     g = token_graph(base, k).graph
     assert max_independent_set(g, Budget(node_limit=nodes)).size == beta
     with pytest.raises(BudgetExceededError, match=f"after {nodes} nodes"):
         max_independent_set(g, Budget(node_limit=nodes - 1))
+
+
+@pytest.mark.parametrize(
+    "n, k, nodes, beta",
+    [(7, 3, 1, 7), (8, 4, 1, 14), (9, 3, 1, 12), (10, 4, 1_000, 30), (13, 3, 1, 26)],
+    ids=["J(7,3)", "J(8,4)", "J(9,3)", "J(10,4)", "J(13,3)"],
+)
+def test_the_root_bound_closes_johnson_graphs(n, k, nodes, beta):
+    # the maximum cliques of J(n,k), n >= 2k, bound beta by Johnson's count,
+    # tight where a Steiner system S(k-1,k,n) exists. Where the seed meets
+    # it, the search stops at its first node; J(10,4) takes 963. With no
+    # stop J(10,4) and J(13,3) pass 400,000 nodes
+    g = token_graph(complete_graph(n), k).graph
+    assert max_independent_set(g, Budget(node_limit=nodes)).size == beta
+
+
+def test_the_root_bound_returns_the_set_the_search_finds(monkeypatch):
+    # a stop fires only where no strictly larger set exists, and the search
+    # replaces its set only on strict improvement, so the set is the same
+    graphs = [token_graph(complete_graph(n), k).graph for n, k in [(7, 3), (8, 4), (9, 3)]]
+    stopped = [max_independent_set(g) for g in graphs]
+    _no_root_bound(monkeypatch)
+    assert stopped == [max_independent_set(g) for g in graphs]
+
+
+def _circulant(n, jumps):
+    return Graph(n, [(v, (v + j) % n) for v in range(n) for j in jumps])
+
+
+def _has_triangle(g):
+    return not _triangle_free((1 << g.n) - 1, g.adjacency_masks())
+
+
+def _assert_root_bound_is_sound(g):
+    """The root bound, where it is given, is at least beta, and the solver's
+    size is beta; both against brute force. Returns the bound."""
+    beta = brute_force_mis(g)
+    bound = independence._clique_family_bound((1 << g.n) - 1, g.adjacency_masks())
+    assert bound is None or bound >= beta
+    assert max_independent_set(g).size == beta
+    return bound
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        token_graph(complete_graph(6), 3).graph,
+        relabelled(token_graph(complete_graph(6), 2).graph, 62),
+        relabelled(token_graph(complete_graph(7), 2).graph, 72),
+        relabelled(token_graph(complete_graph(6), 3).graph, 63),
+        relabelled(token_graph(complete_graph(5), 2).graph, 52),
+        _circulant(13, (1, 2)),
+        _circulant(20, (1, 2, 5)),
+        _circulant(26, (1, 3, 4)),
+        _circulant(17, (1, 2, 4, 8)),
+    ],
+    ids=["J(6,3)", "F_2(K_6) relabelled", "F_2(K_7) relabelled", "J(6,3) relabelled",
+         "F_2(K_5) relabelled", "C13(1,2)", "C20(1,2,5)", "C26(1,3,4)", "C17(1,2,4,8)"],
+)
+def test_the_root_bound_is_sound_on_regular_graphs_with_triangles(g):
+    assert _has_triangle(g)
+    assert _assert_root_bound_is_sound(g) is not None
+
+
+@given(st.integers(3, 8), st.integers(6, 26), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_the_root_bound_is_sound_on_random_regular_graphs(d, n, seed):
+    nx = pytest.importorskip("networkx")
+    assume(d < n and d * n % 2 == 0)
+    h = nx.random_regular_graph(d, n, seed)
+    g = Graph(n, list(h.edges))
+    assume(_has_triangle(g))
+    _assert_root_bound_is_sound(g)
+
+
+def _cocktail_party(h):
+    """K_{2 x h}: 2h vertices, each adjacent to all but its antipode."""
+    return Graph(2 * h, [(u, v) for u in range(2 * h) for v in range(u + 1, 2 * h) if v - u != h])
+
+
+def test_the_clique_enumeration_is_bounded(monkeypatch):
+    # K_{2 x 20} has 2^20 maximum cliques. Its cover closes its root, so its
+    # enumeration runs only when asked directly; in the blow-up of C_5 by
+    # it, 5 * 4^20 maximum cliques, the cover does not, and the solve asks
+    start = time.perf_counter()
+    party = _cocktail_party(20)
+    assert independence._clique_family_bound((1 << party.n) - 1, party.adjacency_masks()) is None
+    assert max_independent_set(party).size == 2
+    blown = Graph(
+        200,
+        [(40 * i + u, 40 * i + v) for i in range(5) for u, v in party.edges]
+        + [(40 * i + u, 40 * ((i + 1) % 5) + v) for i in range(5) for u in range(40) for v in range(40)],
+    )
+    asked = []
+    family_bound = independence._clique_family_bound
+
+    def recorded(comp, masks):
+        asked.append(family_bound(comp, masks))
+        return asked[-1]
+
+    monkeypatch.setattr(independence, "_clique_family_bound", recorded)
+    assert max_independent_set(blown).size == 4
+    assert asked == [None]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_budget_generous_limit_succeeds():

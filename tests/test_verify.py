@@ -171,6 +171,27 @@ def test_recursive_checks_solve_each_token_graph_once_up_to_complement(monkeypat
     assert counts == {"eq1": 997, "eq2": 9, "eq3": 10}
 
 
+def test_recursive_checks_build_each_vertex_deletion_once_per_base(monkeypatch):
+    # G - v and G - N[v] for every vertex of each base, once for all its k;
+    # building them for every k took 4,350 / 215 / 87
+    built = []
+    delete = verify.delete_vertices
+
+    def counted(g, remove):
+        built.append((g, frozenset(remove)))
+        return delete(g, remove)
+
+    monkeypatch.setattr(verify, "delete_vertices", counted)
+    counts = {}
+    for check_id in ("eq1", "eq2", "eq3"):
+        built.clear()
+        assert exit_code_for(run_check(check_id)) == 0
+        bases = {g for g, _ in built}
+        assert len(built) == 2 * sum(g.n for g in bases)
+        counts[check_id] = len(built)
+    assert counts == {"eq1": 992, "eq2": 60, "eq3": 44}
+
+
 def test_cached_beta_keeps_a_budget_failure_for_the_complement(monkeypatch):
     # F_3(C_7) needs more than one search node; its complement F_4(C_7)
     # must raise from the cache instead of spending the budget again
