@@ -4,7 +4,8 @@ Subcommands: build (construct and export a token graph), nu / beta (exact
 values with witnesses), verify (replay a named check), scan (bulk
 scanners), oeis (sequence prefixes with solver cross-checks). Every
 command that compares closed forms with the solvers runs through
-``verify``: the catalog, the scans and the sequence cross-checks.
+``verify``: the catalog, the scans and the sequence cross-checks. Each
+``scan`` subcommand is one ``verify.SCANS`` entry, run by one handler.
 
 Graph specs: path:N | cycle:N | complete:N | kbip:M,N | star:N | match:M,S
 | file:PATH. Exit codes: 0 all rows pass or hold their bound, 1 any row
@@ -31,7 +32,6 @@ from .independence import max_independent_set
 from .matching import max_matching
 from .reports import (
     STATUS_BOUND,
-    STATUS_FAIL,
     STATUS_PASS,
     VerificationReport,
     exit_code_for,
@@ -39,7 +39,7 @@ from .reports import (
     reports_to_json,
 )
 from .tokens import subset_label, token_graph, token_graph_to_dot, token_graph_to_json
-from .verify import _OEIS, CHECKS, conjecture_rows, fig3_rows, oeis_check, run_check, run_rows
+from .verify import _OEIS, CHECKS, SCANS, oeis_check, run_check, run_rows
 
 BUDGET_ENV = "TOKENGRAPHS_BUDGET"
 
@@ -188,24 +188,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_scan_conjecture(args: argparse.Namespace) -> int:
-    rows = conjecture_rows(args.max_order, args.max_k, _budget_from(args))
-    reports = run_rows("conjecture", rows)
-    code = _finish_reports(
-        reports,
-        args,
-        f"scan conjecture has no instance with --max-order {args.max_order} "
-        f"--max-k {args.max_k}",
-    )
-    violations = [r for r in reports if r.status == STATUS_FAIL]
-    if violations:
-        print(f"!! {len(violations)} violation(s) found; witnesses are in the report")
-    return code
-
-
-def _cmd_scan_fig3(args: argparse.Namespace) -> int:
-    reports = run_rows("fig3-scan", fig3_rows(args.covered_only, _budget_from(args)))
-    return _finish_reports(reports, args, "scan fig3 has no rows")
+def _cmd_scan(args: argparse.Namespace) -> int:
+    check_id, _, options, rows = SCANS[args.target]
+    reports = run_rows(check_id, rows(args, _budget_from(args)))
+    given = " ".join(f"{flag} {getattr(args, flag[2:].replace('-', '_'))}" for flag, _ in options)
+    return _finish_reports(reports, args, f"scan {args.target} has no instance with {given}")
 
 
 def _cmd_oeis(args: argparse.Namespace) -> int:
@@ -259,19 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
     scans = sub.add_parser("scan", help="run a bulk scanner").add_subparsers(
         dest="target", required=True
     )
-    p_conj = scans.add_parser(
-        "conjecture", parents=[report_files], help="class bound against β on every K_{m,n}"
-    )
-    p_conj.add_argument("--max-order", type=int, default=9)
-    p_conj.add_argument("--max-k", type=int, default=4)
-    p_conj.set_defaults(func=_cmd_scan_conjecture)
-    p_fig3 = scans.add_parser(
-        "fig3", parents=[report_files], help="parts-2/5 graphs that beat the class bound"
-    )
-    p_fig3.add_argument(
-        "--covered-only", action="store_true", help="keep only graphs without isolated vertices"
-    )
-    p_fig3.set_defaults(func=_cmd_scan_fig3)
+    for name, (_, help_text, options, _) in SCANS.items():
+        p_scan = scans.add_parser(name, parents=[report_files], help=help_text)
+        for flag, keywords in options:
+            p_scan.add_argument(flag, **keywords)
+        p_scan.set_defaults(func=_cmd_scan)
 
     p_oeis = sub.add_parser("oeis", help="sequence prefix from the closed forms")
     p_oeis.add_argument("sequence", choices=list(_OEIS))

@@ -250,6 +250,17 @@ def delete_vertices(g: Graph, remove: Iterable[int]) -> tuple[Graph, tuple[int, 
     return Graph._from_rows([[new_id[w] for w in g.adj[v] if w in new_id] for v in kept]), kept
 
 
+def spanning_subgraphs(base: Graph, covered_only: bool = False) -> Iterator[Graph]:
+    """Every spanning subgraph of ``base``, in edge-mask order (bit i keeps
+    ``base.edges[i]``); with ``covered_only`` only those without isolated
+    vertices."""
+    edges = base.edges
+    for mask in range(1 << len(edges)):
+        g = Graph(base.n, [e for i, e in enumerate(edges) if (mask >> i) & 1])
+        if not (covered_only and 0 in g.degree_sequence()):
+            yield g
+
+
 def _component_masks(adj: Rows) -> tuple[list[tuple[list[int], bool]], list[int]]:
     """Components and 2-colouring from one BFS over ``adj``: each component
     in order of its lowest vertex, as its vertex list in BFS order from that

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Collection, Iterable
 
 from .budget import Budget, _BudgetClock
@@ -191,23 +190,24 @@ def brute_force_nu(g: Graph) -> int:
     """Exact matching number by exhaustive recursion; oracle for small graphs."""
     if g.n > 16:
         raise GraphError("brute-force matching is limited to 16 vertices")
-    masks = g.adjacency_masks()
+    return _brute_force_nu_rec((1 << g.n) - 1, g.adjacency_masks(), {})
 
-    @lru_cache(maxsize=None)
-    def best(remaining: int) -> int:
-        if remaining == 0:
-            return 0
-        low = remaining & (-remaining)
-        v = low.bit_length() - 1
-        value = best(remaining & ~low)  # v stays unmatched
-        partners = masks[v] & remaining
-        while partners:
-            wbit = partners & (-partners)
-            partners ^= wbit
-            value = max(value, 1 + best(remaining & ~low & ~wbit))
-        return value
 
-    return best((1 << g.n) - 1)
+def _brute_force_nu_rec(remaining: int, masks: tuple[int, ...], memo: dict[int, int]) -> int:
+    if remaining == 0:
+        return 0
+    if remaining in memo:
+        return memo[remaining]
+    low = remaining & (-remaining)
+    rest = remaining ^ low
+    value = _brute_force_nu_rec(rest, masks, memo)  # the lowest vertex stays unmatched
+    partners = masks[low.bit_length() - 1] & rest
+    while partners:
+        wbit = partners & (-partners)
+        partners ^= wbit
+        value = max(value, 1 + _brute_force_nu_rec(rest ^ wbit, masks, memo))
+    memo[remaining] = value
+    return value
 
 
 #: ``mate_r``, ``mate_l`` and ``dist`` of :func:`_hopcroft_karp`, one entry

@@ -13,8 +13,8 @@ pairs. :func:`run_rows` times each ``compute`` call as one row, a row out of
 budget is reported as such, a construction whose certificate fails is a
 failing row with the failure as its witness, and a row's :class:`GraphError`,
 such as a size cap, is raised again with its check and instance prefixed.
-The scans :func:`conjecture_rows` and :func:`fig3_rows` run through
-:func:`run_rows` too, outside :data:`CHECKS`. Every cross-check of a
+The scans, one :data:`SCANS` entry each, sit beside :data:`CHECKS` and run
+through :func:`run_rows` too. Every cross-check of a
 closed form against the exact solvers lives here, :func:`oeis_check`
 included, and so do the vertex-deletion bounds that eq1–eq3 check,
 :func:`recursive_bounds` and :func:`vertex_transitive_bound`, beside the
@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from functools import cache, partial
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .budget import Budget, BudgetExceededError
 from .constructions import (
@@ -54,6 +54,7 @@ from .graphs import (
     erdos_renyi,
     matching_graph,
     path_graph,
+    spanning_subgraphs,
     star_graph,
 )
 from .independence import independence_number, max_independent_set, token_independence_number
@@ -281,7 +282,7 @@ def _fig34(cap: int, budget: Budget | None) -> Rows:
     def compute():
         bound = class_bound(2, 5, 2)
         hits = []  # (token graph, β) of each covered graph above the bound
-        for g in spanning_subgraphs_2x5(require_no_isolated=True):
+        for g in spanning_subgraphs(complete_bipartite_graph(2, 5), covered_only=True):
             t = token_graph(g, 2)
             beta = independence_number(t.graph, budget)
             if beta > bound:
@@ -631,17 +632,6 @@ def conjecture_rows(max_order: int, max_k: int, budget: Budget | None) -> Rows:
                 yield f"K_{{{m},{n}}}, k={k}", compute
 
 
-def spanning_subgraphs_2x5(require_no_isolated: bool = False) -> Iterator[Graph]:
-    """Every spanning subgraph of the complete bipartite graph on parts 2
-    and 5, in edge-mask order; with ``require_no_isolated`` only those
-    covering every vertex."""
-    base = complete_bipartite_graph(2, 5)
-    for mask in range(1 << base.edge_count):
-        g = Graph(7, [e for i, e in enumerate(base.edges) if (mask >> i) & 1])
-        if not (require_no_isolated and 0 in g.degree_sequence()):
-            yield g
-
-
 def fig3_rows(covered_only: bool, budget: Budget | None) -> Rows:
     """One row per bipartite graph on parts 2 and 5 whose 2-token
     independence number beats the class bound, which it holds with slack;
@@ -661,12 +651,30 @@ def fig3_rows(covered_only: bool, budget: Budget | None) -> Rows:
             return None
         return bound, beta, None, STATUS_BOUND
 
-    for g in spanning_subgraphs_2x5(covered_only):
+    for g in spanning_subgraphs(complete_bipartite_graph(2, 5), covered_only):
         graphs += 1
         yield f"edges {[(u + 1, v + 1) for u, v in g.edges]}", partial(compute, g)
     # run_rows has called every compute by the time it asks for more
     if within == graphs:
         yield "no graph beat the class bound", lambda: (None, None, None, STATUS_FAIL)
+
+
+#: Scan name -> (report check id, help text, options as (flag, argparse
+#: keywords), its rows from the parsed options and the budget); the CLI
+#: builds one ``scan`` subcommand per entry.
+SCANS: dict[str, tuple[str, str, tuple, Callable[[Any, Budget | None], Rows]]] = {
+    "conjecture": (
+        "conjecture", "class bound against β on every K_{m,n}",
+        (("--max-order", dict(type=int, default=9)), ("--max-k", dict(type=int, default=4))),
+        lambda opts, budget: conjecture_rows(opts.max_order, opts.max_k, budget),
+    ),
+    "fig3": (
+        "fig3-scan", "parts-2/5 graphs that beat the class bound",
+        (("--covered-only", dict(action="store_true",
+                                 help="keep only graphs without isolated vertices")),),
+        lambda opts, budget: fig3_rows(opts.covered_only, budget),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
+import argparse
 import hashlib
 import json
 
 import pytest
 
+import tokengraphs.verify as verify
 from tokengraphs import cli, tokens
 from tokengraphs.cli import main, parse_graph_spec
 from tokengraphs.graphs import GraphError, complete_bipartite_graph, cycle_graph
+from tokengraphs.verify import SCANS
 
 
 def test_parse_graph_specs():
@@ -203,6 +206,31 @@ def test_cli_scan_conjecture_without_rows_is_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and not js.exists()
     assert captured.err.count("\n") == 1 and "conjecture" in captured.err
+    # the message names each of the scan's options with its parsed value
+    assert main(["scan", "conjecture", "--max-order", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scan conjecture has no instance with --max-order -1 --max-k 4\n"
+
+
+def _subcommands(parser):
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def test_cli_scan_subcommands_are_the_scan_table():
+    scans = _subcommands(_subcommands(cli.build_parser())["scan"])
+    assert list(scans) == list(SCANS)
+    assert all(p.get_default("func") is cli._cmd_scan for p in scans.values())
+
+
+def test_cli_scan_failing_rows_print_no_extra_line(monkeypatch, capsys):
+    # every row fails against a bound of 0: each says fail, the summary
+    # counts them, and the exit code is 1
+    monkeypatch.setattr(verify, "class_bound", lambda m, n, k: 0)
+    assert main(["scan", "conjecture", "--max-order", "4", "--max-k", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and all(line.lstrip().startswith("fail") for line in lines[:-1])
+    assert lines[-1] == "-- 0/2 rows pass or hold their bound"
 
 
 def test_cli_scan_guard_exit_code(capsys):

@@ -19,6 +19,7 @@ from tokengraphs.graphs import (
     cycle_graph,
     matching_graph,
     path_graph,
+    spanning_subgraphs,
     star_graph,
 )
 from tokengraphs.independence import token_independence_number
@@ -31,7 +32,6 @@ from tokengraphs.verify import (
     fig3_rows,
     oeis_check,
     run_rows,
-    spanning_subgraphs_2x5,
 )
 
 from conftest import conjecture_mnk
@@ -189,7 +189,7 @@ def test_oeis_guards():
 def _covered_hits_2x5():
     """(graph, β) of every covered parts-2/5 graph above the class bound."""
     solved = ((g, token_independence_number(g, 2))
-              for g in spanning_subgraphs_2x5(require_no_isolated=True))
+              for g in spanning_subgraphs(complete_bipartite_graph(2, 5), covered_only=True))
     return [(g, beta) for g, beta in solved if beta > class_bound(2, 5, 2)]
 
 
@@ -198,8 +198,23 @@ def test_counterexample_scan_filtered():
     assert hits and class_bound(2, 5, 2) == 11
     assert {beta for _, beta in hits} == {12}
     full = complete_bipartite_graph(2, 5)
-    assert list(spanning_subgraphs_2x5(require_no_isolated=True))[-1] == full
+    assert list(spanning_subgraphs(full, covered_only=True))[-1] == full
     assert all(g != full for g, _ in hits)
+
+
+@pytest.mark.parametrize(
+    "base, total, covered",
+    [(cycle_graph(4), 16, 7), (complete_bipartite_graph(2, 5), 1024, 241)],
+    ids=["C4", "K_{2,5}"],
+)
+def test_spanning_subgraphs_of_any_base(base, total, covered):
+    every = list(spanning_subgraphs(base))
+    kept = list(spanning_subgraphs(base, covered_only=True))
+    assert (len(every), len(kept)) == (total, covered)
+    assert every[0].edge_count == 0 and every[-1] == kept[-1] == base
+    assert kept == [g for g in every if 0 not in g.degree_sequence()]
+    assert len({g.edges for g in every}) == total
+    assert all(set(g.edges) <= set(base.edges) and g.n == base.n for g in every)
 
 
 def test_counterexample_hits_fail_hall():

@@ -20,6 +20,7 @@ from tokengraphs.graphs import (
     erdos_renyi,
     matching_graph,
     path_graph,
+    spanning_subgraphs,
     star_graph,
 )
 import tokengraphs.independence as independence
@@ -41,7 +42,7 @@ from tokengraphs.independence import (
     max_independent_set,
     token_independence_number,
 )
-from tokengraphs.matching import _hopcroft_karp_scratch, max_matching
+from tokengraphs.matching import _hopcroft_karp_scratch, brute_force_nu, max_matching
 from tokengraphs.tokens import token_bipartition, token_graph
 from tokengraphs.verify import BoundsPair, recursive_bounds, vertex_transitive_bound
 from conftest import bipartite_components, relabelled
@@ -933,6 +934,8 @@ def test_solve_leaves_no_cyclic_garbage():
         (max_independent_set, token_graph(cycle_graph(9), 3).graph),
         (max_independent_set, token_graph(complete_graph(8), 3).graph),
         (brute_force_mis, token_graph(cycle_graph(7), 2).graph),
+        (brute_force_nu, token_graph(cycle_graph(6), 2).graph),
+        (max_matching, token_graph(cycle_graph(9), 3).graph),
     ]
     for _, g in solves:
         g.adjacency_masks()
@@ -1014,9 +1017,8 @@ def test_saturation_route_matching_graphs():
 
 def test_saturation_route_inconclusive_on_counterexample():
     # a parts-2/5 graph whose 2-token independence beats both classes
-    from tokengraphs.verify import spanning_subgraphs_2x5
-
-    tokens = (token_graph(g, 2) for g in spanning_subgraphs_2x5(require_no_isolated=True))
+    parts_2_5 = complete_bipartite_graph(2, 5)
+    tokens = (token_graph(g, 2) for g in spanning_subgraphs(parts_2_5, covered_only=True))
     t = next(t for t in tokens if independence_number(t.graph) > 11)
     classes = token_bipartition(t, bipartition_of(t.base))
     assert beta_via_saturation(t, classes) is None
