@@ -11,7 +11,10 @@ component the seed is maximum and is returned as it is. Any other
 engine of :mod:`.matching`, run between its two classes on the same tuples,
 gives its matching number nu, so beta = |V| - nu, and the complement of the
 König cover is a maximum independent set; the seed or the larger color
-class is returned when it already has that size. So a bipartite solve
+class is returned when it already has that size. The classes go to the
+engine in id order, not BFS order: on F_7(C_14) and F_7(K_{7,7}) over ten
+random labellings its greedy start then leaves a median of 124 and 43 left
+vertices free instead of 208 and 190. So a bipartite solve
 builds no bitmask. Every other component goes to a bitmask branch-and-bound
 on the graph's adjacency masks, on an explicit stack, so no recursion limit
 bounds its depth: degree-0/degree-1 vertices are taken greedily (exact
@@ -93,9 +96,9 @@ def _two_color(
 
 def _greedy_seed(comp: list[int], adj: Rows, deg: list[int]) -> tuple[list[int], int]:
     """Deterministic maximal independent set: repeatedly take the vertex of
-    least remaining degree (ties to the lowest id). ``comp`` must be closed
-    under adjacency. Returns the set, in the order taken, and the degree
-    sum of ``comp``.
+    least remaining degree (ties to the lowest id). ``comp`` must be
+    ascending and closed under adjacency. Returns the set, in the order
+    taken, and the degree sum of ``comp``.
 
     ``heaps[d]`` is a min-heap of ids pushed when their live degree became
     d; ``deg[v]`` is that degree, -1 once v is removed, so an entry is stale
@@ -104,17 +107,16 @@ def _greedy_seed(comp: list[int], adj: Rows, deg: list[int]) -> tuple[list[int],
     ``adj``, no bitmask work per edge. ``deg`` is scratch of ``len(adj)``
     entries touched only at ``comp``, allocated once per solve.
     """
-    verts = sorted(comp)
-    heaps: list[list[int]] = [[] for _ in verts]
+    heaps: list[list[int]] = [[] for _ in comp]
     degree_sum = 0
-    for v in verts:  # ids ascend, so each list is already a heap
+    for v in comp:  # ids ascend, so each list is already a heap
         d = len(adj[v])
         deg[v] = d
         degree_sum += d
         heaps[d].append(v)
     chosen = []
     low = 0
-    live = len(verts)
+    live = len(comp)
     while live:
         heap = heaps[low]
         if not heap:
@@ -235,6 +237,8 @@ def _solve_component(
 ) -> list[int]:
     if len(comp) == 1:
         return comp
+    # in id order, the König engine's greedy start leaves few vertices free
+    comp.sort()
     adj = g.adj
     best, degree_sum = _greedy_seed(comp, adj, deg)
     if degree_sum == 2 * (len(comp) - 1):

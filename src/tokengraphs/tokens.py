@@ -5,12 +5,14 @@ of the base graph. Subsets are identified with dense vertex ids through a
 colexicographic combinadic codec, so derived graphs plug into every solver
 that works on plain graphs. Token edges and parity classes come from bitwise
 operations on membership lanes, one int per base vertex with a 0/1 byte per
-token rank, built and combined with no Python work per token.
+token rank, built and combined with no Python work per token. A process
+builds the lanes of each (n, k) once and keeps the 64 pairs used last.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 from math import comb
 from typing import Iterable, Sequence
@@ -73,13 +75,18 @@ class TokenGraph:
         return f"TokenGraph(base_n={self.base.n}, k={self.k}, n={self.graph.n}, m={self.graph.edge_count})"
 
 
-def _membership_lanes(n: int, k: int) -> list[int]:
+@lru_cache(maxsize=64)
+def _membership_lanes(n: int, k: int) -> tuple[int, ...]:
     """One lane per base vertex x: byte r is 1 when the token of colex rank r
     holds x. In colex order the j-subsets with largest element t are the first
     C(t, j-1) (j-1)-subsets plus t, so lane x over the j-subsets is C(x, j)
     zeros, C(x, j-1) ones, then for each t > x the first C(t, j-1) bytes of
     lane x over the (j-1)-subsets. Level j needs only the j-subsets of
-    {0..n-k+j-1}: n * C(n+1, k) bytes in all."""
+    {0..n-k+j-1}: n * C(n+1, k) bytes in all.
+
+    Cached, one immutable entry per (n, k) shared by every caller, of
+    n * C(n, k) bytes: 2.5 KB at the catalog's largest, 206 KB for F_8(P_16).
+    The catalog's checks ask for lanes 1,637 times over 46 pairs."""
     lanes = [bytes(x) + b"\1" + bytes(n - k - x) for x in range(n - k + 1)]
     for j in range(2, k + 1):
         prefix = [comb(t, j - 1) for t in range(n - k + j)]
@@ -87,7 +94,7 @@ def _membership_lanes(n: int, k: int) -> list[int]:
             bytes(comb(x, j)) + b"\1" * prefix[x] + b"".join([lanes[x][:p] for p in prefix[x + 1:]])
             for x in range(len(prefix))
         ]
-    return [int.from_bytes(lane, "little") for lane in lanes]
+    return tuple(int.from_bytes(lane, "little") for lane in lanes)
 
 
 def token_graph(g: Graph, k: int) -> TokenGraph:

@@ -53,8 +53,9 @@ def _mask(vertices):
 
 
 def _components(g):
-    """The vertex lists of the components of ``g``, lowest vertex first."""
-    return [comp for comp, _ in _component_masks(g.adj)[0]]
+    """The vertex lists of the components of ``g``, each ascending, as a
+    solve hands them to the seed."""
+    return [sorted(comp) for comp, _ in _component_masks(g.adj)[0]]
 
 
 # -- solver vs oracle -------------------------------------------------------
@@ -127,6 +128,7 @@ def test_koenig_cover_closes_a_component_the_seed_misses():
     g = KOENIG_FALLBACK
     comps, side = _component_masks(g.adj)
     comp, odd = max(comps, key=lambda c: len(c[0]))
+    comp.sort()
     one, two = _two_color(comp, odd, side)
     assert len(comp) == 22
     assert len(_greedy_seed(comp, g.adj, [-1] * g.n)[0]) == 11
@@ -136,6 +138,22 @@ def test_koenig_cover_closes_a_component_the_seed_misses():
     found = max_independent_set(g)
     found.validate(g)
     assert found.size == brute_force_mis(g) == 14
+
+
+def test_koenig_engine_gets_its_classes_in_id_order(monkeypatch):
+    # in BFS order the engine's greedy start leaves far more vertices free
+    lefts = []
+    engine = independence._bipartite_matching_size
+
+    def recorded(left, *args):
+        lefts.append(list(left))
+        return engine(left, *args)
+
+    monkeypatch.setattr(independence, "_bipartite_matching_size", recorded)
+    g = relabelled(token_graph(cycle_graph(14), 7).graph, 7)
+    assert max_independent_set(g).size == 1716
+    assert len(lefts) == 1 and len(lefts[0]) == 1716
+    assert lefts[0] == sorted(lefts[0])
 
 
 def _prufer_tree(order, rng):
@@ -182,6 +200,7 @@ def test_tree_components_keep_the_seed_without_the_matching_engine(monkeypatch):
         comps, side = _component_masks(g.adj)
         seeds = set()
         for comp, odd in comps:
+            comp.sort()
             chosen, degree_sum = _greedy_seed(comp, g.adj, [-1] * g.n)
             assert degree_sum == 2 * (len(comp) - 1)
             # König's size, which the engine would have certified

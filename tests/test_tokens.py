@@ -16,6 +16,7 @@ from tokengraphs.graphs import (
     path_graph,
     star_graph,
 )
+from tokengraphs import verify
 from tokengraphs.formulas import r_value
 from tokengraphs.tokens import (
     SubsetCodec,
@@ -158,7 +159,9 @@ def test_token_graph_matches_reference_on_relabelled_cycles_and_paths():
                              + [path_graph(n) for n in range(2, 11)]):
         g = relabelled(base, i)
         for k in range(1, base.n):
-            assert token_graph(g, k).graph == _reference_token_graph(g, k), (g, k)
+            _membership_lanes.cache_clear()
+            cold = token_graph(g, k).graph
+            assert cold == token_graph(g, k).graph == _reference_token_graph(g, k), (g, k)
 
 
 def test_token_graph_matches_reference_above_3000_vertices():
@@ -178,11 +181,27 @@ def test_membership_lanes_match_the_codec():
     for n in range(2, 11):
         for k in range(1, n):
             codec = SubsetCodec(n, k)
-            lanes = _membership_lanes(n, k)
-            assert len(lanes) == n
-            for x, lane in enumerate(lanes):
-                flags = lane.to_bytes(codec.size, "little")
-                assert flags == bytes(x in codec.unrank(r) for r in range(codec.size)), (n, k, x)
+            _membership_lanes.cache_clear()
+            for lanes in (_membership_lanes(n, k), _membership_lanes(n, k)):  # cold, cached
+                assert len(lanes) == n
+                for x, lane in enumerate(lanes):
+                    flags = lane.to_bytes(codec.size, "little")
+                    assert flags == bytes(x in codec.unrank(r) for r in range(codec.size)), (n, k, x)
+
+
+def test_membership_lanes_are_one_shared_tuple_per_pair():
+    lanes = _membership_lanes(9, 4)
+    assert type(lanes) is tuple
+    assert _membership_lanes(9, 4) is lanes
+
+
+def test_the_catalog_builds_each_pairs_lanes_once():
+    _membership_lanes.cache_clear()
+    for check_id in verify.CHECKS:
+        verify.run_check(check_id)
+    info = _membership_lanes.cache_info()
+    assert info.hits > 0
+    assert info.misses == info.currsize <= info.maxsize
 
 
 # -- complement map ---------------------------------------------------------
