@@ -67,7 +67,6 @@ from .verify import (
     oeis_check,
     recursive_bounds,
     run_check,
-    vertex_transitive_bound,
 )
 
 __version__ = "0.1.0"

@@ -55,22 +55,12 @@ def parse_graph_spec(spec: str) -> Graph:
         except (OSError, UnicodeDecodeError) as exc:
             raise GraphError(f"cannot read edge list {arg!r}: {exc}") from None
         return parse_edge_list_text(text)
-    kinds = {
-        "path": "path",
-        "cycle": "cycle",
-        "complete": "complete",
-        "kbip": "complete_bipartite",
-        "star": "star",
-        "match": "matching_graph",
-    }
-    if kind not in kinds:
-        raise GraphError(f"unknown graph kind {kind!r}")
     try:
         params = [int(x) for x in arg.split(",")]
     except ValueError:
         raise GraphError(f"bad parameters in graph spec {spec!r}") from None
     try:
-        return family(kinds[kind], params)
+        return family(kind, params)
     except GraphError as exc:
         raise GraphError(f"graph spec {spec!r}: {exc}") from None
 

@@ -214,25 +214,29 @@ def matching_graph(m: int, s: int) -> Graph:
     return make_graph(2 * m + s, ((2 * i, 2 * i + 1) for i in range(m)))
 
 
+#: Family -> (builder, arity); kbip and match are the graph-spec kinds of
+#: complete_bipartite and matching_graph.
 _FAMILIES = {
     "path": (path_graph, 1),
     "cycle": (cycle_graph, 1),
     "complete": (complete_graph, 1),
     "complete_bipartite": (complete_bipartite_graph, 2),
+    "kbip": (complete_bipartite_graph, 2),
     "star": (star_graph, 1),
     "matching_graph": (matching_graph, 2),
+    "match": (matching_graph, 2),
 }
 
 
 def family(kind: str, params: Sequence[int]) -> Graph:
-    """Canonical generator dispatch: path, cycle, complete, complete_bipartite,
-    star, matching_graph."""
+    """Canonical generator dispatch: path, cycle, complete, complete_bipartite
+    (kbip), star, matching_graph (match). An error names ``kind`` as given."""
     try:
         builder, arity = _FAMILIES[kind]
     except KeyError:
         raise GraphError(f"unknown graph family {kind!r}") from None
     if len(params) != arity:
-        raise GraphError(f"family {kind!r} takes {arity} parameter(s), got {len(params)}")
+        raise GraphError(f"{kind} takes {arity} parameter(s), got {len(params)}")
     return builder(*params)
 
 

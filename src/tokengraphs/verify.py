@@ -16,9 +16,9 @@ such as a size cap, is raised again with its check and instance prefixed.
 The scans, one :data:`SCANS` entry each, sit beside :data:`CHECKS` and run
 through :func:`run_rows` too. Every cross-check of a
 closed form against the exact solvers lives here, :func:`oeis_check`
-included, and so do the vertex-deletion bounds that eq1–eq3 check,
-:func:`recursive_bounds` and :func:`vertex_transitive_bound`, beside the
-cached solver they are given.
+included, and so does :func:`recursive_bounds`, the vertex-deletion
+bounds that eq1–eq3 check, beside the cached solver it is given; eq2 and
+eq3 take its upper side at k and at n − k, as F_k(G) ≅ F_{n−k}(G).
 """
 
 from __future__ import annotations
@@ -369,29 +369,6 @@ def recursive_bounds(
     return BoundsPair(lower=lower, upper=total // k)
 
 
-def vertex_transitive_bound(
-    g: Graph, k: int, beta_oracle: BetaOracle, deletions: Deletions | None = None
-) -> int:
-    """Upper bound on the k-token independence number of a vertex-transitive
-    graph, from deleting one vertex, with ``beta_oracle`` giving β of the
-    deleted graph, the first of ``deletions`` if given. Every vertex gives
-    the same bound, so vertex 0 is used.
-
-    Only regularity is checked here; full vertex-transitivity is the
-    caller's assertion (it holds for the cycles and complete graphs this is
-    used on).
-    """
-    n = g.n
-    if not 2 <= k <= n - 2:
-        raise GraphError(f"k={k} out of range for order {n}")
-    if len(set(g.degree_sequence())) > 1:
-        raise GraphError("graph is not regular, hence not vertex-transitive")
-    g_minus_v = deletions[0][0] if deletions else delete_vertices(g, (0,))[0]
-    smaller = _beta_with_conventions(beta_oracle, g_minus_v, k - 1)
-    same = _beta_with_conventions(beta_oracle, g_minus_v, k)
-    return min((n * smaller) // k, (n * same) // (n - k))
-
-
 def _cached_beta(budget: Budget | None) -> BetaOracle:
     """β(F_j(h)), each solved once up to complement: taking complements of
     the token sets makes F_j(h) and F_{n-j}(h) isomorphic. A solve that ran
@@ -460,18 +437,19 @@ def _eq1(cap: int, budget: Budget | None) -> Rows:
 def _sandwich(
     name: str, base: Callable[[int], Graph], max_k: int, oracle: BetaOracle, beta: BetaOracle, cap: int
 ) -> Rows:
-    """On the vertex-transitive ``base(n)``, the best deletion split and the
-    vertex-transitive bound, with ``oracle`` giving β of every deleted graph,
-    bracket the exact β(F_k) from ``beta``, for 2 <= k <= min(max_k, n - 2)."""
+    """On ``base(n)``, the best deletion split and the smaller upper side at
+    k and at n - k, with ``oracle`` giving β of every deleted graph, bracket
+    the exact β(F_k) from ``beta``, for 2 <= k <= min(max_k, n - 2). F_k and
+    F_{n-k} are isomorphic, so both sides bound β(F_k) on every base; on a
+    vertex-transitive one their minimum is the bound read from one G - v."""
     deleted = cache(_vertex_deletions)
     for n in range(4, cap + 1):
         for k in range(2, min(max_k, n - 2) + 1):
             def compute(n=n, k=k):
                 g = base(n)
-                deletions = deleted(g)
-                lower = recursive_bounds(g, k, oracle, deletions).lower
-                upper = vertex_transitive_bound(g, k, oracle, deletions)
-                return _bracket(lower, upper, beta(g, k))
+                bounds = recursive_bounds(g, k, oracle, deleted(g))
+                upper = min(bounds.upper, recursive_bounds(g, n - k, oracle, deleted(g)).upper)
+                return _bracket(bounds.lower, upper, beta(g, k))
 
             yield name.format(n=n, k=k), compute
 

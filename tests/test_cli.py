@@ -303,9 +303,12 @@ def test_cli_bad_spec_is_usage_error(capsys):
 
 
 def test_cli_spec_of_the_wrong_arity_names_the_spec(capsys):
-    assert main(["build", "kbip:2", "-k", "1"]) == 2
-    err = capsys.readouterr().err
-    assert "'kbip:2'" in err and "takes 2 parameter(s), got 1" in err
+    # the message names the kind as typed, never the family it stands for
+    for spec, kind, count in (("kbip:2", "kbip", 1), ("kbip:1,2,3", "kbip", 3), ("match:3", "match", 1)):
+        assert main(["build", spec, "-k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"graph spec '{spec}': {kind} takes 2 parameter(s), got {count}" in err
+        assert "complete_bipartite" not in err and "matching_graph" not in err
 
 
 def test_cli_star_without_leaves_names_the_star(capsys):

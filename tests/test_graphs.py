@@ -137,6 +137,9 @@ def test_make_graph_normalisation(data):
         ("star", [4], 5, 4),
         ("matching_graph", [2, 1], 5, 2),
         ("matching_graph", [3, 0], 6, 3),
+        # the graph-spec kinds of the two families above
+        ("kbip", [2, 5], 7, 10),
+        ("match", [3, 0], 6, 3),
     ],
 )
 def test_family_closed_form_sizes(kind, params, order, size):

@@ -44,7 +44,10 @@ from tokengraphs.independence import (
 )
 from tokengraphs.matching import _hopcroft_karp_scratch, brute_force_nu, max_matching
 from tokengraphs.tokens import token_bipartition, token_graph
-from tokengraphs.verify import BoundsPair, recursive_bounds, vertex_transitive_bound
+import tokengraphs.verify as verify
+from tokengraphs.formulas import beta_balanced_family
+from tokengraphs.reports import STATUS_BOUND
+from tokengraphs.verify import BoundsPair, recursive_bounds
 from conftest import bipartite_components, relabelled
 
 
@@ -1111,17 +1114,60 @@ def test_recursive_bounds_rejects_bad_k():
         recursive_bounds(path_graph(4), 1, token_independence_number)
 
 
-def test_vertex_transitive_bound_cycles():
-    assert vertex_transitive_bound(cycle_graph(7), 2, token_independence_number) == 10
-    assert vertex_transitive_bound(cycle_graph(5), 2, token_independence_number) == 5
+def _one_deletion_bound(g, k, oracle):
+    """The eq2/eq3 upper side as it was, frozen here: on a vertex-transitive
+    base every G - v is alike, so vertex 0 stands for all of them and the
+    bound is the smaller of n·β(F_{k-1}(G - v))/k and n·β(F_k(G - v))/(n - k).
+    It is not a bound on other regular bases."""
+    g_minus_v = delete_vertices(g, (0,))[0]
+    return min(g.n * oracle(g_minus_v, k - 1) // k, g.n * oracle(g_minus_v, k) // (g.n - k))
 
 
-def test_vertex_transitive_bound_johnson():
-    # both one-smaller Johnson values give 7 here, so the bound is exact
-    bound = vertex_transitive_bound(complete_graph(7), 3, token_independence_number)
-    assert bound == 7 == token_independence_number(complete_graph(7), 3)
+def _sandwich_rows(bases, oracle, beta):
+    """(n, k) -> (upper side, status) of every row the eq2/eq3 sandwich
+    yields on ``bases``, one base per order n, for 2 <= k <= n - 2."""
+    cap = max(bases)
+    found = {}
+    for name, compute in verify._sandwich("{n} {k}", bases.get, cap, oracle, beta, cap):
+        n, k = map(int, name.split())
+        if n in bases:
+            interval, _, _, status = compute()
+            found[n, k] = int(interval.strip("[]").split(", ")[1]), status
+    return found
 
 
-def test_vertex_transitive_bound_rejects_irregular():
-    with pytest.raises(GraphError):
-        vertex_transitive_bound(path_graph(5), 2, token_independence_number)
+@pytest.mark.parametrize(
+    "base,oracle",
+    [
+        # eq2's oracle: every deletion of a cycle is a path
+        (cycle_graph, lambda h, j: beta_balanced_family(h.n, j)),
+        # any oracle invariant under isomorphism and complement will do on
+        # K_n, whose deletions are all K_{n-1}; this spares J(10,3)'s solve
+        (complete_graph, lambda h, j: comb(h.n, j)),
+    ],
+    ids=["cycle", "complete"],
+)
+def test_sandwich_upper_is_the_one_deletion_bound_on_vertex_transitive_bases(base, oracle):
+    rows = _sandwich_rows({n: base(n) for n in range(4, 17)}, oracle, oracle)
+    assert sorted(rows) == [(n, k) for n in range(4, 17) for k in range(2, n - 1)]
+    for (n, k), (upper, _) in rows.items():
+        assert upper == _one_deletion_bound(base(n), k, oracle), (n, k)
+
+
+def test_sandwich_upper_holds_on_a_regular_base_that_is_not_vertex_transitive():
+    # C_4 and C_3 side by side, vertex 0 on the 4-cycle: the one-deletion
+    # bound read at vertex 0 gives 8 at k = 2 and k = 5, below β = 9
+    g = Graph(7, [(0, 1), (0, 3), (1, 4), (3, 4), (2, 5), (2, 6), (5, 6)])
+    beta = verify._cached_beta(None)
+    rows = _sandwich_rows({7: g}, beta, beta)
+    for k in (2, 5):
+        assert _one_deletion_bound(g, k, beta) == 8 < 9 == beta(g, k)
+        assert rows[7, k] == (10, STATUS_BOUND)
+
+
+@given(st.integers(4, 7), st.sampled_from((0.2, 0.4, 0.6, 0.8)), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_sandwich_brackets_beta_on_random_bases(n, density, seed):
+    beta = verify._cached_beta(None)
+    rows = _sandwich_rows({n: erdos_renyi(n, density, seed)}, beta, beta)
+    assert rows and all(status == STATUS_BOUND for _, status in rows.values())

@@ -126,6 +126,31 @@ def test_catalog_reports_match_the_recorded_digests(default_reports):
     )
 
 
+@pytest.mark.parametrize(
+    "check_id,cap,json_digest,csv_digest",
+    [
+        ("eq1", 10,
+         ("a8b4f3109003cc2958f5384141f866b08e11f779c37277a195260657a5eb78fa", 77431),
+         ("a06f07f83c11318d72d7afe1bd4fed0f371446dca12badd408b7ae3594e1af70", 22577)),
+        ("eq2", 10,
+         ("1c4236e8114ba8606cb2fb73cbf94cc6a20b53b92c01e4b74c14c28240124563", 4534),
+         ("b266b649655fa178aef79fca80e63c7e58d9a7a54d8705a0c018e5e313fc2dbb", 1164)),
+        ("eq3", 9,
+         ("6bc23f014ab4820cd0129d87494e967eab30a1e96b6d7436a51c5ad8b38dc5b2", 1798),
+         ("1fc62164757fa221c5b715208944dad2b688afef5ba5f12e8308466386ce0ab5", 502)),
+    ],
+)
+def test_deletion_bound_reports_past_the_caps_match_the_recorded_digests(
+    check_id, cap, json_digest, csv_digest
+):
+    # sha256 and byte length of the reports of the caps CI runs, recorded
+    # while the sandwich still read its upper side from one deleted vertex
+    rows = run_check(check_id, max_n=cap)
+    json_text, csv_text = reports_to_json(rows).encode(), reports_to_csv(rows).encode()
+    assert (hashlib.sha256(json_text).hexdigest(), len(json_text)) == json_digest
+    assert (hashlib.sha256(csv_text).hexdigest(), len(csv_text)) == csv_digest
+
+
 def test_each_construction_row_builds_one_token_graph(monkeypatch):
     # the constructions certify against the row's token graph instead of
     # building their own; at 161 / 16 / 17 builds they built it again
