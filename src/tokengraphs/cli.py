@@ -49,20 +49,18 @@ def parse_graph_spec(spec: str) -> Graph:
     kind, sep, arg = spec.partition(":")
     if not sep:
         raise GraphError(f"bad graph spec {spec!r}; expected kind:params")
-    if kind == "file":
-        try:
-            text = Path(arg).read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise GraphError(f"cannot read edge list {arg!r}: {exc}") from None
-        return parse_edge_list_text(text)
+    if kind == "file" and not arg:
+        raise GraphError(f"graph spec {spec!r} names no edge-list file")
     try:
-        params = [int(x) for x in arg.split(",")]
+        if kind == "file":
+            return parse_edge_list_text(Path(arg).read_text())
+        return family(kind, [int(x) for x in arg.split(",")])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphError(f"cannot read edge list {arg!r}: {exc}") from None
+    except GraphError as exc:  # before ValueError, its base class
+        raise GraphError(f"graph spec {spec!r}: {exc}") from None
     except ValueError:
         raise GraphError(f"bad parameters in graph spec {spec!r}") from None
-    try:
-        return family(kind, params)
-    except GraphError as exc:
-        raise GraphError(f"graph spec {spec!r}: {exc}") from None
 
 
 def _budget_seconds(text: str) -> float:

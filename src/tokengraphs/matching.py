@@ -1,9 +1,11 @@
-"""Exact maximum matchings: one engine for each kind of graph.
+"""Exact maximum matchings: one engine for each kind of question.
 
-General graphs go through breadth-first augmenting-path search with blossom
-contraction (O(V^3)), one flag test per neighbour scanned, and Edmonds'
-Hungarian-tree deletion: later searches skip a failed search's vertices.
-Bipartite graphs go through Hopcroft-Karp (SIAM J. Comput. 1973) on the
+ν goes through :func:`max_matching`, breadth-first augmenting-path search
+with blossom contraction (O(V^3)), one flag test per neighbour scanned, and
+Edmonds' Hungarian-tree deletion: later searches skip a failed search's
+vertices. ``nu`` and the ν rows run it on bipartite token graphs too:
+Hopcroft-Karp was slower on both frontier ν instances. Questions about one
+side of a 2-colouring go through Hopcroft-Karp (SIAM J. Comput. 1973) on the
 sorted neighbour tuples, with one side a list of ids and the matching kept
 in lists indexed by vertex, which the calls of one solve share and restore
 at their own vertices only. Its last search also yields the side's vertices
@@ -75,22 +77,20 @@ def max_matching(g: Graph, budget: Budget | None = None) -> Matching:
     tree (the root, the mates of inner vertices and what blossoms absorb),
     and only then compares bases, as any other vertex is its own base.
 
-    Deterministic: greedy seeding and augmenting-path scans run in vertex-id
+    The searches start from :func:`_greedy_start`, which also flips
+    length-3 augmenting paths: a search from a lone exposed root can label
+    much of the graph. Its extra work reads only the rows of the mates of
+    the neighbours of vertices the plain greedy start would leave free, and
+    like that start it spends no ``budget``.
+
+    Deterministic: the start and the augmenting-path scans run in vertex-id
     order, so identical inputs yield identical matchings. Each exposed root
     searched from is one node of the ``budget``; running out raises
     :class:`BudgetExceededError`.
     """
     n, adj = g.n, g.adj
-    mate = [-1] * n
+    mate = _greedy_start(adj)
     clock = _BudgetClock(budget)
-
-    for v in range(n):
-        if mate[v] == -1:
-            for w in adj[v]:
-                if mate[w] == -1:
-                    mate[v] = w
-                    mate[w] = v
-                    break
 
     # search state, reset after each search only where that search labelled
     parent = [-1] * n
@@ -184,6 +184,33 @@ def max_matching(g: Graph, budget: Budget | None = None) -> Matching:
             parent[v] = -1
 
     return Matching(frozenset((v, w) for v, w in enumerate(mate) if w > v))
+
+
+def _greedy_start(adj: Rows) -> list[int]:
+    """The mates (-1 if free) of a maximal matching along ``adj``: in id
+    order, a free vertex v takes its lowest free neighbour or, with none,
+    flips the first length-3 augmenting path v-w=x-y, w its lowest
+    neighbour whose mate x has a free neighbour y other than v."""
+    mate = [-1] * len(adj)
+    for v in range(len(adj)):
+        if mate[v] != -1:
+            continue
+        row = adj[v]
+        for w in row:
+            if mate[w] == -1:
+                mate[v], mate[w] = w, v
+                break
+        else:
+            for w in row:  # every neighbour is matched
+                x = mate[w]
+                for y in adj[x]:
+                    if mate[y] == -1 and y != v:
+                        mate[v], mate[w], mate[x], mate[y] = w, v, y, x
+                        break
+                else:
+                    continue
+                break
+    return mate
 
 
 def brute_force_nu(g: Graph) -> int:

@@ -47,6 +47,18 @@ def test_cli_non_integer_edge_list_header_is_usage_error(tmp_path, capsys):
     assert "header" in capsys.readouterr().err
 
 
+def test_cli_file_spec_errors_name_the_spec(tmp_path, capsys):
+    # an empty path would read the working directory, and an empty file's
+    # parse error named no file: both now name the spec, as a family's does
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n")
+    for argv in (["nu", "file:", "-k", "1"], ["beta", f"file:{empty}", "-k", "1"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"graph spec {argv[1]!r}" in err, argv
+        assert "directory" not in err and "Traceback" not in err
+
+
 def test_parse_graph_spec_errors():
     for bad in ("cycle", "wheel:5", "path:x", "kbip:3"):
         with pytest.raises(GraphError):

@@ -27,6 +27,7 @@ from tokengraphs.graphs import (
 from tokengraphs.matching import (
     Matching,
     MatchingError,
+    _greedy_start,
     _hopcroft_karp,
     _hopcroft_karp_scratch,
     brute_force_nu,
@@ -111,24 +112,19 @@ def test_matching_examples_from_token_graphs():
 
 
 def _reference_max_matching(g: Graph) -> Matching:
-    """The blossom engine without Hungarian-tree deletion, kept verbatim
-    as the reference for the deleting one: a maximum matching of ``g`` via
-    blossom contraction.
+    """The blossom engine without Hungarian-tree deletion, kept verbatim but
+    for its start as the reference for the deleting one: a maximum matching
+    of ``g`` via blossom contraction.
+
+    It starts from the engine's own greedy start, so a comparison checks
+    deletion and the one-flag search alone; the start has tests of its own.
 
     Deterministic: greedy seeding and augmenting-path scans run in vertex-id
     order, so identical inputs yield identical matchings.
     """
     n = g.n
     adj = [list(g.adj[v]) for v in range(n)]
-    mate = [-1] * n
-
-    for v in range(n):
-        if mate[v] == -1:
-            for w in adj[v]:
-                if mate[w] == -1:
-                    mate[v] = w
-                    mate[w] = v
-                    break
+    mate = _greedy_start(g.adj)
 
     parent = [-1] * n
     base = list(range(n))
@@ -259,15 +255,77 @@ def test_blossom_matches_reference_where_an_absorbed_inner_vertex_augments():
     assert max_matching(g).sorted_edges() == [(0, 5), (1, 2), (3, 4)]
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_blossom_matches_reference_on_sparse_general_graphs(seed):
-    # past the random test's 30 vertices, at average degree about 3, where
-    # searches run long and contract nested blossoms
+def _sparse_general_graph(seed):
+    """G(n, 3/n) on n = 40 + 10 * seed vertices: past the random test's 30,
+    at average degree about 3, where searches run long and contract nested
+    blossoms."""
     rng = random.Random(seed)
     n = 40 + 10 * seed
-    g = Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 3 / n])
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < 3 / n])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_blossom_matches_reference_on_sparse_general_graphs(seed):
+    g = _sparse_general_graph(seed)
     for h in (g, relabelled(g, seed)):
         assert max_matching(h).edges == _reference_max_matching(h).edges
+
+
+def test_blossom_agrees_with_networkx_on_sparse_general_graphs():
+    # the sizes of the reference comparisons above, past brute force's reach,
+    # against an oracle that shares no code with the engine or its start
+    nx = pytest.importorskip("networkx")
+    for seed in range(12):
+        g = _sparse_general_graph(seed)
+        for h in (g, relabelled(g, seed)):
+            theirs = nx.Graph(list(h.edges))
+            theirs.add_nodes_from(range(h.n))
+            size = len(nx.max_weight_matching(theirs, maxcardinality=True))
+            assert max_matching(h).size == size, seed
+
+
+# -- the greedy start ---------------------------------------------------------
+
+
+def _start_corpus():
+    yield from (PETERSEN, star_graph(6), path_graph(7), cycle_graph(9), _BROOM)
+    yield from (erdos_renyi(6 + seed % 20, (0.1, 0.2, 0.4)[seed % 3], seed) for seed in range(40))
+    yield from (_sparse_general_graph(seed) for seed in range(4))
+    for base, k in [(cycle_graph(9), 3), (path_graph(10), 5), (star_graph(6), 3),
+                    (complete_bipartite_graph(4, 4), 4)]:
+        t = token_graph(base, k).graph
+        yield from (t, relabelled(t, k))
+
+
+def _free_after_start(g):
+    return _greedy_start(g.adj).count(-1)
+
+
+def test_greedy_start_is_a_valid_matching():
+    for g in _start_corpus():
+        mate = _greedy_start(g.adj)
+        assert all(w == -1 or mate[w] == v for v, w in enumerate(mate))
+        Matching.of((v, w) for v, w in enumerate(mate) if w > v).validate(g)
+
+
+def test_greedy_start_is_maximal():
+    # no edge has both ends free, as after the plain greedy start
+    for g in _start_corpus():
+        mate = _greedy_start(g.adj)
+        assert not [(u, v) for u, v in g.edges if mate[u] == mate[v] == -1]
+
+
+def test_greedy_start_leaves_few_free_on_relabelled_f8_p16():
+    # nu = 6400 leaves 70 of the 12,870 vertices free in every maximum
+    # matching; the plain greedy start left 880 to 920 at these labellings
+    t = token_graph(path_graph(16), 8).graph
+    for seed in range(1, 11):
+        assert 70 <= _free_after_start(relabelled(t, seed)) <= 200, seed
+
+
+def test_greedy_start_is_perfect_on_f7_k77():
+    # at the paper's labels: the plain greedy start left 64 vertices free
+    assert _free_after_start(token_graph(complete_bipartite_graph(7, 7), 7).graph) == 0
 
 
 def test_blossom_agrees_with_networkx_on_general_token_graphs():
@@ -303,7 +361,7 @@ def test_blossom_matching_of_f8_p16_is_pinned():
     # one edge of the frontier matching fails here
     m = max_matching(token_graph(path_graph(16), 8).graph)
     digest = hashlib.sha256(repr(m.sorted_edges()).encode()).hexdigest()
-    assert digest == "f9ea730acfa061f63c6b3a6ee8cb83f7ce4b00c741928850f23797800e9e7589"
+    assert digest == "fd33b74a765ff2d22f0e26eee90531b610accde51c3e2a594dfebad4c27341ea"
 
 
 class _CountingRows(tuple):
@@ -322,16 +380,18 @@ _BROOM = Graph(152, [(v, v + 1) for v in range(101)] + [(0, p) for p in range(10
 
 
 @pytest.mark.parametrize("g,reads", [
-    (star_graph(50), 100),
-    (token_graph(star_graph(9), 2).graph, 72),
-    (_BROOM, 202),
+    (star_graph(50), 149),
+    (token_graph(star_graph(9), 2).graph, 126),
+    (_BROOM, 252),
 ], ids=["K_{1,50}", "F_2(K_{1,9})", "broom"])
 def test_blossom_skips_the_vertices_of_deleted_hungarian_trees(g, reads):
     # deletion leaves the matching as it is, so only the work shows it: the
-    # rows a run reads, pinned at the paper's labels. Without deletion every
-    # later search from a leaf of the star re-reads the centre's row, and
-    # every pendant of the broom regrows the tree down the whole chain:
-    # 2,701 reads there, quadratic in n, against 202
+    # rows a run reads, pinned at the paper's labels. The greedy start reads
+    # the row of each vertex it finds free and, when all its neighbours are
+    # matched, their mates' rows: two per leaf of the star or pendant of the
+    # broom. Without deletion every later search from a leaf of the star
+    # re-reads the centre's row, and every pendant of the broom regrows the
+    # tree down the whole chain: 2,751 reads there, quadratic in n, against 252
     expected = _reference_max_matching(g).edges
     g.adj = _CountingRows(g.adj)
     assert max_matching(g).edges == expected
